@@ -42,25 +42,32 @@ def bim(model: Model, x0, label, cfg: BimConfig) -> np.ndarray:
         raise InputError(
             f"expected a {model.spec.input_dim}-dim input, got shape {x0.shape}"
         )
-    if cfg.epsilon == 0.0:
-        return x0.copy()
-    sign = -1.0 if cfg.mode == "targeted" else 1.0
-    lo, hi = cfg.clip_range
-    x = x0.copy()
-    for _ in range(cfg.iterations):
-        g = input_gradient(model, x, int(label))
-        x = x + sign * cfg.step_size * np.sign(g)
-        x = np.clip(x, x0 - cfg.epsilon, x0 + cfg.epsilon)
-        x = np.clip(x, lo, hi)
-    return x
+    return bim_batch(model, x0[None], [label], cfg)[0]
 
 
 def bim_batch(model: Model, inputs, labels, cfg: BimConfig) -> np.ndarray:
-    """Elementwise bim over a batch; output row i equals bim on row i alone."""
+    """bim over a batch, all rows at once; output row i equals bim on row i alone.
+
+    Rows never mix: `input_gradient` takes each row's own loss, not a batch
+    mean, so every row follows the same iterates it would follow alone."""
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
     if len(inputs) != len(labels):
         raise InputError("inputs/labels length mismatch")
     if len(inputs) == 0:
         return inputs.reshape(0, model.spec.input_dim)
-    return np.stack([bim(model, x, y, cfg) for x, y in zip(inputs, labels)])
+    if inputs.ndim != 2 or inputs.shape[1] != model.spec.input_dim:
+        raise InputError(
+            f"expected inputs of dim {model.spec.input_dim}, got shape {inputs.shape}"
+        )
+    if cfg.epsilon == 0.0:
+        return inputs.copy()
+    sign = -1.0 if cfg.mode == "targeted" else 1.0
+    lo, hi = cfg.clip_range
+    x = inputs.copy()
+    for _ in range(cfg.iterations):
+        g = input_gradient(model, x, labels)
+        x = x + sign * cfg.step_size * np.sign(g)
+        x = np.clip(x, inputs - cfg.epsilon, inputs + cfg.epsilon)
+        x = np.clip(x, lo, hi)
+    return x

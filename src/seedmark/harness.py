@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -173,7 +173,9 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
     base, blur_name = parse_attack_token(token)
     ext_cfg = _extraction_config(cfg, base, data, seed)
     if base == "TRL":
-        pre_data = generate(cfg.gen, derive_seed(seed, "pretrain-data"))
+        # Pretraining data must match the victim's data shape, which need not be cfg.gen's.
+        pre_gen = replace(cfg.gen, dims=data.dims, classes=data.class_count)
+        pre_data = generate(pre_gen, derive_seed(seed, "pretrain-data"))
         pretrained_spec_family = cfg.protected_family
         pretrained = train_fresh(cfg, pre_data, pretrained_spec_family, derive_seed(seed, "pretrain"))
         model = extract(victim, data.features, ext_cfg, pretrained=pretrained)

@@ -248,17 +248,23 @@ def _target_matrix(model, targets, loss):
     return targets.astype(np.float64)
 
 
-def _backprop(layers, weights, traces, delta):
+def _backprop(layers, weights, traces, delta, out=None):
     """Propagate dL/dlogits back through the stack.
 
-    Returns (param grads, input grads)."""
-    grads = [None] * len(weights)
+    Returns (param grads, input grads). With `out` (one (gW, gb) pair of
+    arrays per dense layer) the param grads are written into it."""
+    grads = [None] * len(weights) if out is None else out
     wi = len(weights)
     for layer, a_in in zip(reversed(layers), reversed(traces)):
         if isinstance(layer, Dense):
             wi -= 1
             w, _ = weights[wi]
-            grads[wi] = (a_in.T @ delta, delta.sum(axis=0))
+            if out is None:
+                grads[wi] = (a_in.T @ delta, delta.sum(axis=0))
+            else:
+                gw, gb = out[wi]
+                np.matmul(a_in.T, delta, out=gw)
+                np.sum(delta, axis=0, out=gb)
             delta = delta @ w.T
         elif layer.kind == "relu":
             delta = delta * (a_in > 0.0)
@@ -280,7 +286,7 @@ def loss_and_param_grads(model: Model, inputs, targets, loss="hard", temperature
     return _loss_and_grads(model.spec.layers, model.weights, x, t, loss, temperature)
 
 
-def _loss_and_grads(layers, weights, x, t, loss, temperature):
+def _loss_and_grads(layers, weights, x, t, loss, temperature, out=None):
     z, traces = _forward_trace(layers, weights, x)
     scale = temperature if loss == "soft" else 1.0
     p = softmax(z / scale)
@@ -288,7 +294,7 @@ def _loss_and_grads(layers, weights, x, t, loss, temperature):
     logp = np.log(np.clip(p, 1e-300, None))
     loss_value = -(t * logp).sum() / n
     delta = (p - t) / (n * scale)
-    grads, _ = _backprop(layers, weights, traces, delta)
+    grads, _ = _backprop(layers, weights, traces, delta, out)
     return loss_value, tuple(grads)
 
 
@@ -307,11 +313,15 @@ def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
     return dx[0] if single else dx
 
 
-def _adam_state(weights):
-    return [
-        (np.zeros_like(w), np.zeros_like(b), np.zeros_like(w), np.zeros_like(b))
-        for w, b in weights
-    ]
+def _layer_views(buf, weights):
+    """(W, b) views into flat `buf`, laid out layer by layer like `weights`."""
+    views, offset = [], 0
+    for w, b in weights:
+        wv = buf[offset : offset + w.size].reshape(w.shape)
+        offset += w.size
+        views.append((wv, buf[offset : offset + b.size]))
+        offset += b.size
+    return views
 
 
 def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> Model:
@@ -319,49 +329,66 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
 
     Batch order is a pure function of cfg.seed. `frozen_dense` leaves the
     first k dense layers' weights untouched (transfer-learning support).
+
+    All parameters live in one flat buffer (the returned model's weights
+    are views of it), so each step is one optimizer update over the
+    trainable tail of that buffer. The update applies the same elementwise
+    operations in the same order as a per-tensor loop, so the weights are
+    bit-identical to it.
     """
     x = _check_inputs(model, features)
     if frozen_dense >= len(model.weights):
         raise SpecError(
             f"frozen_dense={frozen_dense} would freeze all {len(model.weights)} dense layers"
         )
-    weights = [(w.copy(), b.copy()) for w, b in model.weights]
+    params = np.concatenate([a.ravel() for wb in model.weights for a in wb], dtype=np.float64)
+    weights = _layer_views(params, model.weights)
+    grad = np.empty_like(params)
+    grads = _layer_views(grad, model.weights)
+    first = sum(w.size + b.size for w, b in model.weights[:frozen_dense])
+    p, g = params[first:], grad[first:]
     shuffler = stream(cfg.seed, "shuffle")
     t = _target_matrix(model, targets, cfg.loss)
     if len(t) != len(x):
         raise InputError("input/target batch size mismatch")
     n = len(x)
-    adam = _adam_state(weights) if cfg.optimizer == "adam" else None
+    lr, b1, b2 = cfg.learning_rate, cfg.beta1, cfg.beta2
+    if cfg.optimizer == "adam":
+        m, v = np.zeros_like(p), np.zeros_like(p)
+    tmp1, tmp2 = np.empty_like(p), np.empty_like(p)
     step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffler.permutation(n)
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss_value, grads = _loss_and_grads(
-                    model.spec.layers, weights, x[idx], t[idx], cfg.loss, cfg.temperature
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffler.permutation(n)
+            for bi, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                loss_value, _ = _loss_and_grads(
+                    model.spec.layers, weights, x[idx], t[idx], cfg.loss, cfg.temperature,
+                    out=grads,
                 )
-            if not np.isfinite(loss_value):
-                raise DivergenceError(epoch, bi)
-            step += 1
-            for li in range(frozen_dense, len(weights)):
-                w, b = weights[li]
-                gw, gb = grads[li]
+                if not np.isfinite(loss_value):
+                    raise DivergenceError(epoch, bi)
+                step += 1
                 if cfg.optimizer == "sgd":
-                    weights[li] = (w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
-                else:
-                    mw, mb, vw, vb = adam[li]
-                    mw = cfg.beta1 * mw + (1 - cfg.beta1) * gw
-                    mb = cfg.beta1 * mb + (1 - cfg.beta1) * gb
-                    vw = cfg.beta2 * vw + (1 - cfg.beta2) * gw**2
-                    vb = cfg.beta2 * vb + (1 - cfg.beta2) * gb**2
-                    adam[li] = (mw, mb, vw, vb)
-                    c1 = 1 - cfg.beta1**step
-                    c2 = 1 - cfg.beta2**step
-                    weights[li] = (
-                        w - cfg.learning_rate * (mw / c1) / (np.sqrt(vw / c2) + cfg.eps),
-                        b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + cfg.eps),
-                    )
+                    p -= np.multiply(g, lr, out=tmp1)  # p - lr*g
+                    continue
+                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=tmp1)
+                v *= b2
+                np.multiply(g, g, out=tmp2)
+                tmp2 *= 1 - b2
+                v += tmp2
+                # p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
+                c1 = 1 - b1**step
+                c2 = 1 - b2**step
+                np.divide(m, c1, out=tmp1)
+                tmp1 *= lr
+                np.divide(v, c2, out=tmp2)
+                np.sqrt(tmp2, out=tmp2)
+                tmp2 += cfg.eps
+                tmp1 /= tmp2
+                p -= tmp1
     kind = "trained-fresh" if model.provenance.kind == "initialized" else model.provenance.kind
     prov = model.provenance.extended(
         kind,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seedmark.bim import BimConfig, bim, bim_batch
 from seedmark.errors import InputError, SpecError
-from seedmark.nnet import forward, predict
+from seedmark.nnet import forward, input_gradient, predict
 
 from conftest import random_small_model
 
@@ -124,3 +124,28 @@ def test_dimension_mismatch(trained_model):
         bim(trained_model, np.zeros(3), 0, BimConfig())
     with pytest.raises(InputError):
         bim_batch(trained_model, np.zeros((2, trained_model.spec.input_dim)), [0], BimConfig())
+
+
+def _reference_bim(model, x0, label, cfg):
+    """One row at a time, one input gradient per iteration: the oracle for bim."""
+    sign = -1.0 if cfg.mode == "targeted" else 1.0
+    lo, hi = cfg.clip_range
+    x = x0.copy()
+    for _ in range(cfg.iterations):
+        x = x + sign * cfg.step_size * np.sign(input_gradient(model, x, int(label)))
+        x = np.clip(x, x0 - cfg.epsilon, x0 + cfg.epsilon)
+        x = np.clip(x, lo, hi)
+    return x
+
+
+def test_default_config_batch_equals_singles_on_all_misclassified(trained_model, blob_data):
+    _, test_set = blob_data
+    preds = predict(trained_model, test_set.features)
+    wrong = np.flatnonzero(preds != test_set.labels)
+    assert len(wrong) > 1
+    cfg = BimConfig()
+    batch = bim_batch(trained_model, test_set.features[wrong], preds[wrong], cfg)
+    for row, i in zip(batch, wrong):
+        x, target = test_set.features[i], preds[i]
+        assert np.array_equal(row, bim(trained_model, x, target, cfg))
+        assert np.array_equal(row, _reference_bim(trained_model, x, target, cfg))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seedmark.attacks import BlurConfig, ExtractionConfig
-from seedmark.datasets import GenSpec
+from seedmark.datasets import GenSpec, generate
 from seedmark.errors import ConfigError
 from seedmark.harness import (
     EvaluationConfig,
@@ -169,6 +169,14 @@ class TestAttackedModels:
         model = build_attacked_model(cfg, victim, "CAR", train_set, 6)
         expected = family_spec(cfg.cross_arch_family, train_set.dims, train_set.class_count)
         assert model.spec == expected
+
+    def test_transfer_attack_on_data_unlike_default_gen(self):
+        cfg = EvaluationConfig()
+        data_5x3 = generate(GenSpec(classes=3, dims=5, samples_per_class=60), seed=4)
+        assert (data_5x3.dims, data_5x3.class_count) != (cfg.gen.dims, cfg.gen.classes)
+        victim = train_fresh(cfg, data_5x3, cfg.protected_family, 12)
+        model = build_attacked_model(cfg, victim, "TRL", data_5x3, 13)
+        assert model.spec == family_spec(cfg.protected_family, 5, 3)
 
     def test_informed_pipeline_records_both_stages(self, victim_and_data):
         cfg, victim, train_set = victim_and_data

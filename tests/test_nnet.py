@@ -22,6 +22,7 @@ from seedmark.nnet import (
     predict,
     train,
 )
+from seedmark.rng import stream
 
 from conftest import random_small_model
 
@@ -257,3 +258,66 @@ class TestTrain:
     def test_provenance_updated(self, trained_model):
         assert trained_model.provenance.kind == "trained-fresh"
         assert trained_model.provenance.history[-1]["stage"] == "trained-fresh"
+
+
+def _reference_train(model, features, targets, cfg, frozen_dense=0):
+    """Per-layer Adam/SGD loop, one update per weight tensor: the oracle for `train`."""
+    x = np.asarray(features, dtype=np.float64)
+    weights = [(w.copy(), b.copy()) for w, b in model.weights]
+    adam = [(np.zeros_like(w), np.zeros_like(b), np.zeros_like(w), np.zeros_like(b))
+            for w, b in weights]
+    shuffler = stream(cfg.seed, "shuffle")
+    n, step = len(x), 0
+    for _ in range(cfg.epochs):
+        order = shuffler.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            current = Model(model.spec, tuple(weights), model.provenance)
+            _, grads = loss_and_param_grads(current, x[idx], targets[idx], cfg.loss,
+                                            cfg.temperature)
+            step += 1
+            for li in range(frozen_dense, len(weights)):
+                w, b = weights[li]
+                gw, gb = grads[li]
+                if cfg.optimizer == "sgd":
+                    weights[li] = (w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
+                    continue
+                mw, mb, vw, vb = adam[li]
+                mw = cfg.beta1 * mw + (1 - cfg.beta1) * gw
+                mb = cfg.beta1 * mb + (1 - cfg.beta1) * gb
+                vw = cfg.beta2 * vw + (1 - cfg.beta2) * gw**2
+                vb = cfg.beta2 * vb + (1 - cfg.beta2) * gb**2
+                adam[li] = (mw, mb, vw, vb)
+                c1 = 1 - cfg.beta1**step
+                c2 = 1 - cfg.beta2**step
+                weights[li] = (
+                    w - cfg.learning_rate * (mw / c1) / (np.sqrt(vw / c2) + cfg.eps),
+                    b - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + cfg.eps),
+                )
+    return weights
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("frozen_dense", [0, 1])
+@pytest.mark.parametrize("loss", ["hard", "soft"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_bit_identical_to_per_layer_loop(optimizer, loss, frozen_dense, activation):
+    rng = np.random.default_rng(21)
+    n, dims, classes = 45, 5, 3
+    x = rng.uniform(-1, 1, size=(n, dims))
+    if loss == "hard":
+        targets = rng.integers(0, classes, size=n)
+    else:
+        targets = rng.dirichlet(np.ones(classes), size=n)
+    spec = mlp_spec(dims, (7, 6), classes, activation)
+    model = init_model(spec, 4)
+    before = [(w.copy(), b.copy()) for w, b in model.weights]
+    cfg = TrainConfig(epochs=3, batch_size=8, optimizer=optimizer, loss=loss,
+                      temperature=2.0 if loss == "soft" else 1.0, seed=9)
+    assert n % cfg.batch_size != 0
+    trained = train(model, x, targets, cfg, frozen_dense=frozen_dense)
+    expected = _reference_train(model, x, targets, cfg, frozen_dense=frozen_dense)
+    for (w, b), (ew, eb) in zip(trained.weights, expected):
+        assert np.array_equal(w, ew) and np.array_equal(b, eb)
+    for (w, b), (w0, b0) in zip(model.weights, before):
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)

@@ -248,14 +248,17 @@ def _target_matrix(model, targets, loss):
     return targets.astype(np.float64)
 
 
-def _backprop(layers, weights, traces, delta, out=None):
+def _backprop(layers, weights, traces, delta, out=None, stop=None):
     """Propagate dL/dlogits back through the stack.
 
     Returns (param grads, input grads). With `out` (one (gW, gb) pair of
-    arrays per dense layer) the param grads are written into it."""
+    arrays per dense layer) the param grads are written into it. With
+    `stop` (a dense-layer index) it returns right after that layer's param
+    grads, leaving the layers below it and the input grads (None) unformed."""
     grads = [None] * len(weights) if out is None else out
     wi = len(weights)
-    for layer, a_in in zip(reversed(layers), reversed(traces)):
+    for i in reversed(range(len(layers))):
+        layer, a_in = layers[i], traces[i]
         if isinstance(layer, Dense):
             wi -= 1
             w, _ = weights[wi]
@@ -264,12 +267,14 @@ def _backprop(layers, weights, traces, delta, out=None):
             else:
                 gw, gb = out[wi]
                 np.matmul(a_in.T, delta, out=gw)
-                np.sum(delta, axis=0, out=gb)
+                np.add.reduce(delta, axis=0, out=gb)
+            if wi == stop:
+                return grads, None
             delta = delta @ w.T
         elif layer.kind == "relu":
             delta = delta * (a_in > 0.0)
-        else:
-            delta = delta * (1.0 - np.tanh(a_in) ** 2)
+        else:  # tanh' = 1 - y**2, y being this layer's output (the next layer's input)
+            delta = delta * (1.0 - traces[i + 1] ** 2)
     return grads, delta
 
 
@@ -286,15 +291,15 @@ def loss_and_param_grads(model: Model, inputs, targets, loss="hard", temperature
     return _loss_and_grads(model.spec.layers, model.weights, x, t, loss, temperature)
 
 
-def _loss_and_grads(layers, weights, x, t, loss, temperature, out=None):
+def _loss_and_grads(layers, weights, x, t, loss, temperature, out=None, stop=None):
     z, traces = _forward_trace(layers, weights, x)
     scale = temperature if loss == "soft" else 1.0
     p = softmax(z / scale)
     n = len(x)
-    logp = np.log(np.clip(p, 1e-300, None))
+    logp = np.log(np.maximum(p, 1e-300))
     loss_value = -(t * logp).sum() / n
     delta = (p - t) / (n * scale)
-    grads, _ = _backprop(layers, weights, traces, delta, out)
+    grads, _ = _backprop(layers, weights, traces, delta, out, stop)
     return loss_value, tuple(grads)
 
 
@@ -328,7 +333,9 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     """Mini-batch training; returns a new model, input model untouched.
 
     Batch order is a pure function of cfg.seed. `frozen_dense` leaves the
-    first k dense layers' weights untouched (transfer-learning support).
+    first k dense layers' weights untouched (transfer-learning support);
+    backprop stops at the first trainable layer, so no gradient is formed
+    for the frozen layers or the inputs.
 
     All parameters live in one flat buffer (the returned model's weights
     are views of it), so each step is one optimizer update over the
@@ -360,11 +367,12 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = shuffler.permutation(n)
+            xs, ts = x[order], t[order]
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
-                idx = order[start : start + cfg.batch_size]
+                end = start + cfg.batch_size
                 loss_value, _ = _loss_and_grads(
-                    model.spec.layers, weights, x[idx], t[idx], cfg.loss, cfg.temperature,
-                    out=grads,
+                    model.spec.layers, weights, xs[start:end], ts[start:end], cfg.loss,
+                    cfg.temperature, out=grads, stop=frozen_dense,
                 )
                 if not np.isfinite(loss_value):
                     raise DivergenceError(epoch, bi)

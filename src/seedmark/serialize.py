@@ -6,6 +6,7 @@ bit-exact regardless of decimal formatting. Every artifact carries a
 they understand.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ def _encode_array(a: np.ndarray):
     return [_encode_array(row) for row in a]
 
 
-def _decode_array(data, shape_hint=None) -> np.ndarray:
+def _decode_array(data) -> np.ndarray:
     def dec(node):
         if isinstance(node, list):
             return [dec(n) for n in node]
@@ -124,15 +125,13 @@ def load_model(path) -> Model:
 
 
 def model_digest(model: Model) -> str:
-    """Short stable identifier: hash of the serialized spec + weights."""
-    import hashlib
+    """Short stable identifier of spec + weights.
 
-    payload = json.dumps(
-        {
-            "spec": spec_to_obj(model.spec),
-            "weights": [
-                {"w": _encode_array(w), "b": _encode_array(b)} for w, b in model.weights
-            ],
-        }
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    The first 12 hex digits of SHA-256 over the spec's JSON, then each W and
+    b as little-endian float64 bytes in C order. Memory layout (views into a
+    flat buffer, Fortran order) does not change it."""
+    h = hashlib.sha256(json.dumps(spec_to_obj(model.spec)).encode())
+    for w, b in model.weights:
+        for a in (w, b):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()[:12]

@@ -83,3 +83,20 @@ def test_label_swap_sums_to_one(pos_raw, neg_raw):
     mirrored = roc_auc(neg, pos).auc
     assert 0.0 <= forward_auc <= 1.0
     assert forward_auc + mirrored == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    st.lists(st.integers(0, 10), min_size=1, max_size=15),
+    st.lists(st.integers(0, 10), min_size=1, max_size=15),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_score_order_does_not_matter(pos_raw, neg_raw, data):
+    pos = np.array(pos_raw) / 10
+    neg = np.array(neg_raw) / 10
+    shuffled = roc_auc(data.draw(st.permutations(pos)), data.draw(st.permutations(neg)))
+    curve = roc_auc(pos, neg)
+    assert shuffled.points == curve.points
+    assert shuffled.auc == curve.auc
+    assert shuffled.tpr_at_fpr0 == curve.tpr_at_fpr0
+    assert shuffled.fpr_at_tpr1 == curve.fpr_at_tpr1

@@ -260,8 +260,86 @@ class TestTrain:
         assert trained_model.provenance.history[-1]["stage"] == "trained-fresh"
 
 
+def _reference_forward(model, x):
+    """Logits plus each layer's input, written apart from nnet's forward pass."""
+    traces, a, wi = [], x, 0
+    for layer in model.spec.layers:
+        traces.append(a)
+        if isinstance(layer, Dense):
+            w, b = model.weights[wi]
+            a = a @ w + b
+            wi += 1
+        elif layer.kind == "relu":
+            a = np.maximum(a, 0.0)
+        else:
+            a = np.tanh(a)
+    return a, traces
+
+
+def _reference_backprop(model, traces, delta):
+    """Full-depth backprop: every layer's gradients and the input gradient,
+    tanh' recomputed from the layer's input, bias gradients by delta.sum."""
+    grads = [None] * len(model.weights)
+    wi = len(model.weights)
+    for layer, a_in in zip(reversed(model.spec.layers), reversed(traces)):
+        if isinstance(layer, Dense):
+            wi -= 1
+            w, _ = model.weights[wi]
+            grads[wi] = (a_in.T @ delta, delta.sum(axis=0))
+            delta = delta @ w.T
+        elif layer.kind == "relu":
+            delta = delta * (a_in > 0.0)
+        else:
+            delta = delta * (1.0 - np.tanh(a_in) ** 2)
+    return grads, delta
+
+
+def _reference_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_loss_and_grads(model, x, targets, loss="hard", temperature=1.0):
+    """Mean cross-entropy and param grads: the oracle for `loss_and_param_grads`."""
+    t = np.eye(model.spec.output_classes)[targets] if loss == "hard" else targets
+    z, traces = _reference_forward(model, x)
+    scale = temperature if loss == "soft" else 1.0
+    p = _reference_softmax(z / scale)
+    n = len(x)
+    loss_value = -(t * np.log(np.clip(p, 1e-300, None))).sum() / n
+    grads, _ = _reference_backprop(model, traces, (p - t) / (n * scale))
+    return loss_value, grads
+
+
+def _reference_input_gradient(model, x, labels):
+    """Per-sample hard-label input gradient: the oracle for `input_gradient`."""
+    z, traces = _reference_forward(model, x)
+    _, dx = _reference_backprop(model, traces, _reference_softmax(z) - np.eye(z.shape[1])[labels])
+    return dx
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_gradients_bit_identical_to_reference_backprop(activation):
+    rng = np.random.default_rng(13)
+    n, dims, classes = 9, 5, 3
+    x = rng.uniform(-1, 1, size=(n, dims))
+    labels = rng.integers(0, classes, size=n)
+    model = init_model(mlp_spec(dims, (7, 6, 5), classes, activation), 4)
+    cases = (("hard", labels, 1.0), ("soft", rng.dirichlet(np.ones(classes), size=n), 2.0))
+    for loss, targets, temperature in cases:
+        loss_value, grads = loss_and_param_grads(model, x, targets, loss, temperature)
+        ref_loss, ref_grads = _reference_loss_and_grads(model, x, targets, loss, temperature)
+        assert loss_value == ref_loss
+        for (gw, gb), (rw, rb) in zip(grads, ref_grads, strict=True):
+            assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
+    assert np.array_equal(input_gradient(model, x, labels),
+                          _reference_input_gradient(model, x, labels))
+
+
 def _reference_train(model, features, targets, cfg, frozen_dense=0):
-    """Per-layer Adam/SGD loop, one update per weight tensor: the oracle for `train`."""
+    """Per-layer Adam/SGD loop on full-depth reference gradients, one update
+    per weight tensor: the oracle for `train`."""
     x = np.asarray(features, dtype=np.float64)
     weights = [(w.copy(), b.copy()) for w, b in model.weights]
     adam = [(np.zeros_like(w), np.zeros_like(b), np.zeros_like(w), np.zeros_like(b))
@@ -273,8 +351,8 @@ def _reference_train(model, features, targets, cfg, frozen_dense=0):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             current = Model(model.spec, tuple(weights), model.provenance)
-            _, grads = loss_and_param_grads(current, x[idx], targets[idx], cfg.loss,
-                                            cfg.temperature)
+            _, grads = _reference_loss_and_grads(current, x[idx], targets[idx], cfg.loss,
+                                                 cfg.temperature)
             step += 1
             for li in range(frozen_dense, len(weights)):
                 w, b = weights[li]
@@ -298,10 +376,12 @@ def _reference_train(model, features, targets, cfg, frozen_dense=0):
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("frozen_dense", [0, 1])
+@pytest.mark.parametrize(
+    "hidden, frozen_dense", [((7, 6), 0), ((7, 6), 1), ((7, 6, 5), 2)], ids=["0", "1", "2"]
+)
 @pytest.mark.parametrize("loss", ["hard", "soft"])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_train_bit_identical_to_per_layer_loop(optimizer, loss, frozen_dense, activation):
+def test_train_bit_identical_to_per_layer_loop(optimizer, loss, hidden, frozen_dense, activation):
     rng = np.random.default_rng(21)
     n, dims, classes = 45, 5, 3
     x = rng.uniform(-1, 1, size=(n, dims))
@@ -309,7 +389,7 @@ def test_train_bit_identical_to_per_layer_loop(optimizer, loss, frozen_dense, ac
         targets = rng.integers(0, classes, size=n)
     else:
         targets = rng.dirichlet(np.ones(classes), size=n)
-    spec = mlp_spec(dims, (7, 6), classes, activation)
+    spec = mlp_spec(dims, hidden, classes, activation)
     model = init_model(spec, 4)
     before = [(w.copy(), b.copy()) for w, b in model.weights]
     cfg = TrainConfig(epochs=3, batch_size=8, optimizer=optimizer, loss=loss,

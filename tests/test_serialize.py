@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seedmark.errors import FormatError
+from seedmark.nnet import Model, TrainConfig, init_model, mlp_spec, train
 from seedmark.serialize import (
     dump_model,
     load_model,
@@ -108,3 +109,26 @@ def test_digest_distinguishes_weights(model):
     other = type(model)(model.spec, ((w0, b0),) + tuple(model.weights[1:]), model.provenance)
     assert model_digest(other) != model_digest(model)
     assert len(model_digest(model)) == 12
+
+
+def test_digest_golden_value():
+    # Pins the definition (SHA-256 of the spec JSON, then each W and b as
+    # little-endian float64 C-order bytes): changing it must be deliberate.
+    assert model_digest(init_model(mlp_spec(3, (4,), 2), 0)) == "eb085967d682"
+
+
+def test_digest_ignores_memory_layout():
+    model = init_model(mlp_spec(3, (4,), 2), 0)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(-1, 1, size=(6, 3)), rng.integers(0, 2, size=6)
+    # lr 0 keeps the values; train returns views into one flat buffer.
+    flat = train(model, x, y, TrainConfig(epochs=1, learning_rate=0.0, optimizer="sgd"))
+    buffer = flat.weights[0][0].base
+    assert buffer is not None and all(a.base is buffer for wb in flat.weights for a in wb)
+    fortran = Model(model.spec, tuple((np.asfortranarray(w), b) for w, b in model.weights),
+                    model.provenance)
+    assert not fortran.weights[0][0].flags.c_contiguous
+    fresh = Model(model.spec, tuple((w.copy(), b.copy()) for w, b in flat.weights),
+                  model.provenance)
+    digests = {model_digest(m) for m in (model, flat, fortran, fresh)}
+    assert digests == {"eb085967d682"}

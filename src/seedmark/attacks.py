@@ -7,27 +7,19 @@ used by the simulated adversary and, during key-set generation, by the
 model owner.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InputError, SpecError
 from .nnet import Model, ModelSpec, TrainConfig, init_model, predict, forward, train
-from .rng import derive_seed
+from .rng import derive_seed, stream
 from .serialize import model_digest
-
-EXTRACTION_KINDS = (
-    "retraining",
-    "distillation",
-    "transfer_learning",
-    "cross_arch_retraining",
-    "copycat",
-)
 
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    kind: str
+    kind: str  # an ATTACKS token; recorded as the attack id in provenance
     surrogate_spec: ModelSpec
     train_cfg: TrainConfig
     query_budget_fraction: float = 1.0
@@ -35,35 +27,20 @@ class ExtractionConfig:
     frozen_layers: int = None
 
     def __post_init__(self):
-        if self.kind not in EXTRACTION_KINDS:
-            raise ConfigError(f"unknown extraction kind {self.kind!r}")
+        if self.kind not in ATTACKS:
+            raise ConfigError(f"unknown attack {self.kind!r}")
         if not 0 < self.query_budget_fraction <= 1:
             raise ConfigError("query_budget_fraction must be in (0, 1]")
-        if self.kind == "distillation":
+        if self.kind == "DIS":
             if self.distill_temperature is None or self.distill_temperature <= 0:
-                raise ConfigError("distillation requires a positive distill_temperature")
+                raise ConfigError("DIS requires a positive distill_temperature")
         elif self.distill_temperature is not None:
-            raise ConfigError("distill_temperature only applies to distillation")
-        if self.kind == "transfer_learning":
+            raise ConfigError("distill_temperature only applies to DIS")
+        if self.kind == "TRL":
             if self.frozen_layers is None or self.frozen_layers < 0:
-                raise ConfigError("transfer_learning requires frozen_layers >= 0")
+                raise ConfigError("TRL requires frozen_layers >= 0")
         elif self.frozen_layers is not None:
-            raise ConfigError("frozen_layers only applies to transfer_learning")
-
-
-@dataclass(frozen=True)
-class BlurConfig:
-    method: str  # weight_pruning | weight_quantization
-    sparsity: float = 0.5
-    bits: int = 8
-
-    def __post_init__(self):
-        if self.method not in ("weight_pruning", "weight_quantization"):
-            raise ConfigError(f"unknown blur method {self.method!r}")
-        if not 0 <= self.sparsity < 1:
-            raise ConfigError("sparsity must be in [0, 1)")
-        if not 1 <= self.bits <= 16:
-            raise ConfigError("bits must be in [1, 16]")
+            raise ConfigError("frozen_layers only applies to TRL")
 
 
 def _sample_queries(train_inputs, fraction, seed):
@@ -72,15 +49,13 @@ def _sample_queries(train_inputs, fraction, seed):
     count = int(round(n * fraction))
     if count < 1:
         raise InputError("query budget yields zero samples")
-    from .rng import stream
-
     idx = stream(seed, "attack/queries").permutation(n)[:count]
     return train_inputs[idx]
 
 
-def _extracted(surrogate: Model, victim: Model, attack_id: str) -> Model:
+def _extracted(surrogate: Model, victim: Model, cfg: ExtractionConfig) -> Model:
     prov = surrogate.provenance.extended(
-        "extracted", attack=attack_id, victim=model_digest(victim)
+        "extracted", attack=cfg.kind, victim=model_digest(victim)
     )
     return Model(surrogate.spec, surrogate.weights, prov)
 
@@ -90,28 +65,22 @@ def extract_retraining(victim: Model, train_inputs, cfg: ExtractionConfig) -> Mo
     queries = _sample_queries(train_inputs, cfg.query_budget_fraction, cfg.train_cfg.seed)
     labels = predict(victim, queries)
     surrogate = init_model(cfg.surrogate_spec, derive_seed(cfg.train_cfg.seed, "surrogate-init"))
-    trained = train(surrogate, queries, labels, cfg.train_cfg)
-    attack_id = "CAR" if cfg.kind == "cross_arch_retraining" else "RET"
-    return _extracted(trained, victim, attack_id)
+    return _extracted(train(surrogate, queries, labels, cfg.train_cfg), victim, cfg)
 
 
 def extract_distillation(victim: Model, train_inputs, cfg: ExtractionConfig) -> Model:
     """Train on the victim's full confidence vectors at the distillation temperature."""
     queries = _sample_queries(train_inputs, cfg.query_budget_fraction, cfg.train_cfg.seed)
     soft_targets = forward(victim, queries)
-    train_cfg = TrainConfig(
-        **{
-            **cfg.train_cfg.__dict__,
-            "loss": "soft",
-            "temperature": cfg.distill_temperature,
-        }
-    )
+    train_cfg = replace(cfg.train_cfg, loss="soft", temperature=cfg.distill_temperature)
     surrogate = init_model(cfg.surrogate_spec, derive_seed(cfg.train_cfg.seed, "surrogate-init"))
-    return _extracted(train(surrogate, queries, soft_targets, train_cfg), victim, "DIS")
+    return _extracted(train(surrogate, queries, soft_targets, train_cfg), victim, cfg)
 
 
-def extract_transfer(victim: Model, pretrained: Model, train_inputs, cfg: ExtractionConfig) -> Model:
+def extract_transfer(victim: Model, train_inputs, cfg: ExtractionConfig, pretrained: Model = None) -> Model:
     """Fine-tune a pretrained model on victim hard labels, freezing early layers."""
+    if pretrained is None:
+        raise ConfigError("TRL requires a pretrained model")
     if pretrained.spec != cfg.surrogate_spec:
         raise SpecError("pretrained model spec does not match surrogate_spec")
     if cfg.frozen_layers >= pretrained.spec.dense_count:
@@ -122,7 +91,7 @@ def extract_transfer(victim: Model, pretrained: Model, train_inputs, cfg: Extrac
     queries = _sample_queries(train_inputs, cfg.query_budget_fraction, cfg.train_cfg.seed)
     labels = predict(victim, queries)
     tuned = train(pretrained, queries, labels, cfg.train_cfg, frozen_dense=cfg.frozen_layers)
-    return _extracted(tuned, victim, "TRL")
+    return _extracted(tuned, victim, cfg)
 
 
 def extract_copycat(victim: Model, probe_inputs, cfg: ExtractionConfig) -> Model:
@@ -132,20 +101,24 @@ def extract_copycat(victim: Model, probe_inputs, cfg: ExtractionConfig) -> Model
         raise InputError("copycat requires at least one probe input")
     labels = predict(victim, probes)
     surrogate = init_model(cfg.surrogate_spec, derive_seed(cfg.train_cfg.seed, "surrogate-init"))
-    return _extracted(train(surrogate, probes, labels, cfg.train_cfg), victim, "CC")
+    return _extracted(train(surrogate, probes, labels, cfg.train_cfg), victim, cfg)
+
+
+# Every extraction attack, by its token. CAR is retraining with a surrogate
+# of another architecture family.
+ATTACKS = {
+    "RET": extract_retraining,
+    "DIS": extract_distillation,
+    "TRL": extract_transfer,
+    "CAR": extract_retraining,
+    "CC": extract_copycat,
+}
 
 
 def extract(victim: Model, train_inputs, cfg: ExtractionConfig, pretrained: Model = None) -> Model:
-    """Dispatch on cfg.kind. `pretrained` is required for transfer_learning."""
-    if cfg.kind in ("retraining", "cross_arch_retraining"):
-        return extract_retraining(victim, train_inputs, cfg)
-    if cfg.kind == "distillation":
-        return extract_distillation(victim, train_inputs, cfg)
-    if cfg.kind == "transfer_learning":
-        if pretrained is None:
-            raise ConfigError("transfer_learning requires a pretrained model")
-        return extract_transfer(victim, pretrained, train_inputs, cfg)
-    return extract_copycat(victim, train_inputs, cfg)
+    """Run the attack cfg.kind names. `pretrained` is required for TRL."""
+    extra = {} if pretrained is None else {"pretrained": pretrained}
+    return ATTACKS[cfg.kind](victim, train_inputs, cfg, **extra)
 
 
 def blur_prune(model: Model, sparsity: float) -> Model:
@@ -194,8 +167,3 @@ def blur_quantize(model: Model, bits: int) -> Model:
     )
     return Model(model.spec, tuple(new_weights), prov)
 
-
-def blur(model: Model, cfg: BlurConfig) -> Model:
-    if cfg.method == "weight_pruning":
-        return blur_prune(model, cfg.sparsity)
-    return blur_quantize(model, cfg.bits)

@@ -11,45 +11,49 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 
-from . import boundary, harness, serialize, watermark
+from . import boundary, serialize, watermark
 from .attacks import blur_prune, blur_quantize
 from .datasets import load_dataset, save_dataset
 from .errors import SeedmarkError
 from .harness import (
+    BLUR_METHODS,
     EvaluationConfig,
     build_attacked_model,
     dump_confidences,
-    eval_config_from_dict,
     export_report,
     load_eval_config,
+    prepare_data,
     run_raw_evaluation,
     train_fresh,
 )
 from .rng import derive_seed
 
+# The paper's evaluation scenarios, as (seen, unseen) attack mixes.
+PRESETS = {
+    "naive": {"seen_attacks": ("RET",), "unseen_attacks": ("RET",)},
+    "unseen": {"seen_attacks": ("TRL", "DIS"), "unseen_attacks": ("RET",)},
+    "informed": {"seen_attacks": ("WQ(RET)",), "unseen_attacks": ("WP(RET)",)},
+    "cross-arch": {"seen_attacks": ("TRL",), "unseen_attacks": ("CAR",)},
+}
+
 
 def _load_config(args) -> EvaluationConfig:
+    """--config, then --preset's attack mix, then --seed."""
     cfg = load_eval_config(args.config) if args.config else EvaluationConfig()
+    if getattr(args, "preset", None):
+        cfg = replace(cfg, **PRESETS[args.preset])
     if getattr(args, "seed", None) is not None:
-        cfg = eval_config_from_dict({**asdict(cfg), "master_seed": args.seed,
-                                     "gen": asdict(cfg.gen), "bim": asdict(cfg.bim)})
+        cfg = replace(cfg, master_seed=args.seed)
     return cfg
-
-
-def _prepare_data(cfg):
-    from .datasets import generate, split
-
-    dataset = generate(cfg.gen, derive_seed(cfg.master_seed, "data"))
-    return split(dataset, cfg.test_fraction, derive_seed(cfg.master_seed, "split"))
 
 
 def cmd_train_population(args):
     cfg = _load_config(args)
-    train_set, _ = _prepare_data(cfg)
+    train_set, _ = prepare_data(cfg)
     os.makedirs(args.out, exist_ok=True)
     digest = cfg.digest()
     save_dataset(train_set, os.path.join(args.out, f"data-{digest}.csv"))
@@ -86,7 +90,7 @@ def cmd_analyze(args):
     from .bim import BimConfig
 
     cfg = _load_config(args)
-    train_set, test_set = _prepare_data(cfg)
+    train_set, test_set = prepare_data(cfg)
     # analysis uses a gentler budget than key-set generation: a large step
     # drags every population member onto the target class, emptying the
     # recounted subsets
@@ -162,7 +166,7 @@ def cmd_evaluate(args):
     report_path = os.path.join(args.out, f"report-{digest}.csv")
     export_report(report, report_path)
     conf_path = os.path.join(args.out, f"confidences-{digest}.csv")
-    _write_profile_dump(report, conf_path)
+    dump_confidences(*report.train_profiles[0], conf_path)
     print(f"auc {report.roc.auc!r}")
     print(f"tpr_at_fpr0 {report.roc.tpr_at_fpr0!r}")
     print(f"fpr_at_tpr1 {report.roc.fpr_at_tpr1!r}")
@@ -172,31 +176,13 @@ def cmd_evaluate(args):
     print(conf_path)
 
 
-def _write_profile_dump(report, path):
-    """Confidence dump from the first repetition's training populations."""
-    import csv
-
-    prof_e, prof_ne = report.train_profiles[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["watermark", "mean_extracted", "mean_nonextracted"]
-            + [f"extracted_{i}" for i in range(prof_e.shape[0])]
-            + [f"nonextracted_{i}" for i in range(prof_ne.shape[0])]
-        )
-        for i in range(prof_e.shape[1]):
-            writer.writerow(
-                [i, repr(float(prof_e[:, i].mean())), repr(float(prof_ne[:, i].mean()))]
-                + [repr(float(v)) for v in prof_e[:, i]]
-                + [repr(float(v)) for v in prof_ne[:, i]]
-            )
-
-
 def cmd_dump_confidences(args):
     keyset = watermark.load_keyset(args.keyset)
     extracted = [serialize.load_model(p) for p in args.extracted]
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
-    dump_confidences(extracted, nonextracted, keyset, args.out)
+    prof_e, prof_ne = (np.stack([watermark.confidence_profile(m, keyset) for m in pop])
+                       for pop in (extracted, nonextracted))
+    dump_confidences(prof_e, prof_ne, args.out)
     print(args.out)
 
 
@@ -227,7 +213,7 @@ def build_parser():
 
     p = add("blur", cmd_blur, help="prune or quantize a model's weights")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=("WP", "WQ"), required=True)
+    p.add_argument("--method", choices=BLUR_METHODS, required=True)
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--bits", type=int, default=8)
     p.add_argument("--out", required=True)
@@ -268,6 +254,8 @@ def build_parser():
 
     p = add("evaluate", cmd_evaluate, help="run the full end-to-end evaluation")
     p.add_argument("--config")
+    p.add_argument("--preset", choices=tuple(PRESETS),
+                   help="set the seen/unseen attacks to one of the paper's scenarios")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
 

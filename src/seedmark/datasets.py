@@ -106,18 +106,6 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     return mk(train_idx, "train"), mk(test_idx, "test")
 
 
-def sample_queries(dataset: Dataset, budget_fraction: float, seed: int) -> np.ndarray:
-    """Uniform sample without replacement of round(budget * N) feature rows."""
-    if not 0 < budget_fraction <= 1:
-        raise SpecError(f"budget_fraction must be in (0, 1], got {budget_fraction}")
-    n = len(dataset)
-    count = int(round(n * budget_fraction))
-    if count < 1:
-        raise SpecError("query budget yields zero samples")
-    idx = stream(seed, "queries").permutation(n)[:count]
-    return dataset.features[idx]
-
-
 def random_probe_inputs(count: int, dims: int, value_range=FEATURE_RANGE, seed: int = 0) -> np.ndarray:
     if count < 1:
         raise SpecError("count must be positive")

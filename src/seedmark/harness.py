@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .attacks import BlurConfig, ExtractionConfig, blur_prune, blur_quantize, extract
+from .attacks import ATTACKS, ExtractionConfig, blur_prune, blur_quantize, extract
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, generate, split
 from .datasets import random_probe_inputs
@@ -24,20 +24,11 @@ from .metrics import RocCurve, roc_auc
 from .nnet import Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
 from .serialize import model_digest
-from .watermark import KeySet, build_verifier, confidence_profile, generate_keyset, verify
+from .watermark import build_verifier, confidence_profile, generate_keyset, verify
 
 log = logging.getLogger(__name__)
 
-NAIVE_ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC")
 BLUR_METHODS = ("WP", "WQ")
-
-_KIND_BY_TOKEN = {
-    "RET": "retraining",
-    "DIS": "distillation",
-    "TRL": "transfer_learning",
-    "CAR": "cross_arch_retraining",
-    "CC": "copycat",
-}
 
 
 def parse_attack_token(token: str):
@@ -48,10 +39,10 @@ def parse_attack_token(token: str):
         if not rest.endswith(")") or blur_name not in BLUR_METHODS:
             raise ConfigError(f"bad attack token {token!r}")
         inner = rest[:-1]
-        if inner not in NAIVE_ATTACKS:
+        if inner not in ATTACKS:
             raise ConfigError(f"bad attack token {token!r}")
         return inner, blur_name
-    if token not in NAIVE_ATTACKS:
+    if token not in ATTACKS:
         raise ConfigError(f"unknown attack token {token!r}")
     return token, None
 
@@ -160,7 +151,7 @@ def _extraction_config(cfg: EvaluationConfig, base: str, data: Dataset, seed: in
     if base == "TRL":
         kwargs["frozen_layers"] = cfg.frozen_layers
     return ExtractionConfig(
-        kind=_KIND_BY_TOKEN[base],
+        kind=base,
         surrogate_spec=spec,
         train_cfg=_train_cfg(cfg, seed),
         query_budget_fraction=cfg.query_budget_fraction,
@@ -191,15 +182,6 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
     elif blur_name == "WQ":
         model = blur_quantize(model, cfg.quantize_bits)
     return model
-
-
-def informed_attack_pipeline(victim: Model, extraction_cfg: ExtractionConfig,
-                             blur_cfg: BlurConfig, train_inputs, pretrained: Model = None) -> Model:
-    """Extraction followed by blurring; provenance records both stages."""
-    extracted = extract(victim, train_inputs, extraction_cfg, pretrained=pretrained)
-    if blur_cfg.method == "weight_pruning":
-        return blur_prune(extracted, blur_cfg.sparsity)
-    return blur_quantize(extracted, blur_cfg.bits)
 
 
 def _attack_population(cfg, victim, tokens, data, count, seed, tag):
@@ -246,9 +228,14 @@ def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
     return scores(ext_test), scores(ne_test), (prof_e, prof_ne), keyset
 
 
-def run_raw_evaluation(cfg: EvaluationConfig) -> EvaluationReport:
+def prepare_data(cfg: EvaluationConfig):
+    """The (train, test) split of the config's dataset."""
     dataset = generate(cfg.gen, derive_seed(cfg.master_seed, "data"))
-    train_set, _test_set = split(dataset, cfg.test_fraction, derive_seed(cfg.master_seed, "split"))
+    return split(dataset, cfg.test_fraction, derive_seed(cfg.master_seed, "split"))
+
+
+def run_raw_evaluation(cfg: EvaluationConfig) -> EvaluationReport:
+    train_set, _test_set = prepare_data(cfg)
     rep_results = []
     for rep in range(cfg.repetitions):
         rep_seed = derive_seed(cfg.master_seed, f"rep/{rep}")
@@ -293,36 +280,20 @@ def read_report_csv(path):
     return points, float(np.trapezoid(pts[:, 1], pts[:, 0]))
 
 
-def dump_confidences(extracted_pop, nonextracted_pop, keyset: KeySet, path):
-    """Per-watermark confidences of both populations, with group means."""
-    prof_e = np.stack([confidence_profile(m, keyset) for m in extracted_pop])
-    prof_ne = np.stack([confidence_profile(m, keyset) for m in nonextracted_pop])
+def dump_confidences(prof_e, prof_ne, path):
+    """Per-watermark confidences of both populations, with group means.
+
+    `prof_e` and `prof_ne` are (models, watermarks) confidence profiles."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = (
+        writer.writerow(
             ["watermark", "mean_extracted", "mean_nonextracted"]
-            + [f"extracted_{i}" for i in range(len(extracted_pop))]
-            + [f"nonextracted_{i}" for i in range(len(nonextracted_pop))]
+            + [f"extracted_{i}" for i in range(len(prof_e))]
+            + [f"nonextracted_{i}" for i in range(len(prof_ne))]
         )
-        writer.writerow(header)
-        for i in range(len(keyset)):
+        for i in range(prof_e.shape[1]):
             writer.writerow(
                 [i, repr(float(prof_e[:, i].mean())), repr(float(prof_ne[:, i].mean()))]
                 + [repr(float(v)) for v in prof_e[:, i]]
                 + [repr(float(v)) for v in prof_ne[:, i]]
             )
-
-
-def diversity_soft_check(cfg: EvaluationConfig, diverse_seen, single_seen) -> dict:
-    """Soft (logged, non-failing) check that a more diverse seen-attack mix
-    yields at least as good an AUC on the same unseen attack."""
-    auc = {}
-    for label, seen in (("diverse", diverse_seen), ("single", single_seen)):
-        run_cfg = eval_config_from_dict({**asdict(cfg), "seen_attacks": seen,
-                                         "gen": asdict(cfg.gen), "bim": asdict(cfg.bim)})
-        auc[label] = run_raw_evaluation(run_cfg).roc.auc
-    if auc["diverse"] + 1e-12 < auc["single"]:
-        log.warning("diversity ordering not observed: %s", auc)
-    else:
-        log.info("diversity ordering holds: %s", auc)
-    return auc

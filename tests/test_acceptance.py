@@ -118,7 +118,7 @@ def test_pipeline_stages_bit_identical_on_rerun(check, tmp_path):
     ext = [
         extract_retraining(
             m1, train_set.features,
-            ExtractionConfig("retraining", spec, TrainConfig(seed=40 + i, epochs=4),
+            ExtractionConfig("RET", spec, TrainConfig(seed=40 + i, epochs=4),
                              query_budget_fraction=0.5),
         )
         for i in range(2)
@@ -170,7 +170,7 @@ def boundary_population():
     extracted = [
         extract_retraining(
             m, train_set.features,
-            ExtractionConfig("retraining", spec, TrainConfig(seed=800 + i),
+            ExtractionConfig("RET", spec, TrainConfig(seed=800 + i),
                              query_budget_fraction=0.5),
         )
         for i, m in enumerate(protected)
@@ -412,7 +412,7 @@ def test_blurring_countermeasures(check):
                    TrainConfig(seed=4))
     extracted = extract_retraining(
         victim, train_set.features,
-        ExtractionConfig("retraining", spec, TrainConfig(seed=5),
+        ExtractionConfig("RET", spec, TrainConfig(seed=5),
                          query_budget_fraction=0.5),
     )
     parent_acc = accuracy(extracted, test_set.features, test_set.labels)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from seedmark.attacks import (
-    BlurConfig,
+    ATTACKS,
     ExtractionConfig,
-    blur,
+    _sample_queries,
     blur_prune,
     blur_quantize,
     extract,
@@ -13,8 +13,9 @@ from seedmark.attacks import (
     extract_retraining,
     extract_transfer,
 )
-from seedmark.datasets import random_probe_inputs
+from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, InputError, SpecError
+from seedmark.harness import EvaluationConfig, build_attacked_model, parse_attack_token
 from seedmark.nnet import (
     Dense,
     Model,
@@ -41,7 +42,7 @@ def surrogate_spec(blob_data):
 
 def ret_cfg(surrogate_spec, seed=0, **over):
     return ExtractionConfig(
-        kind="retraining",
+        kind="RET",
         surrogate_spec=surrogate_spec,
         train_cfg=TrainConfig(seed=seed),
         query_budget_fraction=over.pop("query_budget_fraction", 0.5),
@@ -52,21 +53,49 @@ def ret_cfg(surrogate_spec, seed=0, **over):
 class TestConfigs:
     def test_kind_specific_fields(self, surrogate_spec):
         with pytest.raises(ConfigError):
-            ExtractionConfig("retraining", surrogate_spec, TrainConfig(), distill_temperature=2.0)
+            ExtractionConfig("RET", surrogate_spec, TrainConfig(), distill_temperature=2.0)
         with pytest.raises(ConfigError):
-            ExtractionConfig("distillation", surrogate_spec, TrainConfig())
+            ExtractionConfig("DIS", surrogate_spec, TrainConfig())
         with pytest.raises(ConfigError):
-            ExtractionConfig("transfer_learning", surrogate_spec, TrainConfig())
+            ExtractionConfig("TRL", surrogate_spec, TrainConfig())
         with pytest.raises(ConfigError):
-            ExtractionConfig("retraining", surrogate_spec, TrainConfig(), query_budget_fraction=0.0)
+            ExtractionConfig("RET", surrogate_spec, TrainConfig(), query_budget_fraction=0.0)
 
-    def test_blur_config(self):
+    def test_tokens_are_the_registry(self, surrogate_spec):
+        # ExtractionConfig and the evaluation's attack tokens accept the same names
+        assert tuple(ATTACKS) == ("RET", "DIS", "TRL", "CAR", "CC")
+        for token in ATTACKS:
+            assert parse_attack_token(token) == (token, None)
+        for name in ("retraining", "cross_arch_retraining", "KNO", ""):
+            with pytest.raises(ConfigError):
+                ExtractionConfig(name, surrogate_spec, TrainConfig())
+            with pytest.raises(ConfigError):
+                parse_attack_token(name)
+
+    def test_blur_config(self, trained_model):
+        # an unknown blur method is a bad attack token: see TestTokens in test_harness.py
         with pytest.raises(ConfigError):
-            BlurConfig("weight_pruning", sparsity=1.0)
+            blur_prune(trained_model, 1.0)
         with pytest.raises(ConfigError):
-            BlurConfig("weight_quantization", bits=0)
-        with pytest.raises(ConfigError):
-            BlurConfig("smoothing")
+            blur_quantize(trained_model, 0)
+
+
+class TestSampleQueries:
+    def test_full_budget_is_shuffled_copy(self):
+        data = generate(GenSpec(samples_per_class=25), 2)
+        q = _sample_queries(data.features, 1.0, 5)
+        assert len(q) == len(data)
+        key = lambda arr: np.lexsort(arr.T)
+        assert np.array_equal(q[key(q)], data.features[key(data.features)])
+
+    def test_half_budget_exact(self):
+        data = generate(GenSpec(samples_per_class=50), 2)  # N = 200
+        assert len(_sample_queries(data.features, 0.5, 0)) == 100
+
+    def test_deterministic(self):
+        data = generate(GenSpec(), 2)
+        assert np.array_equal(_sample_queries(data.features, 0.3, 7),
+                              _sample_queries(data.features, 0.3, 7))
 
 
 class TestRetraining:
@@ -111,7 +140,7 @@ class TestRetraining:
 class TestDistillation:
     def dis_cfg(self, spec, seed=0, temperature=1.0):
         return ExtractionConfig(
-            kind="distillation", surrogate_spec=spec, train_cfg=TrainConfig(seed=seed),
+            kind="DIS", surrogate_spec=spec, train_cfg=TrainConfig(seed=seed),
             query_budget_fraction=0.5, distill_temperature=temperature,
         )
 
@@ -161,15 +190,15 @@ def pretrained(blob_data, surrogate_spec):
 class TestTransfer:
     def trl_cfg(self, spec, frozen, seed=0):
         return ExtractionConfig(
-            kind="transfer_learning", surrogate_spec=spec, train_cfg=TrainConfig(seed=seed),
+            kind="TRL", surrogate_spec=spec, train_cfg=TrainConfig(seed=seed),
             query_budget_fraction=0.5, frozen_layers=frozen,
         )
 
     def test_freeze_all_but_last(self, trained_model, blob_data, surrogate_spec, pretrained):
         train_set, _ = blob_data
         frozen = surrogate_spec.dense_count - 1
-        tuned = extract_transfer(trained_model, pretrained, train_set.features,
-                                 self.trl_cfg(surrogate_spec, frozen))
+        tuned = extract_transfer(trained_model, train_set.features,
+                                 self.trl_cfg(surrogate_spec, frozen), pretrained)
         for li in range(frozen):
             assert np.array_equal(tuned.weights[li][0], pretrained.weights[li][0])
         assert not np.array_equal(tuned.weights[-1][0], pretrained.weights[-1][0])
@@ -178,9 +207,7 @@ class TestTransfer:
                                                     surrogate_spec, pretrained):
         train_set, _ = blob_data
         cfg = self.trl_cfg(surrogate_spec, 0, seed=3)
-        tuned = extract_transfer(trained_model, pretrained, train_set.features, cfg)
-        from seedmark.attacks import _sample_queries
-
+        tuned = extract_transfer(trained_model, train_set.features, cfg, pretrained)
         queries = _sample_queries(train_set.features, 0.5, cfg.train_cfg.seed)
         labels = predict(trained_model, queries)
         reference = train(pretrained, queries, labels, cfg.train_cfg)
@@ -189,8 +216,8 @@ class TestTransfer:
 
     def test_improves_victim_agreement(self, trained_model, blob_data, surrogate_spec, pretrained):
         train_set, test_set = blob_data
-        tuned = extract_transfer(trained_model, pretrained, train_set.features,
-                                 self.trl_cfg(surrogate_spec, 1))
+        tuned = extract_transfer(trained_model, train_set.features,
+                                 self.trl_cfg(surrogate_spec, 1), pretrained)
         assert agreement(tuned, trained_model, test_set.features) > 0.9 * agreement(
             pretrained, trained_model, test_set.features
         )
@@ -198,13 +225,13 @@ class TestTransfer:
     def test_freeze_everything_rejected(self, trained_model, blob_data, surrogate_spec, pretrained):
         train_set, _ = blob_data
         with pytest.raises(SpecError):
-            extract_transfer(trained_model, pretrained, train_set.features,
-                             self.trl_cfg(surrogate_spec, surrogate_spec.dense_count))
+            extract_transfer(trained_model, train_set.features,
+                             self.trl_cfg(surrogate_spec, surrogate_spec.dense_count), pretrained)
 
 
 class TestCopycat:
     def cc_cfg(self, spec, seed=0):
-        return ExtractionConfig(kind="copycat", surrogate_spec=spec,
+        return ExtractionConfig(kind="CC", surrogate_spec=spec,
                                 train_cfg=TrainConfig(seed=seed))
 
     def test_ample_probes_good_agreement(self, trained_model, blob_data, surrogate_spec):
@@ -287,16 +314,20 @@ class TestQuantize:
         assert np.array_equal(q.weights[0][0], m.weights[0][0])
 
 
-def test_blur_dispatch(trained_model):
-    p = blur(trained_model, BlurConfig("weight_pruning", sparsity=0.25))
-    q = blur(trained_model, BlurConfig("weight_quantization", bits=6))
+def test_blur_dispatch(trained_model, blob_data):
+    train_set, _ = blob_data
+    cfg = EvaluationConfig(prune_sparsity=0.25, quantize_bits=6, epochs=2)
+    p = build_attacked_model(cfg, trained_model, "WP(RET)", train_set, 3)
+    q = build_attacked_model(cfg, trained_model, "WQ(RET)", train_set, 3)
     assert p.provenance.history[-1]["method"] == "WP"
     assert q.provenance.history[-1]["method"] == "WQ"
+    assert p.provenance.history[-1]["sparsity"] == 0.25
+    assert q.provenance.history[-1]["bits"] == 6
 
 
 def test_extract_dispatch_requires_pretrained(trained_model, blob_data, surrogate_spec):
     train_set, _ = blob_data
-    cfg = ExtractionConfig(kind="transfer_learning", surrogate_spec=surrogate_spec,
+    cfg = ExtractionConfig(kind="TRL", surrogate_spec=surrogate_spec,
                            train_cfg=TrainConfig(), frozen_layers=1)
     with pytest.raises(ConfigError):
         extract(trained_model, train_set.features, cfg)

@@ -80,7 +80,7 @@ def small_population(blob_data):
     extracted = [
         extract_retraining(
             m, train_set.features,
-            ExtractionConfig("retraining", spec, TrainConfig(seed=500 + i),
+            ExtractionConfig("RET", spec, TrainConfig(seed=500 + i),
                              query_budget_fraction=0.5),
         )
         for i, m in enumerate(protected)

@@ -120,6 +120,26 @@ def test_evaluate_command(config_path, tmp_path, capsys):
     assert reports[0].read_text().startswith("# seedmark-report auc=")
 
 
+def test_evaluate_preset_is_its_attack_mix(config_path, tmp_path, capsys):
+    capsys.readouterr()
+    doc = json.loads(Path(config_path).read_text())
+    spelled = tmp_path / "informed.json"
+    spelled.write_text(json.dumps({**doc, "seen_attacks": ["WQ(RET)"],
+                                   "unseen_attacks": ["WP(RET)"]}))
+    runs = {}
+    for name, argv in (("preset", ["--config", config_path, "--preset", "informed"]),
+                       ("spelled", ["--config", str(spelled)])):
+        out = tmp_path / name
+        assert main(["evaluate", *argv, "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs[name] = (capsys.readouterr().out.replace(str(out), "<out>"), files)
+    assert runs["preset"] == runs["spelled"]
+    assert len(runs["preset"][1]) == 2  # report and confidences
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--preset", "bogus", "--out", str(tmp_path / "bogus")])
+    assert exc.value.code == 2
+
+
 def test_analyze_command(config_path, tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "analysis"

@@ -10,7 +10,6 @@ from seedmark.datasets import (
     load_dataset,
     parse_dataset,
     random_probe_inputs,
-    sample_queries,
     save_dataset,
     split,
 )
@@ -76,23 +75,6 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(SpecError):
                 split(data, bad, 0)
-
-
-class TestSampleQueries:
-    def test_full_budget_is_shuffled_copy(self):
-        data = generate(GenSpec(samples_per_class=25), 2)
-        q = sample_queries(data, 1.0, 5)
-        assert len(q) == len(data)
-        key = lambda arr: np.lexsort(arr.T)
-        assert np.array_equal(q[key(q)], data.features[key(data.features)])
-
-    def test_half_budget_exact(self):
-        data = generate(GenSpec(samples_per_class=50), 2)  # N = 200
-        assert len(sample_queries(data, 0.5, 0)) == 100
-
-    def test_deterministic(self):
-        data = generate(GenSpec(), 2)
-        assert np.array_equal(sample_queries(data, 0.3, 7), sample_queries(data, 0.3, 7))
 
 
 class TestProbes:

@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from seedmark.attacks import BlurConfig, ExtractionConfig
 from seedmark.datasets import GenSpec, generate
 from seedmark.errors import ConfigError
 from seedmark.harness import (
@@ -10,14 +11,14 @@ from seedmark.harness import (
     dump_confidences,
     eval_config_from_dict,
     export_report,
-    informed_attack_pipeline,
     load_eval_config,
     parse_attack_token,
+    prepare_data,
     read_report_csv,
     run_raw_evaluation,
     train_fresh,
 )
-from seedmark.nnet import TrainConfig, accuracy, family_spec
+from seedmark.nnet import accuracy, family_spec
 
 
 def tiny_config(**over):
@@ -139,12 +140,8 @@ class TestEvaluation:
 
 @pytest.fixture(scope="module")
 def victim_and_data():
-    from seedmark.datasets import generate, split
-    from seedmark.rng import derive_seed
-
     cfg = tiny_config()
-    data = generate(cfg.gen, derive_seed(cfg.master_seed, "data"))
-    train_set, _ = split(data, 0.5, derive_seed(cfg.master_seed, "split"))
+    train_set, _ = prepare_data(cfg)
     victim = train_fresh(cfg, train_set, "A", 77)
     return cfg, victim, train_set
 
@@ -169,6 +166,7 @@ class TestAttackedModels:
         model = build_attacked_model(cfg, victim, "CAR", train_set, 6)
         expected = family_spec(cfg.cross_arch_family, train_set.dims, train_set.class_count)
         assert model.spec == expected
+        assert model.provenance.history[-1]["attack"] == "CAR"
 
     def test_transfer_attack_on_data_unlike_default_gen(self):
         cfg = EvaluationConfig()
@@ -180,17 +178,11 @@ class TestAttackedModels:
 
     def test_informed_pipeline_records_both_stages(self, victim_and_data):
         cfg, victim, train_set = victim_and_data
-        spec = family_spec("A", train_set.dims, train_set.class_count)
-        ext_cfg = ExtractionConfig("retraining", spec,
-                                   TrainConfig(seed=8, epochs=cfg.epochs),
-                                   query_budget_fraction=0.5)
-        model = informed_attack_pipeline(victim, ext_cfg,
-                                         BlurConfig("weight_quantization", bits=6),
-                                         train_set.features)
+        model = build_attacked_model(replace(cfg, quantize_bits=6), victim, "WQ(RET)", train_set, 8)
         stages = [h["stage"] for h in model.provenance.history]
         assert "extracted" in stages and "blurred" in stages
         blurred = [h for h in model.provenance.history if h["stage"] == "blurred"][0]
-        assert blurred["method"] == "WQ"
+        assert blurred["method"] == "WQ" and blurred["bits"] == 6
 
     def test_blurred_accuracy_close(self, victim_and_data):
         cfg, victim, train_set = victim_and_data
@@ -204,19 +196,17 @@ class TestAttackedModels:
 
 
 def test_dump_confidences_rows(tmp_path):
-    from seedmark.datasets import generate, split
-    from seedmark.rng import derive_seed
-    from seedmark.watermark import generate_keyset
+    from seedmark.watermark import confidence_profile, generate_keyset
 
     cfg = tiny_config()
-    data = generate(cfg.gen, derive_seed(cfg.master_seed, "data"))
-    train_set, _ = split(data, 0.5, derive_seed(cfg.master_seed, "split"))
+    train_set, _ = prepare_data(cfg)
     protected = train_fresh(cfg, train_set, "A", 1)
     ext = [build_attacked_model(cfg, protected, "RET", train_set, 10 + i) for i in range(2)]
     ne = [train_fresh(cfg, train_set, "B", 20 + i) for i in range(2)]
     keyset = generate_keyset(protected, ext, ne, train_set, 5)
     path = tmp_path / "conf.csv"
-    dump_confidences(ext, ne, keyset, path)
+    prof_e, prof_ne = (np.stack([confidence_profile(m, keyset) for m in pop]) for pop in (ext, ne))
+    dump_confidences(prof_e, prof_ne, path)
     lines = path.read_text().splitlines()
     assert len(lines) == len(keyset) + 1
     assert lines[0].split(",")[:3] == ["watermark", "mean_extracted", "mean_nonextracted"]

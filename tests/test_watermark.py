@@ -30,7 +30,7 @@ def populations(blob_data, trained_model):
     extracted = [
         extract_retraining(
             trained_model, train_set.features,
-            ExtractionConfig("retraining", spec, TrainConfig(seed=900 + i),
+            ExtractionConfig("RET", spec, TrainConfig(seed=900 + i),
                              query_budget_fraction=0.5),
         )
         for i in range(4)

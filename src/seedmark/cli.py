@@ -16,12 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import boundary, serialize, watermark
-from .attacks import blur_prune, blur_quantize
 from .datasets import load_dataset, save_dataset
 from .errors import SeedmarkError
 from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
+    blur_model,
     build_attacked_model,
     dump_confidences,
     export_report,
@@ -58,7 +58,7 @@ def cmd_train_population(args):
     digest = cfg.digest()
     save_dataset(train_set, os.path.join(args.out, f"data-{digest}.csv"))
     for i in range(args.count):
-        family = args.family or cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
+        family = cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
         seed = derive_seed(cfg.master_seed, f"population/{i}")
         model = train_fresh(cfg, train_set, family, seed)
         path = os.path.join(args.out, f"model-{family}-{i:03d}-{digest}.json")
@@ -70,18 +70,14 @@ def cmd_extract(args):
     cfg = _load_config(args)
     victim = serialize.load_model(args.victim)
     data = load_dataset(args.data)
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    model = build_attacked_model(cfg, victim, args.attack, data, seed)
+    model = build_attacked_model(cfg, victim, args.attack, data, cfg.master_seed)
     serialize.save_model(model, args.out)
     print(args.out)
 
 
 def cmd_blur(args):
-    model = serialize.load_model(args.model)
-    if args.method == "WP":
-        blurred = blur_prune(model, args.sparsity)
-    else:
-        blurred = blur_quantize(model, args.bits)
+    cfg = _load_config(args)
+    blurred = blur_model(cfg, serialize.load_model(args.model), args.method)
     serialize.save_model(blurred, args.out)
     print(args.out)
 
@@ -123,26 +119,25 @@ def cmd_analyze(args):
 
 
 def cmd_keygen(args):
+    cfg = _load_config(args)
     protected = serialize.load_model(args.protected)
     extracted = [serialize.load_model(p) for p in args.extracted]
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
     data = load_dataset(args.data)
-    from .bim import BimConfig
-
-    bim_cfg = BimConfig(iterations=args.bim_iterations, epsilon=args.bim_epsilon)
     keyset = watermark.generate_keyset(
-        protected, extracted, nonextracted, data, args.n, bim_cfg,
-        candidate_source=args.candidate_source,
+        protected, extracted, nonextracted, data, cfg.keyset_size, cfg.bim,
+        candidate_source=cfg.candidate_source,
     )
     watermark.save_keyset(keyset, args.out)
     print(args.out)
 
 
 def cmd_build_verifier(args):
+    cfg = _load_config(args)
     keyset = watermark.load_keyset(args.keyset)
     extracted = [serialize.load_model(p) for p in args.extracted]
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
-    verifier = watermark.build_verifier(extracted, nonextracted, keyset, args.kind)
+    verifier = watermark.build_verifier(extracted, nonextracted, keyset, cfg.classifier_kind)
     watermark.save_verifier(verifier, args.out)
     print(args.out)
 
@@ -200,7 +195,6 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--family", choices=("A", "B", "C"))
     p.add_argument("--out", required=True)
 
     p = add("extract", cmd_extract, help="run an extraction attack against a victim model")
@@ -212,10 +206,9 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = add("blur", cmd_blur, help="prune or quantize a model's weights")
+    p.add_argument("--config")
     p.add_argument("--model", required=True)
     p.add_argument("--method", choices=BLUR_METHODS, required=True)
-    p.add_argument("--sparsity", type=float, default=0.5)
-    p.add_argument("--bits", type=int, default=8)
     p.add_argument("--out", required=True)
 
     p = add("analyze", cmd_analyze, help="population disagreement/strategy analysis")
@@ -227,22 +220,18 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = add("keygen", cmd_keygen, help="generate a watermark key-set")
+    p.add_argument("--config")
     p.add_argument("--protected", required=True)
     p.add_argument("--extracted", nargs="+", required=True)
     p.add_argument("--nonextracted", nargs="+", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--bim-iterations", type=int, default=20)
-    p.add_argument("--bim-epsilon", type=float, default=0.3)
-    p.add_argument("--candidate-source", default="misclassifications",
-                   choices=("misclassifications", "disagreements"))
     p.add_argument("--out", required=True)
 
     p = add("build-verifier", cmd_build_verifier, help="fit per-watermark classifiers")
+    p.add_argument("--config")
     p.add_argument("--keyset", required=True)
     p.add_argument("--extracted", nargs="+", required=True)
     p.add_argument("--nonextracted", nargs="+", required=True)
-    p.add_argument("--kind", choices=("lr", "gnb"), default="lr")
     p.add_argument("--out", required=True)
 
     p = add("verify", cmd_verify, help="score a suspect model against a verifier")

@@ -21,10 +21,11 @@ from .datasets import Dataset, GenSpec, generate, split
 from .datasets import random_probe_inputs
 from .errors import ConfigError
 from .metrics import RocCurve, roc_auc
-from .nnet import Model, TrainConfig, family_spec, init_model, train
+from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
 from .serialize import model_digest
-from .watermark import build_verifier, confidence_profile, generate_keyset, verify
+from .watermark import CANDIDATE_SOURCES, build_verifier, confidence_profile
+from .watermark import generate_keyset, verify
 
 log = logging.getLogger(__name__)
 
@@ -83,11 +84,18 @@ class EvaluationConfig:
                 raise ConfigError(f"{attr} must be positive")
         if self.classifier_kind not in ("lr", "gnb"):
             raise ConfigError("classifier_kind must be 'lr' or 'gnb'")
-        for token in tuple(self.seen_attacks) + tuple(self.unseen_attacks):
+        if self.candidate_source not in CANDIDATE_SOURCES:
+            raise ConfigError(f"candidate_source must be one of {CANDIDATE_SOURCES}")
+        # populations cycle through these, so each needs at least one entry
+        for attr in ("seen_attacks", "unseen_attacks", "nonextracted_families"):
+            object.__setattr__(self, attr, tuple(getattr(self, attr)))
+            if not getattr(self, attr):
+                raise ConfigError(f"{attr} must be non-empty")
+        for family in (self.protected_family, self.cross_arch_family, *self.nonextracted_families):
+            if family not in FAMILY_DEFAULTS:
+                raise ConfigError(f"unknown family {family!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
+        for token in self.seen_attacks + self.unseen_attacks:
             parse_attack_token(token)
-        object.__setattr__(self, "seen_attacks", tuple(self.seen_attacks))
-        object.__setattr__(self, "unseen_attacks", tuple(self.unseen_attacks))
-        object.__setattr__(self, "nonextracted_families", tuple(self.nonextracted_families))
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -126,13 +134,12 @@ class EvaluationReport:
     train_profiles: tuple  # per rep: (extracted (M,n), non-extracted (M,n)) arrays
 
 
-def _train_cfg(cfg: EvaluationConfig, seed: int, **over) -> TrainConfig:
+def _train_cfg(cfg: EvaluationConfig, seed: int) -> TrainConfig:
     return TrainConfig(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         seed=seed,
-        **over,
     )
 
 
@@ -177,11 +184,16 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
         model = extract(victim, probes, ext_cfg)
     else:
         model = extract(victim, data.features, ext_cfg)
-    if blur_name == "WP":
-        model = blur_prune(model, cfg.prune_sparsity)
-    elif blur_name == "WQ":
-        model = blur_quantize(model, cfg.quantize_bits)
+    if blur_name is not None:
+        model = blur_model(cfg, model, blur_name)
     return model
+
+
+def blur_model(cfg: EvaluationConfig, model: Model, method: str) -> Model:
+    """Blur with `method` ('WP' or 'WQ') at the config's sparsity or bit count."""
+    if method == "WP":
+        return blur_prune(model, cfg.prune_sparsity)
+    return blur_quantize(model, cfg.quantize_bits)
 
 
 def _attack_population(cfg, victim, tokens, data, count, seed, tag):

@@ -15,6 +15,11 @@ from .rng import stream
 
 ACTIVATIONS = ("relu", "tanh")
 
+# Adam's moment decay rates and denominator guard; training always uses Adam.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class Dense:
@@ -97,16 +102,11 @@ FAMILY_DEFAULTS = {
 }
 
 
-def family_spec(name, in_dim, classes, hidden=None, activation=None) -> ModelSpec:
+def family_spec(name, in_dim, classes) -> ModelSpec:
     if name not in FAMILY_DEFAULTS:
         raise SpecError(f"unknown family {name!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
-    defaults = FAMILY_DEFAULTS[name]
-    return mlp_spec(
-        in_dim,
-        tuple(hidden) if hidden is not None else defaults["hidden"],
-        classes,
-        activation or defaults["activation"],
-    )
+    family = FAMILY_DEFAULTS[name]
+    return mlp_spec(in_dim, family["hidden"], classes, family["activation"])
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-2
-    optimizer: str = "adam"  # adam | sgd
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     loss: str = "hard"  # hard | soft
     temperature: float = 1.0
@@ -158,8 +154,6 @@ class TrainConfig:
             raise SpecError("epochs and batch_size must be positive")
         if self.learning_rate < 0:
             raise SpecError("learning_rate must be non-negative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise SpecError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("hard", "soft"):
             raise SpecError(f"unknown loss {self.loss!r}")
         if self.temperature <= 0:
@@ -330,7 +324,7 @@ def _layer_views(buf, weights):
 
 
 def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> Model:
-    """Mini-batch training; returns a new model, input model untouched.
+    """Mini-batch Adam training; returns a new model, input model untouched.
 
     Batch order is a pure function of cfg.seed. `frozen_dense` leaves the
     first k dense layers' weights untouched (transfer-learning support);
@@ -359,9 +353,8 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     if len(t) != len(x):
         raise InputError("input/target batch size mismatch")
     n = len(x)
-    lr, b1, b2 = cfg.learning_rate, cfg.beta1, cfg.beta2
-    if cfg.optimizer == "adam":
-        m, v = np.zeros_like(p), np.zeros_like(p)
+    lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
+    m, v = np.zeros_like(p), np.zeros_like(p)
     tmp1, tmp2 = np.empty_like(p), np.empty_like(p)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,9 +370,6 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
                 if not np.isfinite(loss_value):
                     raise DivergenceError(epoch, bi)
                 step += 1
-                if cfg.optimizer == "sgd":
-                    p -= np.multiply(g, lr, out=tmp1)  # p - lr*g
-                    continue
                 # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
                 m *= b1
                 m += np.multiply(g, 1 - b1, out=tmp1)
@@ -394,7 +384,7 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
                 tmp1 *= lr
                 np.divide(v, c2, out=tmp2)
                 np.sqrt(tmp2, out=tmp2)
-                tmp2 += cfg.eps
+                tmp2 += ADAM_EPS
                 tmp1 /= tmp2
                 p -= tmp1
     kind = "trained-fresh" if model.provenance.kind == "initialized" else model.provenance.kind
@@ -402,7 +392,7 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
         kind,
         seed=cfg.seed,
         epochs=cfg.epochs,
-        optimizer=cfg.optimizer,
+        optimizer="adam",
         loss=cfg.loss,
     )
     return Model(model.spec, tuple(weights), prov)

@@ -22,6 +22,8 @@ LR_TOL = 1e-8
 LR_MAX_ITER = 200
 GNB_VAR_FLOOR = 1e-9
 
+CANDIDATE_SOURCES = ("misclassifications", "disagreements")
+
 KEYSET_FORMAT = "seedmark-keyset"
 VERIFIER_FORMAT = "seedmark-verifier"
 
@@ -46,10 +48,13 @@ class LogisticClassifier:
     bias: float
 
     def prob_extracted(self, s):
-        return 1.0 / (1.0 + np.exp(-(self.weight * np.asarray(s) + self.bias)))
+        # sigmoid(z) as exp(-log(1 + exp(-z))): no overflow for any finite z
+        z = self.weight * np.asarray(s) + self.bias
+        return np.exp(-np.logaddexp(0.0, -z))
 
     def decide(self, s) -> bool:
-        return bool(self.prob_extracted(s) >= 0.5)
+        """prob_extracted(s) >= 0.5, tested on its logit."""
+        return bool(self.weight * s + self.bias >= 0)
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,17 @@ def generate_keyset(
         raise WatermarkError("key-set size must be positive")
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise WatermarkError("both model populations must be non-empty")
+    if candidate_source not in CANDIDATE_SOURCES:
+        raise WatermarkError(f"unknown candidate source {candidate_source!r}")
     bim_cfg = bim_cfg or BimConfig()
     features = np.asarray(data.features, dtype=np.float64)
     truth = np.asarray(data.labels)
     preds = predict(protected, features)
     if candidate_source == "misclassifications":
         candidates = np.flatnonzero(preds != truth)
-    elif candidate_source == "disagreements":
+    else:
         others = np.stack([predict(m, features) for m in nonextracted_pop])
         candidates = np.flatnonzero((others != preds).any(axis=0))
-    else:
-        raise WatermarkError(f"unknown candidate source {candidate_source!r}")
     if len(candidates) == 0:
         raise WatermarkError("no watermark material: protected model has no candidate inputs")
 

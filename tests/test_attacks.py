@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seedmark.attacks import (
     ATTACKS,
@@ -28,6 +30,8 @@ from seedmark.nnet import (
     predict,
     train,
 )
+
+from conftest import random_small_model
 
 
 def agreement(a, b, features):
@@ -312,6 +316,22 @@ class TestQuantize:
         m = tiny_model([0.25, 0.25, 0.25, 0.25], bias=[0.25, 0.25])
         q = blur_quantize(m, 3)
         assert np.array_equal(q.weights[0][0], m.weights[0][0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_requantize_keeps_levels(self, seed, bits):
+        """Quantizing again at the same bit count keeps every value on its
+        level. The step is recomputed from the quantized range, which can
+        differ from the original in its last bits, so a value may move by a
+        few ulps of the layer's largest magnitude: the map is not bit-idempotent."""
+        q = blur_quantize(random_small_model(np.random.default_rng(seed)), bits)
+        qq = blur_quantize(q, bits)
+        for (w, b), (w2, b2) in zip(q.weights, qq.weights, strict=True):
+            x, y = np.concatenate([w.ravel(), b]), np.concatenate([w2.ravel(), b2])
+            lo, hi = x.min(), x.max()
+            step = (hi - lo) / ((1 << bits) - 1)
+            assert np.array_equal(np.rint((x - lo) / step), np.rint((y - lo) / step))
+            assert np.abs(y - x).max() <= 4 * np.spacing(max(abs(lo), abs(hi)))
 
 
 def test_blur_dispatch(trained_model, blob_data):

@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from seedmark import serialize, watermark
 from seedmark.cli import main
-from seedmark.datasets import GenSpec
-from seedmark.harness import EvaluationConfig
+from seedmark.datasets import GenSpec, load_dataset
+from seedmark.harness import EvaluationConfig, load_eval_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -56,7 +59,7 @@ def workspace(tmp_path_factory, config_path, capsys_factory=None):
     assert main(["keygen", "--protected", models[0],
                  "--extracted", *extracted,
                  "--nonextracted", *models[1:],
-                 "--data", data, "--n", "6", "--out", keyset]) == 0
+                 "--data", data, "--config", config_path, "--out", keyset]) == 0
 
     verifier = str(root / "verifier.json")
     assert main(["build-verifier", "--keyset", keyset,
@@ -98,13 +101,75 @@ def test_verify_threshold_verdict(workspace, capsys):
 def test_blur_command(workspace, capsys):
     out = str(workspace["root"] / "blurred.json")
     assert main(["blur", "--model", workspace["extracted"][0],
-                 "--method", "WP", "--sparsity", "0.5", "--out", out]) == 0
+                 "--method", "WP", "--out", out]) == 0
     from seedmark.serialize import load_model
     import numpy as np
 
     blurred = load_model(out)
     flat = np.concatenate([w.ravel() for w, _ in blurred.weights])
     assert np.count_nonzero(flat == 0.0) >= flat.size // 2
+
+
+def test_stage_commands_read_the_config(workspace, config_path, tmp_path):
+    """keygen, build-verifier and blur take every setting from --config, as
+    the library calls and `extract --attack 'WP(...)'` do."""
+    doc = json.loads(Path(config_path).read_text())
+    doc.update(keyset_size=6, classifier_kind="gnb", prune_sparsity=0.9,
+               bim={"iterations": 20, "epsilon": 0.3, "step_size": 0.05})
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_eval_config(path)
+    common = ["--config", str(path), "--extracted", *workspace["extracted"],
+              "--nonextracted", *workspace["models"][1:]]
+
+    keyset_path, verifier_path = str(tmp_path / "keyset.json"), str(tmp_path / "verifier.json")
+    assert main(["keygen", *common, "--protected", workspace["models"][0],
+                 "--data", workspace["data"], "--out", keyset_path]) == 0
+    assert main(["build-verifier", *common, "--keyset", keyset_path,
+                 "--out", verifier_path]) == 0
+    extracted = [serialize.load_model(p) for p in workspace["extracted"]]
+    controls = [serialize.load_model(p) for p in workspace["models"][1:]]
+    keyset = watermark.generate_keyset(
+        serialize.load_model(workspace["models"][0]), extracted, controls,
+        load_dataset(workspace["data"]), cfg.keyset_size, cfg.bim,
+        candidate_source=cfg.candidate_source,
+    )
+    verifier = watermark.build_verifier(extracted, controls, keyset, cfg.classifier_kind)
+    assert Path(keyset_path).read_text() == watermark.dump_keyset(keyset)
+    assert Path(verifier_path).read_text() == watermark.dump_verifier(verifier)
+
+    outs = {name: str(tmp_path / f"{name}.json") for name in ("ret", "blurred", "wp")}
+    extract = ["extract", "--config", str(path), "--victim", workspace["models"][0],
+               "--data", workspace["data"]]
+    assert main([*extract, "--attack", "RET", "--out", outs["ret"]]) == 0
+    assert main(["blur", "--config", str(path), "--model", outs["ret"], "--method", "WP",
+                 "--out", outs["blurred"]]) == 0
+    assert main([*extract, "--attack", "WP(RET)", "--out", outs["wp"]]) == 0
+    assert Path(outs["blurred"]).read_bytes() == Path(outs["wp"]).read_bytes()
+    assert serialize.load_model(outs["wp"]).provenance.history[-1]["sparsity"] == 0.9
+
+
+def readme_cli_commands():
+    """The argv of each command in the README's "Command-line usage" sh block."""
+    section = (REPO / "README.md").read_text().split("## Command-line usage", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+
+
+def test_readme_workflow_runs(tmp_path, monkeypatch):
+    """The README's file-based workflow runs as written, globs expanded as a
+    shell would, so a removed flag cannot linger in the docs."""
+    commands = readme_cli_commands()
+    assert len(commands) >= 5 and all(argv[0] == "seedmark" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        args = []
+        for word in argv[1:]:
+            matches = sorted(glob.glob(word)) if "*" in word else [word]
+            assert matches, f"{word!r} matches no file"
+            args.extend(matches)
+        assert main(args) == 0, argv
 
 
 def test_evaluate_command(config_path, tmp_path, capsys):
@@ -158,7 +223,7 @@ def test_dump_confidences_command(workspace, capsys):
                  "--nonextracted", *workspace["models"][1:],
                  "--out", out]) == 0
     lines = open(out).read().splitlines()
-    assert len(lines) == 7  # header + 6 watermarks
+    assert len(lines) == 9  # header + keyset_size (8) watermarks
 
 
 def test_missing_file_fails_with_json_error(workspace, capsys):

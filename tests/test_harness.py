@@ -63,6 +63,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EvaluationConfig(seen_attacks=("NOPE",))
 
+    @pytest.mark.parametrize("over, message", [
+        ({"seen_attacks": ()}, "seen_attacks must be non-empty"),
+        ({"unseen_attacks": ()}, "unseen_attacks must be non-empty"),
+        ({"nonextracted_families": ()}, "nonextracted_families must be non-empty"),
+        ({"candidate_source": "bogus"}, "candidate_source must be one of"),
+        ({"nonextracted_families": ("A", "Z")}, "unknown family 'Z'"),
+        ({"cross_arch_family": "Z"}, "unknown family 'Z'"),
+        ({"protected_family": "Z"}, "unknown family 'Z'"),
+    ], ids=["seen", "unseen", "families", "source", "nonextracted-family",
+            "cross-arch-family", "protected-family"])
+    def test_bad_value_fails_at_construction(self, over, message):
+        with pytest.raises(ConfigError, match=message):
+            EvaluationConfig(**over)
+
     def test_digest_sensitivity(self):
         a = tiny_config()
         b = tiny_config(master_seed=4)

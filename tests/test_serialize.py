@@ -122,7 +122,7 @@ def test_digest_ignores_memory_layout():
     rng = np.random.default_rng(0)
     x, y = rng.uniform(-1, 1, size=(6, 3)), rng.integers(0, 2, size=6)
     # lr 0 keeps the values; train returns views into one flat buffer.
-    flat = train(model, x, y, TrainConfig(epochs=1, learning_rate=0.0, optimizer="sgd"))
+    flat = train(model, x, y, TrainConfig(epochs=1, learning_rate=0.0))
     buffer = flat.weights[0][0].base
     assert buffer is not None and all(a.base is buffer for wb in flat.weights for a in wb)
     fortran = Model(model.spec, tuple((np.asfortranarray(w), b) for w, b in model.weights),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from seedmark.attacks import ExtractionConfig, extract_retraining
@@ -8,8 +10,11 @@ from seedmark.errors import FormatError, InputError, WatermarkError
 from seedmark.nnet import Model, TrainConfig, family_spec, forward, init_model, mlp_spec, predict, train
 from seedmark.watermark import (
     GNB_VAR_FLOOR,
+    GaussianNBClassifier,
     KeySet,
     LR_LAMBDA,
+    LogisticClassifier,
+    VerificationModel,
     build_verifier,
     confidence_profile,
     dump_keyset,
@@ -21,6 +26,8 @@ from seedmark.watermark import (
     parse_verifier,
     verify,
 )
+
+from conftest import random_small_model
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +205,14 @@ class TestLogisticFit:
         with pytest.raises(InputError):
             fit_lr([], [])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_logits_do_not_overflow(self):
+        clf = LogisticClassifier(1e4, -5e3)
+        assert not clf.decide(-1.0) and clf.decide(0.5) and clf.decide(1.0)
+        assert clf.prob_extracted(-1.0) == 0.0
+        assert clf.prob_extracted(0.5) == 0.5
+        assert clf.prob_extracted(1.0) == 1.0
+
     def test_prob_vectorized(self):
         clf = fit_lr([0.1, 0.9], [0, 1])
         probs = clf.prob_extracted(np.array([0.1, 0.5, 0.9]))
@@ -275,6 +290,32 @@ class TestVerifier:
         short = KeySet(keyset.watermarks[:4], keyset.labels[:4], {})
         with pytest.raises(InputError):
             verify(trained_model, verifier, short)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["lr", "gnb"]), st.data())
+@settings(max_examples=50, deadline=None)
+def test_verify_invariant_to_watermark_order(seed, kind, data):
+    """Permuting the watermarks together with their classifiers permutes the
+    decisions and leaves the score unchanged."""
+    rng = np.random.default_rng(seed)
+    suspect = random_small_model(rng)
+    n = int(rng.integers(1, 12))
+    watermarks = rng.uniform(-1, 1, size=(n, suspect.spec.input_dim))
+    labels = rng.integers(0, suspect.spec.output_classes, size=n)
+    if kind == "lr":
+        classifiers = [LogisticClassifier(float(rng.normal(0, 20)), float(rng.normal(0, 10)))
+                       for _ in range(n)]
+    else:
+        classifiers = [GaussianNBClassifier(tuple(rng.uniform(0, 1, 2)),
+                                            tuple(rng.uniform(0.01, 0.1, 2)), (0.5, 0.5))
+                       for _ in range(n)]
+    perm = data.draw(st.permutations(range(n)))
+    verdict = verify(suspect, VerificationModel(kind, tuple(classifiers)),
+                     KeySet(watermarks, labels, {}))
+    permuted = verify(suspect, VerificationModel(kind, tuple(classifiers[i] for i in perm)),
+                      KeySet(watermarks[perm], labels[perm], {}))
+    assert permuted.score == verdict.score
+    assert permuted.decisions == tuple(verdict.decisions[i] for i in perm)
 
 
 class TestPersistence:

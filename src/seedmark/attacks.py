@@ -7,43 +7,23 @@ used by the simulated adversary and, during key-set generation, by the
 model owner.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, SpecError
-from .nnet import Model, ModelSpec, TrainConfig, init_model, predict, forward, train
-from .rng import derive_seed, stream
+from .errors import ConfigError, InputError
+from .nnet import Model, TrainConfig, forward, predict, train
+from .rng import stream
 from .serialize import model_digest
 
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    kind: str  # an ATTACKS token; recorded as the attack id in provenance
-    surrogate_spec: ModelSpec
-    train_cfg: TrainConfig
-    query_budget_fraction: float = 1.0
-    distill_temperature: float = None
-    frozen_layers: int = None
-
-    def __post_init__(self):
-        if self.kind not in ATTACKS:
-            raise ConfigError(f"unknown attack {self.kind!r}")
-        if not 0 < self.query_budget_fraction <= 1:
-            raise ConfigError("query_budget_fraction must be in (0, 1]")
-        if self.kind == "DIS":
-            if self.distill_temperature is None or self.distill_temperature <= 0:
-                raise ConfigError("DIS requires a positive distill_temperature")
-        elif self.distill_temperature is not None:
-            raise ConfigError("distill_temperature only applies to DIS")
-        if self.kind == "TRL":
-            if self.frozen_layers is None or self.frozen_layers < 0:
-                raise ConfigError("TRL requires frozen_layers >= 0")
-        elif self.frozen_layers is not None:
-            raise ConfigError("frozen_layers only applies to TRL")
+# Every extraction attack token. The attacks differ only in their queries,
+# their targets and their starting network; `harness.build_attacked_model`
+# picks those for each token.
+ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC")
 
 
-def _sample_queries(train_inputs, fraction, seed):
+def sample_queries(train_inputs, fraction, seed):
+    """round(fraction * N) distinct rows of `train_inputs`, in shuffled order."""
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     n = len(train_inputs)
     count = int(round(n * fraction))
@@ -53,72 +33,24 @@ def _sample_queries(train_inputs, fraction, seed):
     return train_inputs[idx]
 
 
-def _extracted(surrogate: Model, victim: Model, cfg: ExtractionConfig) -> Model:
-    prov = surrogate.provenance.extended(
-        "extracted", attack=cfg.kind, victim=model_digest(victim)
-    )
-    return Model(surrogate.spec, surrogate.weights, prov)
+def extract(victim: Model, queries, surrogate: Model, train_cfg: TrainConfig, attack: str,
+            temperature: float = None, frozen_dense: int = 0) -> Model:
+    """Train `surrogate` on the victim's answers to `queries`.
 
-
-def extract_retraining(victim: Model, train_inputs, cfg: ExtractionConfig) -> Model:
-    """Query hard labels, train a fresh surrogate on them."""
-    queries = _sample_queries(train_inputs, cfg.query_budget_fraction, cfg.train_cfg.seed)
-    labels = predict(victim, queries)
-    surrogate = init_model(cfg.surrogate_spec, derive_seed(cfg.train_cfg.seed, "surrogate-init"))
-    return _extracted(train(surrogate, queries, labels, cfg.train_cfg), victim, cfg)
-
-
-def extract_distillation(victim: Model, train_inputs, cfg: ExtractionConfig) -> Model:
-    """Train on the victim's full confidence vectors at the distillation temperature."""
-    queries = _sample_queries(train_inputs, cfg.query_budget_fraction, cfg.train_cfg.seed)
-    soft_targets = forward(victim, queries)
-    train_cfg = replace(cfg.train_cfg, loss="soft", temperature=cfg.distill_temperature)
-    surrogate = init_model(cfg.surrogate_spec, derive_seed(cfg.train_cfg.seed, "surrogate-init"))
-    return _extracted(train(surrogate, queries, soft_targets, train_cfg), victim, cfg)
-
-
-def extract_transfer(victim: Model, train_inputs, cfg: ExtractionConfig, pretrained: Model = None) -> Model:
-    """Fine-tune a pretrained model on victim hard labels, freezing early layers."""
-    if pretrained is None:
-        raise ConfigError("TRL requires a pretrained model")
-    if pretrained.spec != cfg.surrogate_spec:
-        raise SpecError("pretrained model spec does not match surrogate_spec")
-    if cfg.frozen_layers >= pretrained.spec.dense_count:
-        raise SpecError(
-            f"frozen_layers={cfg.frozen_layers} leaves nothing to fine-tune "
-            f"({pretrained.spec.dense_count} dense layers)"
-        )
-    queries = _sample_queries(train_inputs, cfg.query_budget_fraction, cfg.train_cfg.seed)
-    labels = predict(victim, queries)
-    tuned = train(pretrained, queries, labels, cfg.train_cfg, frozen_dense=cfg.frozen_layers)
-    return _extracted(tuned, victim, cfg)
-
-
-def extract_copycat(victim: Model, probe_inputs, cfg: ExtractionConfig) -> Model:
-    """Label random probes with the victim's argmax and train a surrogate on them."""
-    probes = np.asarray(probe_inputs, dtype=np.float64)
-    if len(probes) == 0:
-        raise InputError("copycat requires at least one probe input")
-    labels = predict(victim, probes)
-    surrogate = init_model(cfg.surrogate_spec, derive_seed(cfg.train_cfg.seed, "surrogate-init"))
-    return _extracted(train(surrogate, probes, labels, cfg.train_cfg), victim, cfg)
-
-
-# Every extraction attack, by its token. CAR is retraining with a surrogate
-# of another architecture family.
-ATTACKS = {
-    "RET": extract_retraining,
-    "DIS": extract_distillation,
-    "TRL": extract_transfer,
-    "CAR": extract_retraining,
-    "CC": extract_copycat,
-}
-
-
-def extract(victim: Model, train_inputs, cfg: ExtractionConfig, pretrained: Model = None) -> Model:
-    """Run the attack cfg.kind names. `pretrained` is required for TRL."""
-    extra = {} if pretrained is None else {"pretrained": pretrained}
-    return ATTACKS[cfg.kind](victim, train_inputs, cfg, **extra)
+    The answers are hard labels, or with `temperature` the full confidence
+    vectors, trained with the soft loss at that temperature. The first
+    `frozen_dense` dense layers keep their weights. `attack` is recorded as
+    the attack id in provenance."""
+    if len(queries) == 0:
+        raise InputError("extraction requires at least one query")
+    if temperature is None:
+        targets = predict(victim, queries)
+    else:
+        targets = forward(victim, queries)
+        train_cfg = replace(train_cfg, loss="soft", temperature=temperature)
+    trained = train(surrogate, queries, targets, train_cfg, frozen_dense=frozen_dense)
+    prov = trained.provenance.extended("extracted", attack=attack, victim=model_digest(victim))
+    return Model(trained.spec, trained.weights, prov)
 
 
 def blur_prune(model: Model, sparsity: float) -> Model:

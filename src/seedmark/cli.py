@@ -40,6 +40,11 @@ PRESETS = {
     "cross-arch": {"seen_attacks": ("TRL",), "unseen_attacks": ("CAR",)},
 }
 
+# `analyze` uses a gentler budget than key-set generation: a large step
+# drags every population member onto the target class, emptying the
+# recounted subsets
+ANALYSIS_BIM_EPSILON = 0.05
+
 
 def _load_config(args) -> EvaluationConfig:
     """--config, then --preset's attack mix, then --seed."""
@@ -87,15 +92,11 @@ def cmd_analyze(args):
 
     cfg = _load_config(args)
     train_set, test_set = prepare_data(cfg)
-    # analysis uses a gentler budget than key-set generation: a large step
-    # drags every population member onto the target class, emptying the
-    # recounted subsets
-    analysis_bim = BimConfig(iterations=cfg.bim.iterations, epsilon=args.bim_epsilon)
-    count = args.population or cfg.n_nonextracted_train
+    analysis_bim = BimConfig(iterations=cfg.bim.iterations, epsilon=ANALYSIS_BIM_EPSILON)
     protected = [
         train_fresh(cfg, train_set, cfg.protected_family,
                     derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
-        for i in range(count)
+        for i in range(cfg.n_nonextracted_train)
     ]
     extracted = [
         build_attacked_model(cfg, m, "RET", train_set,
@@ -214,9 +215,6 @@ def build_parser():
     p = add("analyze", cmd_analyze, help="population disagreement/strategy analysis")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--population", type=int)
-    p.add_argument("--bim-epsilon", type=float, default=0.05,
-                   help="perturbation budget for the strengthening strategies")
     p.add_argument("--out", required=True)
 
     p = add("keygen", cmd_keygen, help="generate a watermark key-set")

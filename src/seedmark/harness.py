@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .attacks import ATTACKS, ExtractionConfig, blur_prune, blur_quantize, extract
+from .attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, generate, split
 from .datasets import random_probe_inputs
@@ -79,7 +79,8 @@ class EvaluationConfig:
 
     def __post_init__(self):
         for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",
-                     "n_extracted_test", "n_nonextracted_test", "keyset_size"):
+                     "n_extracted_test", "n_nonextracted_test", "keyset_size",
+                     "copycat_probe_factor", "epochs", "batch_size"):
             if getattr(self, attr) < 1:
                 raise ConfigError(f"{attr} must be positive")
         if self.classifier_kind not in ("lr", "gnb"):
@@ -96,6 +97,19 @@ class EvaluationConfig:
                 raise ConfigError(f"unknown family {family!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
         for token in self.seen_attacks + self.unseen_attacks:
             parse_attack_token(token)
+        dense = family_spec(self.protected_family, self.gen.dims, self.gen.classes).dense_count
+        for attr, ok, expected in (
+            ("query_budget_fraction", 0 < self.query_budget_fraction <= 1, "in (0, 1]"),
+            ("distill_temperature", self.distill_temperature > 0, "positive"),
+            ("frozen_layers", 0 <= self.frozen_layers < dense,
+             f"in [0, {dense}) for family {self.protected_family}"),
+            ("learning_rate", self.learning_rate >= 0, "non-negative"),
+            ("prune_sparsity", 0 <= self.prune_sparsity < 1, "in [0, 1)"),
+            ("quantize_bits", 1 <= self.quantize_bits <= 16, "in [1, 16]"),
+            ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ConfigError(f"{attr} must be {expected}, got {getattr(self, attr)!r}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -103,13 +117,18 @@ class EvaluationConfig:
 
 
 def eval_config_from_dict(doc: dict) -> EvaluationConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    for key in ("gen", "bim"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"config field {key!r} must be a JSON object")
     doc = dict(doc)
-    if "gen" in doc:
-        doc["gen"] = GenSpec(**doc["gen"])
-    if "bim" in doc:
-        doc["bim"] = BimConfig(**{k: (tuple(v) if k == "clip_range" else v)
-                                  for k, v in doc["bim"].items()})
     try:
+        if "gen" in doc:
+            doc["gen"] = GenSpec(**doc["gen"])
+        if "bim" in doc:
+            doc["bim"] = BimConfig(**{k: (tuple(v) if k == "clip_range" else v)
+                                      for k, v in doc["bim"].items()})
         return EvaluationConfig(**doc)
     except TypeError as exc:
         raise ConfigError(f"bad evaluation config: {exc}") from exc
@@ -149,41 +168,31 @@ def train_fresh(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) ->
     return train(model, data.features, data.labels, _train_cfg(cfg, derive_seed(seed, "train")))
 
 
-def _extraction_config(cfg: EvaluationConfig, base: str, data: Dataset, seed: int) -> ExtractionConfig:
-    family = cfg.cross_arch_family if base == "CAR" else cfg.protected_family
-    spec = family_spec(family, data.dims, data.class_count)
-    kwargs = {}
-    if base == "DIS":
-        kwargs["distill_temperature"] = cfg.distill_temperature
-    if base == "TRL":
-        kwargs["frozen_layers"] = cfg.frozen_layers
-    return ExtractionConfig(
-        kind=base,
-        surrogate_spec=spec,
-        train_cfg=_train_cfg(cfg, seed),
-        query_budget_fraction=cfg.query_budget_fraction,
-        **kwargs,
-    )
-
-
 def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data: Dataset, seed: int) -> Model:
-    """Run one attack token (e.g. 'RET' or 'WP(DIS)') against the victim."""
+    """Run one attack token (e.g. 'RET' or 'WP(DIS)') against the victim.
+
+    The token picks the queries (a sample of `data`, or random probes for
+    CC), the targets (confidence vectors for DIS, labels otherwise) and the
+    starting network (a pretrained model for TRL, else a fresh one of the
+    protected family, or of the cross-arch family for CAR)."""
     base, blur_name = parse_attack_token(token)
-    ext_cfg = _extraction_config(cfg, base, data, seed)
+    if base == "CC":
+        queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
+                                      seed=derive_seed(seed, "probes"))
+    else:
+        queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
     if base == "TRL":
         # Pretraining data must match the victim's data shape, which need not be cfg.gen's.
         pre_gen = replace(cfg.gen, dims=data.dims, classes=data.class_count)
         pre_data = generate(pre_gen, derive_seed(seed, "pretrain-data"))
-        pretrained_spec_family = cfg.protected_family
-        pretrained = train_fresh(cfg, pre_data, pretrained_spec_family, derive_seed(seed, "pretrain"))
-        model = extract(victim, data.features, ext_cfg, pretrained=pretrained)
-    elif base == "CC":
-        probes = random_probe_inputs(
-            cfg.copycat_probe_factor * len(data), data.dims, seed=derive_seed(seed, "probes")
-        )
-        model = extract(victim, probes, ext_cfg)
+        surrogate = train_fresh(cfg, pre_data, cfg.protected_family, derive_seed(seed, "pretrain"))
     else:
-        model = extract(victim, data.features, ext_cfg)
+        family = cfg.cross_arch_family if base == "CAR" else cfg.protected_family
+        spec = family_spec(family, data.dims, data.class_count)
+        surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
+    model = extract(victim, queries, surrogate, _train_cfg(cfg, seed), base,
+                    temperature=cfg.distill_temperature if base == "DIS" else None,
+                    frozen_dense=cfg.frozen_layers if base == "TRL" else 0)
     if blur_name is not None:
         model = blur_model(cfg, model, blur_name)
     return model

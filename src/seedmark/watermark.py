@@ -161,6 +161,10 @@ def generate_keyset(
 
 def confidence_profile(model: Model, keyset: KeySet) -> np.ndarray:
     """Entry i: the model's softmax probability of keyset.labels[i] on watermark i."""
+    classes = model.spec.output_classes
+    bad = keyset.labels[(keyset.labels < 0) | (keyset.labels >= classes)]
+    if len(bad):
+        raise InputError(f"key-set label {bad[0]} is outside the model's classes [0, {classes})")
     confs = forward(model, keyset.watermarks)
     return confs[np.arange(len(keyset)), keyset.labels]
 

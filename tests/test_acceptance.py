@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import binomtest
 
-from seedmark.attacks import ExtractionConfig, blur_prune, blur_quantize, extract_retraining
+from seedmark.attacks import blur_prune, blur_quantize
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.boundary import (
     find_disagreements,
@@ -22,7 +22,7 @@ from seedmark.boundary import (
     run_strategy_analysis,
 )
 from seedmark.datasets import Dataset, GenSpec, generate, split
-from seedmark.harness import EvaluationConfig, run_raw_evaluation, export_report
+from seedmark.harness import EvaluationConfig, build_attacked_model, export_report, run_raw_evaluation
 from seedmark.metrics import roc_auc
 from seedmark.nnet import (
     TrainConfig,
@@ -115,14 +115,8 @@ def test_pipeline_stages_bit_identical_on_rerun(check, tmp_path):
         for (w1, b1), (w2, b2) in zip(m1.weights, m2.weights)
     )
 
-    ext = [
-        extract_retraining(
-            m1, train_set.features,
-            ExtractionConfig("RET", spec, TrainConfig(seed=40 + i, epochs=4),
-                             query_budget_fraction=0.5),
-        )
-        for i in range(2)
-    ]
+    ext = [build_attacked_model(EvaluationConfig(epochs=4), m1, "RET", train_set, 40 + i)
+           for i in range(2)]
     ne = [train(init_model(spec, 60 + i), train_set.features, train_set.labels,
                 TrainConfig(seed=60 + i, epochs=4)) for i in range(2)]
     ks1 = generate_keyset(m1, ext, ne, train_set, 6)
@@ -167,14 +161,8 @@ def boundary_population():
               TrainConfig(seed=300 + s))
         for s in range(10)
     ]
-    extracted = [
-        extract_retraining(
-            m, train_set.features,
-            ExtractionConfig("RET", spec, TrainConfig(seed=800 + i),
-                             query_budget_fraction=0.5),
-        )
-        for i, m in enumerate(protected)
-    ]
+    extracted = [build_attacked_model(EvaluationConfig(), m, "RET", train_set, 800 + i)
+                 for i, m in enumerate(protected)]
     return protected, extracted, test_set
 
 
@@ -410,11 +398,7 @@ def test_blurring_countermeasures(check):
     spec = family_spec("A", train_set.dims, train_set.class_count)
     victim = train(init_model(spec, 4), train_set.features, train_set.labels,
                    TrainConfig(seed=4))
-    extracted = extract_retraining(
-        victim, train_set.features,
-        ExtractionConfig("RET", spec, TrainConfig(seed=5),
-                         query_budget_fraction=0.5),
-    )
+    extracted = build_attacked_model(EvaluationConfig(), victim, "RET", train_set, 5)
     parent_acc = accuracy(extracted, test_set.features, test_set.labels)
     drop = max(
         abs(parent_acc - accuracy(blur_prune(extracted, 0.5), test_set.features, test_set.labels)),

@@ -3,18 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedmark.attacks import (
-    ATTACKS,
-    ExtractionConfig,
-    _sample_queries,
-    blur_prune,
-    blur_quantize,
-    extract,
-    extract_copycat,
-    extract_distillation,
-    extract_retraining,
-    extract_transfer,
-)
+from seedmark.attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, InputError, SpecError
 from seedmark.harness import EvaluationConfig, build_attacked_model, parse_attack_token
@@ -30,6 +19,7 @@ from seedmark.nnet import (
     predict,
     train,
 )
+from seedmark.rng import derive_seed
 
 from conftest import random_small_model
 
@@ -44,35 +34,21 @@ def surrogate_spec(blob_data):
     return family_spec("A", train_set.dims, train_set.class_count)
 
 
-def ret_cfg(surrogate_spec, seed=0, **over):
-    return ExtractionConfig(
-        kind="RET",
-        surrogate_spec=surrogate_spec,
-        train_cfg=TrainConfig(seed=seed),
-        query_budget_fraction=over.pop("query_budget_fraction", 0.5),
-        **over,
-    )
+def fresh_extract(victim, inputs, spec, seed, attack="RET", temperature=None):
+    """`build_attacked_model`'s extraction for a fresh surrogate: half the
+    inputs as queries, the surrogate initialized from the attack seed."""
+    return extract(victim, sample_queries(inputs, 0.5, seed),
+                   init_model(spec, derive_seed(seed, "surrogate-init")),
+                   TrainConfig(seed=seed), attack, temperature=temperature)
 
 
 class TestConfigs:
-    def test_kind_specific_fields(self, surrogate_spec):
-        with pytest.raises(ConfigError):
-            ExtractionConfig("RET", surrogate_spec, TrainConfig(), distill_temperature=2.0)
-        with pytest.raises(ConfigError):
-            ExtractionConfig("DIS", surrogate_spec, TrainConfig())
-        with pytest.raises(ConfigError):
-            ExtractionConfig("TRL", surrogate_spec, TrainConfig())
-        with pytest.raises(ConfigError):
-            ExtractionConfig("RET", surrogate_spec, TrainConfig(), query_budget_fraction=0.0)
-
-    def test_tokens_are_the_registry(self, surrogate_spec):
-        # ExtractionConfig and the evaluation's attack tokens accept the same names
-        assert tuple(ATTACKS) == ("RET", "DIS", "TRL", "CAR", "CC")
+    def test_tokens_are_the_registry(self):
+        # the attack tokens are the names the evaluation's token parser accepts
+        assert ATTACKS == ("RET", "DIS", "TRL", "CAR", "CC")
         for token in ATTACKS:
             assert parse_attack_token(token) == (token, None)
         for name in ("retraining", "cross_arch_retraining", "KNO", ""):
-            with pytest.raises(ConfigError):
-                ExtractionConfig(name, surrogate_spec, TrainConfig())
             with pytest.raises(ConfigError):
                 parse_attack_token(name)
 
@@ -87,19 +63,19 @@ class TestConfigs:
 class TestSampleQueries:
     def test_full_budget_is_shuffled_copy(self):
         data = generate(GenSpec(samples_per_class=25), 2)
-        q = _sample_queries(data.features, 1.0, 5)
+        q = sample_queries(data.features, 1.0, 5)
         assert len(q) == len(data)
         key = lambda arr: np.lexsort(arr.T)
         assert np.array_equal(q[key(q)], data.features[key(data.features)])
 
     def test_half_budget_exact(self):
         data = generate(GenSpec(samples_per_class=50), 2)  # N = 200
-        assert len(_sample_queries(data.features, 0.5, 0)) == 100
+        assert len(sample_queries(data.features, 0.5, 0)) == 100
 
     def test_deterministic(self):
         data = generate(GenSpec(), 2)
-        assert np.array_equal(_sample_queries(data.features, 0.3, 7),
-                              _sample_queries(data.features, 0.3, 7))
+        assert np.array_equal(sample_queries(data.features, 0.3, 7),
+                              sample_queries(data.features, 0.3, 7))
 
 
 class TestRetraining:
@@ -112,8 +88,7 @@ class TestRetraining:
         quirks = victim_preds != train_set.labels
         ext, ind = [], []
         for s in range(10):
-            extracted = extract_retraining(trained_model, train_set.features,
-                                           ret_cfg(surrogate_spec, seed=1000 + s))
+            extracted = fresh_extract(trained_model, train_set.features, surrogate_spec, 1000 + s)
             independent = train(init_model(surrogate_spec, 2000 + s), train_set.features,
                                 train_set.labels, TrainConfig(seed=2000 + s))
             ext.append(np.mean(predict(extracted, train_set.features)[quirks] == victim_preds[quirks]))
@@ -122,32 +97,26 @@ class TestRetraining:
 
     def test_determinism(self, trained_model, blob_data, surrogate_spec):
         train_set, _ = blob_data
-        cfg = ret_cfg(surrogate_spec, seed=4)
-        m1 = extract_retraining(trained_model, train_set.features, cfg)
-        m2 = extract_retraining(trained_model, train_set.features, cfg)
+        m1 = fresh_extract(trained_model, train_set.features, surrogate_spec, 4)
+        m2 = fresh_extract(trained_model, train_set.features, surrogate_spec, 4)
         for (w1, _), (w2, _) in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
     def test_provenance_records_attack(self, trained_model, blob_data, surrogate_spec):
         train_set, _ = blob_data
-        m = extract_retraining(trained_model, train_set.features, ret_cfg(surrogate_spec))
+        m = fresh_extract(trained_model, train_set.features, surrogate_spec, 0)
         assert m.provenance.kind == "extracted"
         last = m.provenance.history[-1]
         assert last["attack"] == "RET" and "victim" in last
 
-    def test_query_budget_too_small(self, trained_model, surrogate_spec):
+    def test_query_budget_too_small(self):
         with pytest.raises(InputError):
-            extract_retraining(trained_model, np.empty((0, 8)),
-                               ret_cfg(surrogate_spec, query_budget_fraction=1.0))
+            sample_queries(np.empty((0, 8)), 1.0, 0)
+        with pytest.raises(InputError):
+            sample_queries(np.zeros((3, 8)), 0.1, 0)
 
 
 class TestDistillation:
-    def dis_cfg(self, spec, seed=0, temperature=1.0):
-        return ExtractionConfig(
-            kind="DIS", surrogate_spec=spec, train_cfg=TrainConfig(seed=seed),
-            query_budget_fraction=0.5, distill_temperature=temperature,
-        )
-
     def test_near_one_hot_targets_match_hard_labels(self, trained_model, blob_data):
         # at temperature 1 on confident responses, the soft targets carry
         # essentially the hard-label signal: per-sample KL is tiny
@@ -167,8 +136,8 @@ class TestDistillation:
         victim_conf = forward(trained_model, quirks)
         d_dis, d_ind = [], []
         for s in range(6):
-            distilled = extract_distillation(trained_model, train_set.features,
-                                             self.dis_cfg(surrogate_spec, seed=600 + s, temperature=1.0))
+            distilled = fresh_extract(trained_model, train_set.features, surrogate_spec,
+                                      600 + s, "DIS", temperature=1.0)
             independent = train(init_model(surrogate_spec, 700 + s), train_set.features,
                                 train_set.labels, TrainConfig(seed=700 + s))
             d_dis.append(np.linalg.norm(forward(distilled, quirks) - victim_conf, axis=1).mean())
@@ -177,9 +146,8 @@ class TestDistillation:
 
     def test_determinism(self, trained_model, blob_data, surrogate_spec):
         train_set, _ = blob_data
-        cfg = self.dis_cfg(surrogate_spec, seed=8, temperature=3.0)
-        m1 = extract_distillation(trained_model, train_set.features, cfg)
-        m2 = extract_distillation(trained_model, train_set.features, cfg)
+        m1, m2 = (fresh_extract(trained_model, train_set.features, surrogate_spec, 8, "DIS",
+                                temperature=3.0) for _ in range(2))
         for (w1, _), (w2, _) in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
@@ -191,18 +159,16 @@ def pretrained(blob_data, surrogate_spec):
                  train_set.labels, TrainConfig(seed=555))
 
 
-class TestTransfer:
-    def trl_cfg(self, spec, frozen, seed=0):
-        return ExtractionConfig(
-            kind="TRL", surrogate_spec=spec, train_cfg=TrainConfig(seed=seed),
-            query_budget_fraction=0.5, frozen_layers=frozen,
-        )
+def transfer(victim, inputs, pretrained, frozen, seed=0):
+    return extract(victim, sample_queries(inputs, 0.5, seed), pretrained,
+                   TrainConfig(seed=seed), "TRL", frozen_dense=frozen)
 
+
+class TestTransfer:
     def test_freeze_all_but_last(self, trained_model, blob_data, surrogate_spec, pretrained):
         train_set, _ = blob_data
         frozen = surrogate_spec.dense_count - 1
-        tuned = extract_transfer(trained_model, train_set.features,
-                                 self.trl_cfg(surrogate_spec, frozen), pretrained)
+        tuned = transfer(trained_model, train_set.features, pretrained, frozen)
         for li in range(frozen):
             assert np.array_equal(tuned.weights[li][0], pretrained.weights[li][0])
         assert not np.array_equal(tuned.weights[-1][0], pretrained.weights[-1][0])
@@ -210,18 +176,16 @@ class TestTransfer:
     def test_frozen_zero_equals_finetune_everything(self, trained_model, blob_data,
                                                     surrogate_spec, pretrained):
         train_set, _ = blob_data
-        cfg = self.trl_cfg(surrogate_spec, 0, seed=3)
-        tuned = extract_transfer(trained_model, train_set.features, cfg, pretrained)
-        queries = _sample_queries(train_set.features, 0.5, cfg.train_cfg.seed)
+        tuned = transfer(trained_model, train_set.features, pretrained, 0, seed=3)
+        queries = sample_queries(train_set.features, 0.5, 3)
         labels = predict(trained_model, queries)
-        reference = train(pretrained, queries, labels, cfg.train_cfg)
+        reference = train(pretrained, queries, labels, TrainConfig(seed=3))
         for (w1, b1), (w2, b2) in zip(tuned.weights, reference.weights):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
     def test_improves_victim_agreement(self, trained_model, blob_data, surrogate_spec, pretrained):
         train_set, test_set = blob_data
-        tuned = extract_transfer(trained_model, train_set.features,
-                                 self.trl_cfg(surrogate_spec, 1), pretrained)
+        tuned = transfer(trained_model, train_set.features, pretrained, 1)
         assert agreement(tuned, trained_model, test_set.features) > 0.9 * agreement(
             pretrained, trained_model, test_set.features
         )
@@ -229,31 +193,30 @@ class TestTransfer:
     def test_freeze_everything_rejected(self, trained_model, blob_data, surrogate_spec, pretrained):
         train_set, _ = blob_data
         with pytest.raises(SpecError):
-            extract_transfer(trained_model, train_set.features,
-                             self.trl_cfg(surrogate_spec, surrogate_spec.dense_count), pretrained)
+            transfer(trained_model, train_set.features, pretrained, surrogate_spec.dense_count)
+
+
+def copycat(victim, probes, spec, seed=0):
+    return extract(victim, probes, init_model(spec, derive_seed(seed, "surrogate-init")),
+                   TrainConfig(seed=seed), "CC")
 
 
 class TestCopycat:
-    def cc_cfg(self, spec, seed=0):
-        return ExtractionConfig(kind="CC", surrogate_spec=spec,
-                                train_cfg=TrainConfig(seed=seed))
-
     def test_ample_probes_good_agreement(self, trained_model, blob_data, surrogate_spec):
         train_set, test_set = blob_data
         probes = random_probe_inputs(20 * len(train_set), train_set.dims, seed=17)
-        copycat = extract_copycat(trained_model, probes, self.cc_cfg(surrogate_spec, seed=2))
-        assert agreement(copycat, trained_model, test_set.features) >= 0.7
+        model = copycat(trained_model, probes, surrogate_spec, seed=2)
+        assert agreement(model, trained_model, test_set.features) >= 0.7
 
     def test_zero_probes_error(self, trained_model, surrogate_spec):
         with pytest.raises(InputError):
-            extract_copycat(trained_model, np.empty((0, 8)), self.cc_cfg(surrogate_spec))
+            copycat(trained_model, np.empty((0, 8)), surrogate_spec)
 
     def test_determinism(self, trained_model, blob_data, surrogate_spec):
         train_set, _ = blob_data
         probes = random_probe_inputs(200, train_set.dims, seed=3)
-        cfg = self.cc_cfg(surrogate_spec, seed=5)
-        m1 = extract_copycat(trained_model, probes, cfg)
-        m2 = extract_copycat(trained_model, probes, cfg)
+        m1 = copycat(trained_model, probes, surrogate_spec, seed=5)
+        m2 = copycat(trained_model, probes, surrogate_spec, seed=5)
         for (w1, _), (w2, _) in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
@@ -344,10 +307,3 @@ def test_blur_dispatch(trained_model, blob_data):
     assert p.provenance.history[-1]["sparsity"] == 0.25
     assert q.provenance.history[-1]["bits"] == 6
 
-
-def test_extract_dispatch_requires_pretrained(trained_model, blob_data, surrogate_spec):
-    train_set, _ = blob_data
-    cfg = ExtractionConfig(kind="TRL", surrogate_spec=surrogate_spec,
-                           train_cfg=TrainConfig(), frozen_layers=1)
-    with pytest.raises(ConfigError):
-        extract(trained_model, train_set.features, cfg)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from seedmark.attacks import ExtractionConfig, extract_retraining
 from seedmark.bim import BimConfig
 from seedmark.boundary import (
     PopulationPredictions,
@@ -12,6 +11,7 @@ from seedmark.boundary import (
     write_strategy_table,
 )
 from seedmark.errors import InputError
+from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import TrainConfig, family_spec, init_model, train
 
 
@@ -77,14 +77,8 @@ def small_population(blob_data):
               TrainConfig(seed=100 + s))
         for s in range(4)
     ]
-    extracted = [
-        extract_retraining(
-            m, train_set.features,
-            ExtractionConfig("RET", spec, TrainConfig(seed=500 + i),
-                             query_budget_fraction=0.5),
-        )
-        for i, m in enumerate(protected)
-    ]
+    extracted = [build_attacked_model(EvaluationConfig(), m, "RET", train_set, 500 + i)
+                 for i, m in enumerate(protected)]
     return protected, extracted, test_set
 
 

@@ -207,9 +207,11 @@ def test_evaluate_preset_is_its_attack_mix(config_path, tmp_path, capsys):
 
 def test_analyze_command(config_path, tmp_path, capsys):
     capsys.readouterr()
+    doc = json.loads(Path(config_path).read_text())
+    two = tmp_path / "population-2.json"
+    two.write_text(json.dumps({**doc, "n_nonextracted_train": 2}))
     out = tmp_path / "analysis"
-    assert main(["analyze", "--config", config_path, "--population", "2",
-                 "--out", str(out)]) == 0
+    assert main(["analyze", "--config", str(two), "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "none:" in text and "entire_set:" in text
     table = next(out.glob("boundary-*.csv"))
@@ -224,6 +226,40 @@ def test_dump_confidences_command(workspace, capsys):
                  "--out", out]) == 0
     lines = open(out).read().splitlines()
     assert len(lines) == 9  # header + keyset_size (8) watermarks
+
+
+@pytest.mark.parametrize("label", [9, -1])
+def test_keyset_label_outside_the_classes_fails_with_json_error(workspace, tmp_path, capsys,
+                                                                label):
+    keyset = watermark.load_keyset(workspace["keyset"])
+    labels = keyset.labels.copy()
+    labels[0] = label
+    path = tmp_path / "keyset.json"
+    path.write_text(watermark.dump_keyset(
+        watermark.KeySet(keyset.watermarks, labels, keyset.provenance)))
+    capsys.readouterr()
+    assert main(["verify", "--suspect", workspace["extracted"][0],
+                 "--verifier", workspace["verifier"], "--keyset", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "InputError" and f"key-set label {label} " in doc["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"gen": {"clases": 4}},
+    {"bim": {"iterationz": 5}},
+    {"gen": 5},
+    [1, 2],
+], ids=["gen-key", "bim-key", "gen-not-object", "not-object"])
+def test_bad_nested_config_fails_with_json_error(doc, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_fails_with_json_error(workspace, capsys):

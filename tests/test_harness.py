@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seedmark.datasets import GenSpec, generate
+from seedmark.attacks import extract, sample_queries
+from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError
 from seedmark.harness import (
     EvaluationConfig,
@@ -18,7 +19,8 @@ from seedmark.harness import (
     run_raw_evaluation,
     train_fresh,
 )
-from seedmark.nnet import accuracy, family_spec
+from seedmark.nnet import TrainConfig, accuracy, family_spec, init_model
+from seedmark.rng import derive_seed
 
 
 def tiny_config(**over):
@@ -71,8 +73,23 @@ class TestConfig:
         ({"nonextracted_families": ("A", "Z")}, "unknown family 'Z'"),
         ({"cross_arch_family": "Z"}, "unknown family 'Z'"),
         ({"protected_family": "Z"}, "unknown family 'Z'"),
+        ({"query_budget_fraction": 0.0}, "query_budget_fraction must be in"),
+        ({"query_budget_fraction": 2.0}, "query_budget_fraction must be in"),
+        ({"distill_temperature": 0.0}, "distill_temperature must be positive"),
+        ({"frozen_layers": -1}, "frozen_layers must be in"),
+        ({"frozen_layers": 3}, "frozen_layers must be in"),  # family A has 3 dense layers
+        ({"copycat_probe_factor": 0}, "copycat_probe_factor must be positive"),
+        ({"epochs": 0}, "epochs must be positive"),
+        ({"batch_size": 0}, "batch_size must be positive"),
+        ({"learning_rate": -0.01}, "learning_rate must be non-negative"),
+        ({"prune_sparsity": 1.0}, "prune_sparsity must be in"),
+        ({"quantize_bits": 0}, "quantize_bits must be in"),
+        ({"test_fraction": 1.0}, "test_fraction must be in"),
     ], ids=["seen", "unseen", "families", "source", "nonextracted-family",
-            "cross-arch-family", "protected-family"])
+            "cross-arch-family", "protected-family", "query-budget-zero",
+            "query-budget-above-one", "distill-temperature", "frozen-negative",
+            "frozen-every-layer", "copycat-probe-factor", "epochs", "batch-size",
+            "learning-rate", "prune-sparsity", "quantize-bits", "test-fraction"])
     def test_bad_value_fails_at_construction(self, over, message):
         with pytest.raises(ConfigError, match=message):
             EvaluationConfig(**over)
@@ -181,6 +198,35 @@ class TestAttackedModels:
         expected = family_spec(cfg.cross_arch_family, train_set.dims, train_set.class_count)
         assert model.spec == expected
         assert model.provenance.history[-1]["attack"] == "CAR"
+
+    @pytest.mark.parametrize("token", ["RET", "DIS", "TRL", "CAR", "CC"])
+    def test_token_picks_the_inputs_of_extract(self, victim_and_data, token):
+        """Each token is `extract` on its queries, surrogate and targets."""
+        cfg, victim, data = victim_and_data
+        seed = 9
+        queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
+        family = cfg.cross_arch_family if token == "CAR" else cfg.protected_family
+        surrogate = init_model(family_spec(family, data.dims, data.class_count),
+                               derive_seed(seed, "surrogate-init"))
+        kwargs = {}
+        if token == "CC":
+            queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
+                                          seed=derive_seed(seed, "probes"))
+        if token == "DIS":
+            kwargs["temperature"] = cfg.distill_temperature
+        if token == "TRL":
+            pre_data = generate(replace(cfg.gen, dims=data.dims, classes=data.class_count),
+                                derive_seed(seed, "pretrain-data"))
+            surrogate = train_fresh(cfg, pre_data, cfg.protected_family,
+                                    derive_seed(seed, "pretrain"))
+            kwargs["frozen_dense"] = cfg.frozen_layers
+        train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                                learning_rate=cfg.learning_rate, seed=seed)
+        expected = extract(victim, queries, surrogate, train_cfg, token, **kwargs)
+        model = build_attacked_model(cfg, victim, token, data, seed)
+        assert model.spec == expected.spec and model.provenance == expected.provenance
+        for (w1, b1), (w2, b2) in zip(model.weights, expected.weights, strict=True):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
     def test_transfer_attack_on_data_unlike_default_gen(self):
         cfg = EvaluationConfig()

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from seedmark.attacks import ExtractionConfig, extract_retraining
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.errors import FormatError, InputError, WatermarkError
+from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import Model, TrainConfig, family_spec, forward, init_model, mlp_spec, predict, train
 from seedmark.watermark import (
     GNB_VAR_FLOOR,
@@ -34,14 +34,8 @@ from conftest import random_small_model
 def populations(blob_data, trained_model):
     train_set, _ = blob_data
     spec = family_spec("A", train_set.dims, train_set.class_count)
-    extracted = [
-        extract_retraining(
-            trained_model, train_set.features,
-            ExtractionConfig("RET", spec, TrainConfig(seed=900 + i),
-                             query_budget_fraction=0.5),
-        )
-        for i in range(4)
-    ]
+    extracted = [build_attacked_model(EvaluationConfig(), trained_model, "RET", train_set, 900 + i)
+                 for i in range(4)]
     controls = [
         train(init_model(spec, 700 + i), train_set.features, train_set.labels,
               TrainConfig(seed=700 + i))

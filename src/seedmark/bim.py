@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import FEATURE_RANGE
-from .errors import InputError, SpecError
+from .errors import InputError, SpecError, check_field_types
 from .nnet import Model, input_gradient
 
 
@@ -23,6 +23,7 @@ class BimConfig:
     mode: str = "targeted"  # targeted | untargeted
 
     def __post_init__(self):
+        check_field_types(self, SpecError, ints=("iterations",), lists=("clip_range",))
         if self.iterations < 1:
             raise SpecError("iterations must be positive")
         if self.epsilon < 0:

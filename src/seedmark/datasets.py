@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, SpecError
+from .errors import FormatError, SpecError, check_field_types
 from .rng import stream
 
 FEATURE_RANGE = (-1.0, 1.0)
@@ -31,6 +31,7 @@ class GenSpec:
     spread: float = DEFAULT_SPREAD
 
     def __post_init__(self):
+        check_field_types(self, SpecError, ints=("classes", "dims", "samples_per_class"))
         if self.kind not in ("gaussian_blobs", "ring_classes"):
             raise SpecError(f"unknown generator kind {self.kind!r}")
         if self.classes < 2 or self.dims < 2:

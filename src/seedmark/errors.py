@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the field-type check
+of the config dataclasses."""
 
 
 class SeedmarkError(Exception):
@@ -32,3 +33,18 @@ class WatermarkError(SeedmarkError):
 
 class ConfigError(SeedmarkError):
     """Invalid harness/attack configuration."""
+
+
+def check_field_types(obj, error, ints=(), lists=()):
+    """Raise `error` naming the first field of `obj` in `ints` that is not an
+    int (a bool is not) or in `lists` that is not a list or tuple; then store
+    each `lists` field as a tuple (`obj` may be a frozen dataclass)."""
+    for name in ints:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise error(f"{name} must be an integer, got {value!r}")
+    for name in lists:
+        value = getattr(obj, name)
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{name} must be a list, got {value!r}")
+        object.__setattr__(obj, name, tuple(value))

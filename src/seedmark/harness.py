@@ -19,7 +19,7 @@ from .attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, generate, split
 from .datasets import random_probe_inputs
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
@@ -78,6 +78,13 @@ class EvaluationConfig:
     bim: BimConfig = field(default_factory=BimConfig)
 
     def __post_init__(self):
+        check_field_types(
+            self, ConfigError,
+            ints=("master_seed", "repetitions", "n_extracted_train", "n_nonextracted_train",
+                  "n_extracted_test", "n_nonextracted_test", "keyset_size", "epochs",
+                  "batch_size", "frozen_layers", "copycat_probe_factor", "quantize_bits"),
+            lists=("seen_attacks", "unseen_attacks", "nonextracted_families"),
+        )
         for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",
                      "n_extracted_test", "n_nonextracted_test", "keyset_size",
                      "copycat_probe_factor", "epochs", "batch_size"):
@@ -89,7 +96,6 @@ class EvaluationConfig:
             raise ConfigError(f"candidate_source must be one of {CANDIDATE_SOURCES}")
         # populations cycle through these, so each needs at least one entry
         for attr in ("seen_attacks", "unseen_attacks", "nonextracted_families"):
-            object.__setattr__(self, attr, tuple(getattr(self, attr)))
             if not getattr(self, attr):
                 raise ConfigError(f"{attr} must be non-empty")
         for family in (self.protected_family, self.cross_arch_family, *self.nonextracted_families):
@@ -127,8 +133,7 @@ def eval_config_from_dict(doc: dict) -> EvaluationConfig:
         if "gen" in doc:
             doc["gen"] = GenSpec(**doc["gen"])
         if "bim" in doc:
-            doc["bim"] = BimConfig(**{k: (tuple(v) if k == "clip_range" else v)
-                                      for k, v in doc["bim"].items()})
+            doc["bim"] = BimConfig(**doc["bim"])
         return EvaluationConfig(**doc)
     except TypeError as exc:
         raise ConfigError(f"bad evaluation config: {exc}") from exc

@@ -1,6 +1,7 @@
 """Minimal deterministic feed-forward network engine.
 
-Dense layers with relu/tanh activations and an implicit softmax head.
+Dense networks given by their layer widths and one activation (relu or
+tanh) after every hidden layer, with an implicit softmax head.
 Everything is float64 numpy, fully analytic gradients, no ML runtime.
 All randomness comes from per-purpose streams in :mod:`seedmark.rng`,
 so identical (spec, seed) always reproduces bit-identical weights.
@@ -13,7 +14,11 @@ import numpy as np
 from .errors import DivergenceError, InputError, SpecError
 from .rng import stream
 
-ACTIVATIONS = ("relu", "tanh")
+# Each activation, and its derivative in terms of the activation's output y.
+# relu's mask y > 0 equals z > 0 for every float z, NaN and -0.0 included.
+_ACTIVATE = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+_DERIVATIVE = {"relu": lambda y: y > 0.0, "tanh": lambda y: 1.0 - y**2}
+ACTIVATIONS = tuple(_ACTIVATE)
 
 # Adam's moment decay rates and denominator guard; training always uses Adam.
 ADAM_BETA1 = 0.9
@@ -22,74 +27,36 @@ ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class Dense:
-    in_dim: int
-    out_dim: int
-
-
-@dataclass(frozen=True)
-class Activation:
-    kind: str  # relu | tanh
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """Layer list ending in a dense layer into `output_classes` (softmax implied)."""
+    """Dense stack `widths[0] -> widths[1] -> ... -> widths[-1]` classes.
 
-    layers: tuple
-    output_classes: int
+    `activation` follows every hidden layer; the softmax head is implied."""
+
+    widths: tuple  # (in_dim, *hidden, classes)
+    activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        self.validate()
-
-    def validate(self):
-        denses = [l for l in self.layers if isinstance(l, Dense)]
-        if not denses:
-            raise SpecError("spec needs at least one dense layer")
+        object.__setattr__(self, "widths", tuple(self.widths))
+        if len(self.widths) < 2:
+            raise SpecError(f"spec needs an input and an output width, got {self.widths}")
+        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in self.widths):
+            raise SpecError(f"widths must be positive integers, got {self.widths}")
         if self.output_classes < 2:
             raise SpecError(f"output_classes must be >= 2, got {self.output_classes}")
-        cur = None
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                if layer.in_dim < 1 or layer.out_dim < 1:
-                    raise SpecError(f"non-positive dense dims: {layer}")
-                if cur is not None and layer.in_dim != cur:
-                    raise SpecError(
-                        f"dense dimension mismatch: expected in_dim {cur}, got {layer.in_dim}"
-                    )
-                cur = layer.out_dim
-            elif isinstance(layer, Activation):
-                if layer.kind not in ACTIVATIONS:
-                    raise SpecError(f"unknown activation {layer.kind!r}")
-            else:
-                raise SpecError(f"unknown layer type {layer!r}")
-        if not isinstance(self.layers[-1], Dense):
-            raise SpecError("final layer must be dense")
-        if cur != self.output_classes:
-            raise SpecError(
-                f"final dense out_dim {cur} != output_classes {self.output_classes}"
-            )
+        if self.activation not in ACTIVATIONS:
+            raise SpecError(f"unknown activation {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
-        return next(l for l in self.layers if isinstance(l, Dense)).in_dim
+        return self.widths[0]
+
+    @property
+    def output_classes(self) -> int:
+        return self.widths[-1]
 
     @property
     def dense_count(self) -> int:
-        return sum(isinstance(l, Dense) for l in self.layers)
-
-
-def mlp_spec(in_dim, hidden, classes, activation="relu") -> ModelSpec:
-    """Fully-connected spec: in_dim -> hidden... -> classes with one activation kind."""
-    layers = []
-    cur = in_dim
-    for width in hidden:
-        layers.append(Dense(cur, width))
-        layers.append(Activation(activation))
-        cur = width
-    layers.append(Dense(cur, classes))
-    return ModelSpec(tuple(layers), classes)
+        return len(self.widths) - 1
 
 
 # Named topology families used by the evaluation harness. Family A is the
@@ -106,7 +73,7 @@ def family_spec(name, in_dim, classes) -> ModelSpec:
     if name not in FAMILY_DEFAULTS:
         raise SpecError(f"unknown family {name!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
     family = FAMILY_DEFAULTS[name]
-    return mlp_spec(in_dim, family["hidden"], classes, family["activation"])
+    return ModelSpec((in_dim, *family["hidden"], classes), family["activation"])
 
 
 @dataclass(frozen=True)
@@ -128,13 +95,13 @@ class Model:
     provenance: Provenance
 
     def __post_init__(self):
-        denses = [l for l in self.spec.layers if isinstance(l, Dense)]
-        if len(self.weights) != len(denses):
+        widths = self.spec.widths
+        if len(self.weights) != self.spec.dense_count:
             raise SpecError("weight count does not match dense layer count")
-        for (w, b), layer in zip(self.weights, denses):
-            if w.shape != (layer.in_dim, layer.out_dim) or b.shape != (layer.out_dim,):
+        for (w, b), n_in, n_out in zip(self.weights, widths, widths[1:]):
+            if w.shape != (n_in, n_out) or b.shape != (n_out,):
                 raise SpecError(
-                    f"weight shape {w.shape}/{b.shape} does not match {layer}"
+                    f"weight shape {w.shape}/{b.shape} does not match dense {n_in}->{n_out}"
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise SpecError("non-finite weight values")
@@ -162,16 +129,11 @@ class TrainConfig:
 
 def init_model(spec: ModelSpec, seed: int) -> Model:
     """Glorot-uniform weights (bound sqrt(6/(in+out))), zero biases."""
-    spec.validate()
     rng = stream(seed, "init")
     weights = []
-    for layer in spec.layers:
-        if not isinstance(layer, Dense):
-            continue
-        bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
-        w = rng.uniform(-bound, bound, size=(layer.in_dim, layer.out_dim))
-        b = np.zeros(layer.out_dim)
-        weights.append((w, b))
+    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
+        bound = np.sqrt(6.0 / (n_in + n_out))
+        weights.append((rng.uniform(-bound, bound, size=(n_in, n_out)), np.zeros(n_out)))
     return Model(spec, tuple(weights), Provenance(seed, "initialized", ({"stage": "init", "seed": seed},)))
 
 
@@ -186,28 +148,16 @@ def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_trace(layers, weights, x: np.ndarray):
-    """Run the layer stack, returning logits plus each layer's input (for backprop)."""
-    traces = []
-    wi = 0
-    a = x
-    for layer in layers:
-        traces.append(a)
-        if isinstance(layer, Dense):
-            w, b = weights[wi]
-            a = a @ w + b
-            wi += 1
-        elif layer.kind == "relu":
-            a = np.maximum(a, 0.0)
-        else:  # tanh
-            a = np.tanh(a)
-    return a, traces
-
-
-def logits(model: Model, inputs) -> np.ndarray:
-    x = _check_inputs(model, inputs)
-    z, _ = _forward_trace(model.spec.layers, model.weights, x)
-    return z
+def _forward_trace(spec: ModelSpec, weights, x: np.ndarray):
+    """Run the stack, returning logits plus each dense layer's input (for backprop)."""
+    activate = _ACTIVATE[spec.activation]
+    inputs = [x]
+    a = x @ weights[0][0] + weights[0][1]
+    for w, b in weights[1:]:
+        a = activate(a)
+        inputs.append(a)
+        a = a @ w + b
+    return a, inputs
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -218,7 +168,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(model: Model, inputs) -> np.ndarray:
     """Confidence vectors: softmax over the final logits, rows summing to 1."""
-    return softmax(logits(model, inputs))
+    z, _ = _forward_trace(model.spec, model.weights, _check_inputs(model, inputs))
+    return softmax(z)
 
 
 def predict(model: Model, inputs) -> np.ndarray:
@@ -242,34 +193,25 @@ def _target_matrix(model, targets, loss):
     return targets.astype(np.float64)
 
 
-def _backprop(layers, weights, traces, delta, out=None, stop=None):
+def _backprop(spec: ModelSpec, weights, inputs, delta, out=None, stop=0):
     """Propagate dL/dlogits back through the stack.
 
-    Returns (param grads, input grads). With `out` (one (gW, gb) pair of
-    arrays per dense layer) the param grads are written into it. With
-    `stop` (a dense-layer index) it returns right after that layer's param
-    grads, leaving the layers below it and the input grads (None) unformed."""
-    grads = [None] * len(weights) if out is None else out
-    wi = len(weights)
-    for i in reversed(range(len(layers))):
-        layer, a_in = layers[i], traces[i]
-        if isinstance(layer, Dense):
-            wi -= 1
-            w, _ = weights[wi]
-            if out is None:
-                grads[wi] = (a_in.T @ delta, delta.sum(axis=0))
-            else:
-                gw, gb = out[wi]
-                np.matmul(a_in.T, delta, out=gw)
-                np.add.reduce(delta, axis=0, out=gb)
-            if wi == stop:
-                return grads, None
-            delta = delta @ w.T
-        elif layer.kind == "relu":
-            delta = delta * (a_in > 0.0)
-        else:  # tanh' = 1 - y**2, y being this layer's output (the next layer's input)
-            delta = delta * (1.0 - traces[i + 1] ** 2)
-    return grads, delta
+    With `out` (one (gW, gb) pair of arrays per dense layer) it writes each
+    layer's param grads into it, from the top down to dense layer `stop`,
+    and forms nothing below that. Without `out` it forms no param grads and
+    returns the input grads."""
+    derivative = _DERIVATIVE[spec.activation]
+    for i in reversed(range(len(weights))):
+        if out is not None:
+            gw, gb = out[i]
+            np.matmul(inputs[i].T, delta, out=gw)
+            np.add.reduce(delta, axis=0, out=gb)
+            if i == stop:
+                return
+        delta = delta @ weights[i][0].T
+        if i:
+            delta = delta * derivative(inputs[i])
+    return delta
 
 
 def loss_and_param_grads(model: Model, inputs, targets, loss="hard", temperature=1.0):
@@ -282,19 +224,21 @@ def loss_and_param_grads(model: Model, inputs, targets, loss="hard", temperature
     t = _target_matrix(model, targets, loss)
     if len(t) != len(x):
         raise InputError("input/target batch size mismatch")
-    return _loss_and_grads(model.spec.layers, model.weights, x, t, loss, temperature)
+    grads = tuple((np.empty(w.shape), np.empty(b.shape)) for w, b in model.weights)
+    return _loss_and_grads(model.spec, model.weights, x, t, loss, temperature, grads), grads
 
 
-def _loss_and_grads(layers, weights, x, t, loss, temperature, out=None, stop=None):
-    z, traces = _forward_trace(layers, weights, x)
+def _loss_and_grads(spec, weights, x, t, loss, temperature, out, stop=0):
+    """Mean cross-entropy; the param grads are written into `out` (see `_backprop`)."""
+    z, inputs = _forward_trace(spec, weights, x)
     scale = temperature if loss == "soft" else 1.0
     p = softmax(z / scale)
     n = len(x)
     logp = np.log(np.maximum(p, 1e-300))
     loss_value = -(t * logp).sum() / n
     delta = (p - t) / (n * scale)
-    grads, _ = _backprop(layers, weights, traces, delta, out, stop)
-    return loss_value, tuple(grads)
+    _backprop(spec, weights, inputs, delta, out, stop)
+    return loss_value
 
 
 def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
@@ -305,10 +249,9 @@ def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
     t = _target_matrix(model, labels, "hard")
     if len(t) != len(x):
         raise InputError("input/label batch size mismatch")
-    z, traces = _forward_trace(model.spec.layers, model.weights, x)
-    p = softmax(z)
-    delta = p - t  # per-sample loss, no batch averaging
-    _, dx = _backprop(model.spec.layers, model.weights, traces, delta)
+    z, layer_inputs = _forward_trace(model.spec, model.weights, x)
+    delta = softmax(z) - t  # per-sample loss, no batch averaging
+    dx = _backprop(model.spec, model.weights, layer_inputs, delta)
     return dx[0] if single else dx
 
 
@@ -363,8 +306,8 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
             xs, ts = x[order], t[order]
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
                 end = start + cfg.batch_size
-                loss_value, _ = _loss_and_grads(
-                    model.spec.layers, weights, xs[start:end], ts[start:end], cfg.loss,
+                loss_value = _loss_and_grads(
+                    model.spec, weights, xs[start:end], ts[start:end], cfg.loss,
                     cfg.temperature, out=grads, stop=frozen_dense,
                 )
                 if not np.isfinite(loss_value):

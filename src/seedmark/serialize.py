@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from .errors import FormatError
-from .nnet import Activation, Dense, Model, ModelSpec, Provenance
+from .errors import FormatError, SpecError
+from .nnet import Model, ModelSpec, Provenance
 
 MODEL_FORMAT = "seedmark-model"
 VERSION = 1
@@ -47,28 +47,29 @@ def _check_envelope(doc, expected_format):
 
 
 def spec_to_obj(spec: ModelSpec):
+    """The spec as the layer list model files store: dense, activation, ..., dense."""
     layers = []
-    for layer in spec.layers:
-        if isinstance(layer, Dense):
-            layers.append(["dense", layer.in_dim, layer.out_dim])
-        else:
-            layers.append(["activation", layer.kind])
+    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
+        if layers:
+            layers.append(["activation", spec.activation])
+        layers.append(["dense", n_in, n_out])
     return {"layers": layers, "output_classes": spec.output_classes}
 
 
 def spec_from_obj(obj) -> ModelSpec:
+    """Inverse of `spec_to_obj`; rejects any layer list it would not write."""
     try:
-        layers = []
-        for entry in obj["layers"]:
-            if entry[0] == "dense":
-                layers.append(Dense(int(entry[1]), int(entry[2])))
-            elif entry[0] == "activation":
-                layers.append(Activation(entry[1]))
-            else:
-                raise FormatError(f"unknown layer tag {entry[0]!r}")
-        return ModelSpec(tuple(layers), int(obj["output_classes"]))
-    except (KeyError, IndexError, TypeError) as exc:
+        denses = [entry for entry in obj["layers"] if entry[0] == "dense"]
+        kinds = [entry[1] for entry in obj["layers"] if entry[0] == "activation"]
+        # a stack without hidden layers stores no activation; any kind computes the same
+        spec = ModelSpec([denses[0][1]] + [entry[2] for entry in denses],
+                         kinds[0] if kinds else "relu")
+    except (KeyError, IndexError, TypeError, SpecError) as exc:
         raise FormatError(f"malformed model spec: {exc}") from exc
+    # compared as JSON text, so a 4.0 or true where 4 belongs fails too
+    if json.dumps(spec_to_obj(spec), sort_keys=True) != json.dumps(obj, sort_keys=True):
+        raise FormatError("model spec is not a dense stack with one activation")
+    return spec
 
 
 def dump_model(model: Model) -> str:

@@ -269,10 +269,13 @@ def parse_keyset(text: str) -> KeySet:
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     _check_envelope(doc, KEYSET_FORMAT)
+    labels = doc.get("labels")
+    if not isinstance(labels, list) or any(type(v) is not int for v in labels):
+        raise FormatError(f"key-set labels must be a list of JSON integers, got {labels!r}")
     try:
         return KeySet(
             _decode_array(doc["watermarks"]),
-            np.array([int(v) for v in doc["labels"]]),
+            np.array(labels),
             doc.get("provenance", {}),
         )
     except (KeyError, TypeError, ValueError) as exc:

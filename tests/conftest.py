@@ -1,7 +1,7 @@
 import pytest
 
 from seedmark.datasets import GenSpec, generate, split
-from seedmark.nnet import TrainConfig, family_spec, init_model, mlp_spec, train
+from seedmark.nnet import ModelSpec, TrainConfig, family_spec, init_model, train
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def random_small_model(rng, in_dim=None, classes=None):
     classes = classes or int(rng.integers(2, 5))
     hidden = [int(rng.integers(3, 7)) for _ in range(int(rng.integers(1, 3)))]
     activation = ["relu", "tanh"][int(rng.integers(0, 2))]
-    spec = mlp_spec(in_dim, hidden, classes, activation)
+    spec = ModelSpec((in_dim, *hidden, classes), activation)
     model = init_model(spec, int(rng.integers(0, 2**32)))
     # perturb weights so biases are nonzero too
     weights = tuple(

@@ -8,7 +8,6 @@ from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, InputError, SpecError
 from seedmark.harness import EvaluationConfig, build_attacked_model, parse_attack_token
 from seedmark.nnet import (
-    Dense,
     Model,
     ModelSpec,
     Provenance,
@@ -222,7 +221,7 @@ class TestCopycat:
 
 
 def tiny_model(w_flat, in_dim=2, out_dim=2, bias=None):
-    spec = ModelSpec((Dense(in_dim, out_dim),), out_dim)
+    spec = ModelSpec((in_dim, out_dim))
     w = np.array(w_flat, dtype=float).reshape(in_dim, out_dim)
     b = np.zeros(out_dim) if bias is None else np.array(bias, dtype=float)
     return Model(spec, ((w, b),), Provenance(0))

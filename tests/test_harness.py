@@ -5,7 +5,7 @@ import pytest
 
 from seedmark.attacks import extract, sample_queries
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
-from seedmark.errors import ConfigError
+from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import (
     EvaluationConfig,
     build_attacked_model,
@@ -93,6 +93,28 @@ class TestConfig:
     def test_bad_value_fails_at_construction(self, over, message):
         with pytest.raises(ConfigError, match=message):
             EvaluationConfig(**over)
+
+    @pytest.mark.parametrize("doc, error, message", [
+        ({"keyset_size": 2.5}, ConfigError, "keyset_size must be an integer, got 2.5"),
+        ({"epochs": 1.5}, ConfigError, "epochs must be an integer, got 1.5"),
+        ({"quantize_bits": 2.5}, ConfigError, "quantize_bits must be an integer"),
+        ({"frozen_layers": 0.5}, ConfigError, "frozen_layers must be an integer"),
+        ({"gen": {"dims": 8.5}}, SpecError, "dims must be an integer, got 8.5"),
+        ({"bim": {"iterations": 2.5}}, SpecError, "iterations must be an integer"),
+        ({"master_seed": 1.0}, ConfigError, "master_seed must be an integer, got 1.0"),
+        ({"repetitions": True}, ConfigError, "repetitions must be an integer, got True"),
+        ({"nonextracted_families": "AB"}, ConfigError, "nonextracted_families must be a list"),
+        ({"seen_attacks": "RET"}, ConfigError, "seen_attacks must be a list, got 'RET'"),
+    ], ids=["keyset-size", "epochs", "quantize-bits", "frozen-layers", "gen-dims",
+            "bim-iterations", "master-seed", "repetitions", "families-string",
+            "attacks-string"])
+    def test_wrong_type_fails_at_construction(self, doc, error, message):
+        with pytest.raises(error, match=message):
+            eval_config_from_dict(doc)
+
+    def test_default_digest_golden_value(self):
+        # The digest names every `evaluate` output file: changing it must be deliberate.
+        assert EvaluationConfig().digest() == "3bb572267fa2"
 
     def test_digest_sensitivity(self):
         a = tiny_config()

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from seedmark.datasets import GenSpec, generate
 from seedmark.errors import DivergenceError, InputError, SpecError
 from seedmark.nnet import (
-    Activation,
-    Dense,
     Model,
     ModelSpec,
     Provenance,
@@ -18,7 +16,6 @@ from seedmark.nnet import (
     init_model,
     input_gradient,
     loss_and_param_grads,
-    mlp_spec,
     predict,
     train,
 )
@@ -30,55 +27,69 @@ from conftest import random_small_model
 def bias_only_model(biases):
     """One dense layer with zero weights: logits == biases for any input."""
     k = len(biases)
-    spec = ModelSpec((Dense(2, k),), k)
+    spec = ModelSpec((2, k))
     weights = ((np.zeros((2, k)), np.array(biases, dtype=float)),)
     return Model(spec, weights, Provenance(0))
 
 
 class TestSpec:
     def test_chaining_violation(self):
-        with pytest.raises(SpecError):
-            ModelSpec((Dense(4, 3), Dense(5, 2)), 2)
+        weights = ((np.zeros((4, 3)), np.zeros(3)), (np.zeros((5, 2)), np.zeros(2)))
+        with pytest.raises(SpecError, match="5, 2"):
+            Model(ModelSpec((4, 3, 2)), weights, Provenance(0))
 
     def test_output_classes_mismatch(self):
-        with pytest.raises(SpecError):
-            ModelSpec((Dense(4, 3),), 2)
+        with pytest.raises(SpecError, match="does not match dense 4->2"):
+            Model(ModelSpec((4, 2)), ((np.zeros((4, 3)), np.zeros(3)),), Provenance(0))
 
     def test_requires_dense(self):
-        with pytest.raises(SpecError):
-            ModelSpec((Activation("relu"),), 2)
+        with pytest.raises(SpecError, match="an input and an output width"):
+            ModelSpec((4,))
 
-    def test_mlp_spec_shape(self):
-        spec = mlp_spec(8, (16, 16), 4)
+    @pytest.mark.parametrize("widths, activation, message", [
+        ((4, 1), "relu", "output_classes must be >= 2"),
+        ((4, 0, 2), "relu", "positive integers"),
+        ((4, "8", 2), "relu", "positive integers"),
+        ((4, 8.5, 2), "relu", "positive integers"),
+        ((4, True, 2), "relu", "positive integers"),
+        ((4, 8, 2), "sigmoid", "unknown activation 'sigmoid'"),
+    ], ids=["one-class", "zero-width", "string-width", "float-width", "bool-width",
+            "activation"])
+    def test_bad_spec_rejected(self, widths, activation, message):
+        with pytest.raises(SpecError, match=message):
+            ModelSpec(widths, activation)
+
+    def test_spec_shape(self):
+        spec = ModelSpec((8, 16, 16, 4))
         assert spec.input_dim == 8
         assert spec.dense_count == 3
         assert spec.output_classes == 4
+        assert spec.activation == "relu"
 
     def test_families_differ(self):
         a = family_spec("A", 8, 4)
         b = family_spec("B", 8, 4)
         c = family_spec("C", 8, 4)
         assert a.dense_count != b.dense_count
-        assert a.layers != c.layers  # same shape, different activation
+        assert a.widths == c.widths and a.activation != c.activation
 
 
 class TestInit:
     def test_deterministic(self):
-        spec = mlp_spec(4, (8,), 3)
+        spec = ModelSpec((4, 8, 3))
         m1, m2 = init_model(spec, 42), init_model(spec, 42)
         for (w1, b1), (w2, b2) in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
     def test_seeds_differ(self):
-        spec = mlp_spec(4, (8,), 3)
+        spec = ModelSpec((4, 8, 3))
         m1, m2 = init_model(spec, 42), init_model(spec, 43)
         assert any(not np.array_equal(w1, w2) for (w1, _), (w2, _) in zip(m1.weights, m2.weights))
 
     def test_init_bounds(self):
-        spec = mlp_spec(10, (20,), 5)
-        m = init_model(spec, 0)
-        for (w, b), layer in zip(m.weights, [Dense(10, 20), Dense(20, 5)]):
-            bound = np.sqrt(6 / (layer.in_dim + layer.out_dim))
+        m = init_model(ModelSpec((10, 20, 5)), 0)
+        for (w, b), (n_in, n_out) in zip(m.weights, [(10, 20), (20, 5)], strict=True):
+            bound = np.sqrt(6 / (n_in + n_out))
             assert np.abs(w).max() <= bound
             assert np.all(b == 0.0)
 
@@ -205,7 +216,7 @@ class TestGradients:
     def test_input_gradient_linear_closed_form(self):
         rng = np.random.default_rng(9)
         k, d = 3, 4
-        spec = ModelSpec((Dense(d, k),), k)
+        spec = ModelSpec((d, k))
         w = rng.standard_normal((d, k))
         b = rng.standard_normal(k)
         m = Model(spec, ((w, b),), Provenance(0))
@@ -225,7 +236,7 @@ class TestGradients:
 class TestTrain:
     def test_deterministic(self, blob_data):
         train_set, _ = blob_data
-        spec = mlp_spec(train_set.dims, (16,), train_set.class_count)
+        spec = ModelSpec((train_set.dims, 16, train_set.class_count))
         cfg = TrainConfig(epochs=3, seed=77)
         m1 = train(init_model(spec, 5), train_set.features, train_set.labels, cfg)
         m2 = train(init_model(spec, 5), train_set.features, train_set.labels, cfg)
@@ -234,13 +245,13 @@ class TestTrain:
 
     def test_separable_blobs_high_accuracy(self):
         data = generate(GenSpec(classes=2, spread=0.12, samples_per_class=100), seed=5)
-        spec = mlp_spec(data.dims, (16,), 2)
+        spec = ModelSpec((data.dims, 16, 2))
         m = train(init_model(spec, 1), data.features, data.labels, TrainConfig(seed=2))
         assert accuracy(m, data.features, data.labels) >= 0.99
 
     def test_zero_learning_rate_identity(self, blob_data):
         train_set, _ = blob_data
-        spec = mlp_spec(train_set.dims, (8,), train_set.class_count)
+        spec = ModelSpec((train_set.dims, 8, train_set.class_count))
         m0 = init_model(spec, 3)
         m1 = train(m0, train_set.features, train_set.labels,
                    TrainConfig(epochs=2, learning_rate=0.0, seed=1))
@@ -249,7 +260,7 @@ class TestTrain:
 
     def test_divergence_error_names_location(self, blob_data):
         train_set, _ = blob_data
-        spec = mlp_spec(train_set.dims, (8,), train_set.class_count)
+        spec = ModelSpec((train_set.dims, 8, train_set.class_count))
         with pytest.raises(DivergenceError) as err:
             train(init_model(spec, 3), train_set.features, train_set.labels,
                   TrainConfig(epochs=1, learning_rate=1e200, seed=1))
@@ -261,36 +272,33 @@ class TestTrain:
 
 
 def _reference_forward(model, x):
-    """Logits plus each layer's input, written apart from nnet's forward pass."""
-    traces, a, wi = [], x, 0
-    for layer in model.spec.layers:
-        traces.append(a)
-        if isinstance(layer, Dense):
-            w, b = model.weights[wi]
-            a = a @ w + b
-            wi += 1
-        elif layer.kind == "relu":
-            a = np.maximum(a, 0.0)
-        else:
-            a = np.tanh(a)
-    return a, traces
+    """Logits, each dense layer's input and each hidden layer's
+    pre-activation, written apart from nnet's forward pass."""
+    relu = model.spec.activation == "relu"
+    inputs, pre, a = [], [], x
+    for i, (w, b) in enumerate(model.weights):
+        if i:
+            pre.append(a)
+            a = np.maximum(a, 0.0) if relu else np.tanh(a)
+        inputs.append(a)
+        a = a @ w + b
+    return a, (inputs, pre)
 
 
 def _reference_backprop(model, traces, delta):
     """Full-depth backprop: every layer's gradients and the input gradient,
-    tanh' recomputed from the layer's input, bias gradients by delta.sum."""
+    relu's mask and tanh' recomputed from the pre-activation, bias
+    gradients by delta.sum."""
+    inputs, pre = traces
+    relu = model.spec.activation == "relu"
     grads = [None] * len(model.weights)
-    wi = len(model.weights)
-    for layer, a_in in zip(reversed(model.spec.layers), reversed(traces)):
-        if isinstance(layer, Dense):
-            wi -= 1
-            w, _ = model.weights[wi]
-            grads[wi] = (a_in.T @ delta, delta.sum(axis=0))
-            delta = delta @ w.T
-        elif layer.kind == "relu":
-            delta = delta * (a_in > 0.0)
-        else:
-            delta = delta * (1.0 - np.tanh(a_in) ** 2)
+    for i in reversed(range(len(model.weights))):
+        w, _ = model.weights[i]
+        grads[i] = (inputs[i].T @ delta, delta.sum(axis=0))
+        delta = delta @ w.T
+        if i:
+            z = pre[i - 1]
+            delta = delta * ((z > 0.0) if relu else (1.0 - np.tanh(z) ** 2))
     return grads, delta
 
 
@@ -325,7 +333,7 @@ def test_gradients_bit_identical_to_reference_backprop(activation):
     n, dims, classes = 9, 5, 3
     x = rng.uniform(-1, 1, size=(n, dims))
     labels = rng.integers(0, classes, size=n)
-    model = init_model(mlp_spec(dims, (7, 6, 5), classes, activation), 4)
+    model = init_model(ModelSpec((dims, 7, 6, 5, classes), activation), 4)
     cases = (("hard", labels, 1.0), ("soft", rng.dirichlet(np.ones(classes), size=n), 2.0))
     for loss, targets, temperature in cases:
         loss_value, grads = loss_and_param_grads(model, x, targets, loss, temperature)
@@ -386,7 +394,7 @@ def test_train_bit_identical_to_per_layer_loop(loss, hidden, frozen_dense, activ
         targets = rng.integers(0, classes, size=n)
     else:
         targets = rng.dirichlet(np.ones(classes), size=n)
-    spec = mlp_spec(dims, hidden, classes, activation)
+    spec = ModelSpec((dims, *hidden, classes), activation)
     model = init_model(spec, 4)
     before = [(w.copy(), b.copy()) for w, b in model.weights]
     cfg = TrainConfig(epochs=3, batch_size=8, loss=loss,

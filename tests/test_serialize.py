@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from seedmark.errors import FormatError
-from seedmark.nnet import Model, TrainConfig, init_model, mlp_spec, train
+from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
 from seedmark.serialize import (
     dump_model,
     load_model,
@@ -78,8 +81,6 @@ def test_future_version_names_version(model):
 
 
 def test_missing_weights(model):
-    import json
-
     doc = json.loads(dump_model(model))
     del doc["weights"]
     with pytest.raises(FormatError):
@@ -87,10 +88,29 @@ def test_missing_weights(model):
 
 
 def test_weight_shape_mismatch_rejected(model):
-    import json
-
     doc = json.loads(dump_model(model))
     doc["weights"][0]["b"] = doc["weights"][0]["b"][:-1]
+    with pytest.raises(FormatError):
+        parse_model(json.dumps(doc))
+
+
+RELU, TANH = ["activation", "relu"], ["activation", "tanh"]
+
+
+@pytest.mark.parametrize("layers, classes", [
+    ([["dense", 3, 4], RELU, ["dense", 4, 4], TANH, ["dense", 4, 2]], 2),
+    ([["dense", 3, 4], RELU, RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
+    ([RELU, ["dense", 3, 4], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
+    ([["dense", 3, 4], RELU, ["dense", 5, 4], RELU, ["dense", 4, 2]], 2),
+    ([["dense", 3, 4], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 3),
+    ([["dense", 3, 4], ["dropout", 0.5], ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
+    ([["dense", 3, "4"], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
+    ([["dense", 3, 4.5], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
+], ids=["mixed-activations", "two-activations", "activation-first", "dense-chain",
+        "output-classes", "unknown-tag", "string-width", "float-width"])
+def test_spec_the_program_never_writes_is_rejected(layers, classes):
+    doc = json.loads(dump_model(init_model(ModelSpec((3, 4, 4, 2)), 0)))
+    doc["spec"] = {"layers": layers, "output_classes": classes}
     with pytest.raises(FormatError):
         parse_model(json.dumps(doc))
 
@@ -114,11 +134,23 @@ def test_digest_distinguishes_weights(model):
 def test_digest_golden_value():
     # Pins the definition (SHA-256 of the spec JSON, then each W and b as
     # little-endian float64 C-order bytes): changing it must be deliberate.
-    assert model_digest(init_model(mlp_spec(3, (4,), 2), 0)) == "eb085967d682"
+    assert model_digest(init_model(ModelSpec((3, 4, 2)), 0)) == "eb085967d682"
+
+
+@pytest.mark.parametrize("family, sha256", [
+    ("A", "7cbe1b2751eb811578f9b29fe16a25630decd32aa5ab6a24e18ee04196bc6216"),
+    ("B", "0b0bc4845b2d887038970faf9f48427c0a2c59c568dd2f9bc61c83733f3dccc0"),
+    ("C", "f6c1cf6845afc9e164fe3ef567df0e028c9d120eb48f863c20cf646fdc037899"),
+])
+def test_family_model_file_golden_value(family, sha256):
+    # Pins the model file bytes of each family (spec JSON, init draw order,
+    # float encoding); no matrix product is involved, so BLAS cannot move it.
+    text = dump_model(init_model(family_spec(family, 8, 4), 0))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_digest_ignores_memory_layout():
-    model = init_model(mlp_spec(3, (4,), 2), 0)
+    model = init_model(ModelSpec((3, 4, 2)), 0)
     rng = np.random.default_rng(0)
     x, y = rng.uniform(-1, 1, size=(6, 3)), rng.integers(0, 2, size=6)
     # lr 0 keeps the values; train returns views into one flat buffer.

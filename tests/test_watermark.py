@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy.optimize import minimize
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.errors import FormatError, InputError, WatermarkError
 from seedmark.harness import EvaluationConfig, build_attacked_model
-from seedmark.nnet import Model, TrainConfig, family_spec, forward, init_model, mlp_spec, predict, train
+from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, forward, init_model, predict, train
 from seedmark.watermark import (
     GNB_VAR_FLOOR,
     GaussianNBClassifier,
@@ -137,7 +139,7 @@ class TestKeysetGeneration:
 class TestConfidenceProfile:
     def test_constant_model(self):
         """Zero-weight model: softmax depends only on the output biases."""
-        spec = mlp_spec(3, [], 2)
+        spec = ModelSpec((3, 2))
         logits = np.array([np.log(3.0), 0.0])
         model = Model(spec, ((np.zeros((3, 2)), logits),),
                       init_model(spec, 0).provenance)
@@ -327,6 +329,13 @@ class TestPersistence:
         doc = dump_keyset(keyset).replace('"version": 1', '"version": 99')
         with pytest.raises(FormatError, match="99"):
             parse_keyset(doc)
+
+    @pytest.mark.parametrize("label", [1.7, "2", True], ids=["float", "string", "bool"])
+    def test_keyset_labels_must_be_json_integers(self, keyset, label):
+        doc = json.loads(dump_keyset(keyset))
+        doc["labels"][0] = label
+        with pytest.raises(FormatError, match="labels must be a list of JSON integers"):
+            parse_keyset(json.dumps(doc))
 
     @pytest.mark.parametrize("kind", ["lr", "gnb"])
     def test_verifier_round_trip(self, kind, populations, keyset):

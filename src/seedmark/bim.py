@@ -24,6 +24,12 @@ class BimConfig:
 
     def __post_init__(self):
         check_field_types(self, SpecError, ints=("iterations",), lists=("clip_range",))
+        if (len(self.clip_range) != 2
+                or any(not isinstance(v, (int, float)) or isinstance(v, bool)
+                       for v in self.clip_range)
+                or not self.clip_range[0] < self.clip_range[1]):
+            raise SpecError(f"clip_range must be a numeric (lo, hi) pair with lo < hi, "
+                            f"got {self.clip_range!r}")
         if self.iterations < 1:
             raise SpecError("iterations must be positive")
         if self.epsilon < 0:

@@ -7,11 +7,12 @@ All randomness comes from per-purpose streams in :mod:`seedmark.rng`,
 so identical (spec, seed) always reproduces bit-identical weights.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, SpecError
+from .errors import DivergenceError, InputError, SpecError, check_field_types
 from .rng import stream
 
 # Each activation, and its derivative in terms of the activation's output y.
@@ -117,6 +118,7 @@ class TrainConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self, SpecError, ints=("epochs", "batch_size", "seed"))
         if self.epochs < 1 or self.batch_size < 1:
             raise SpecError("epochs and batch_size must be positive")
         if self.learning_rate < 0:
@@ -190,7 +192,11 @@ def _target_matrix(model, targets, loss):
         return t
     if targets.ndim != 2 or targets.shape[1] != k:
         raise InputError(f"soft-label loss expects an (N, {k}) target matrix")
-    return targets.astype(np.float64)
+    t = targets.astype(np.float64)
+    # bounded targets keep the loss finite whenever the softmax is (see `train`)
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise InputError("soft-label targets must lie in [0, 1]")
+    return t
 
 
 def _backprop(spec: ModelSpec, weights, inputs, delta, out=None, stop=0):
@@ -225,20 +231,18 @@ def loss_and_param_grads(model: Model, inputs, targets, loss="hard", temperature
     if len(t) != len(x):
         raise InputError("input/target batch size mismatch")
     grads = tuple((np.empty(w.shape), np.empty(b.shape)) for w, b in model.weights)
-    return _loss_and_grads(model.spec, model.weights, x, t, loss, temperature, grads), grads
-
-
-def _loss_and_grads(spec, weights, x, t, loss, temperature, out, stop=0):
-    """Mean cross-entropy; the param grads are written into `out` (see `_backprop`)."""
-    z, inputs = _forward_trace(spec, weights, x)
     scale = temperature if loss == "soft" else 1.0
+    p = _softmax_and_grads(model.spec, model.weights, x, t, scale, grads)
+    return -(t * np.log(np.maximum(p, 1e-300))).sum() / len(x), grads
+
+
+def _softmax_and_grads(spec, weights, x, t, scale, out, stop=0):
+    """softmax(logits / scale); the mean cross-entropy's param grads are
+    written into `out` (see `_backprop`)."""
+    z, inputs = _forward_trace(spec, weights, x)
     p = softmax(z / scale)
-    n = len(x)
-    logp = np.log(np.maximum(p, 1e-300))
-    loss_value = -(t * logp).sum() / n
-    delta = (p - t) / (n * scale)
-    _backprop(spec, weights, inputs, delta, out, stop)
-    return loss_value
+    _backprop(spec, weights, inputs, (p - t) / (len(x) * scale), out, stop)
+    return p
 
 
 def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
@@ -296,6 +300,8 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     if len(t) != len(x):
         raise InputError("input/target batch size mismatch")
     n = len(x)
+    scale = cfg.temperature if cfg.loss == "soft" else 1.0
+    top_bias_grad = grads[-1][1]
     lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
     m, v = np.zeros_like(p), np.zeros_like(p)
     tmp1, tmp2 = np.empty_like(p), np.empty_like(p)
@@ -306,11 +312,12 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
             xs, ts = x[order], t[order]
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
                 end = start + cfg.batch_size
-                loss_value = _loss_and_grads(
-                    model.spec, weights, xs[start:end], ts[start:end], cfg.loss,
-                    cfg.temperature, out=grads, stop=frozen_dense,
-                )
-                if not np.isfinite(loss_value):
+                _softmax_and_grads(model.spec, weights, xs[start:end], ts[start:end], scale,
+                                   grads, frozen_dense)
+                # the top bias gradient sums softmax - targets over the batch, so
+                # it is NaN exactly when the softmax, and so the loss, is; a
+                # Python loop over its few entries is cheaper than a ufunc call
+                if not all(map(math.isfinite, top_bias_grad.tolist())):
                     raise DivergenceError(epoch, bi)
                 step += 1
                 # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2

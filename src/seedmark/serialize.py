@@ -8,6 +8,7 @@ they understand.
 
 import hashlib
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -18,22 +19,40 @@ MODEL_FORMAT = "seedmark-model"
 VERSION = 1
 
 
-def _encode_array(a: np.ndarray):
+def _encode_array(a) -> list:
+    """A 1-D or 2-D float array as a list (of rows) of `float.hex` strings."""
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
-        return [float(v).hex() for v in a]
-    return [_encode_array(row) for row in a]
+        return list(map(float.hex, a.tolist()))
+    return [list(map(float.hex, row)) for row in a.tolist()]
 
 
-def _decode_array(data) -> np.ndarray:
-    def dec(node):
-        if isinstance(node, list):
-            return [dec(n) for n in node]
-        return float.fromhex(node)
+def _decode_array(data, shape) -> np.ndarray:
+    """Inverse of `_encode_array`, in one flat pass over the strings.
 
+    `shape` is the expected shape, 1-D or 2-D, with None for a free length.
+    Anything but such a list (of equal-length rows) of hex strings raises
+    FormatError."""
+    if type(data) is not list:
+        raise FormatError(f"expected a list of hex floats, got {type(data).__name__}")
+    if len(shape) == 1:
+        rows = (data,)
+    elif any(type(row) is not list for row in data):
+        raise FormatError("expected a list of rows of hex floats")
+    else:
+        rows = data
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise FormatError("rows of unequal length")
+    found = (width,) if len(shape) == 1 else (len(rows), width)
+    if any(want is not None and want != got for want, got in zip(shape, found)):
+        raise FormatError(f"array of shape {found}, expected {shape}")
     try:
-        return np.array(dec(data), dtype=np.float64)
+        flat = np.fromiter(map(float.fromhex, chain.from_iterable(rows)), np.float64,
+                           len(rows) * width)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"bad float encoding: {exc}") from exc
+    return flat.reshape(found)
 
 
 def _check_envelope(doc, expected_format):
@@ -98,7 +117,7 @@ def parse_model(text: str) -> Model:
     spec = spec_from_obj(doc.get("spec", {}))
     try:
         weights = tuple(
-            (_decode_array(entry["w"]), _decode_array(entry["b"]))
+            (_decode_array(entry["w"], (None, None)), _decode_array(entry["b"], (None,)))
             for entry in doc["weights"]
         )
         prov_obj = doc["provenance"]

@@ -24,6 +24,9 @@ GNB_VAR_FLOOR = 1e-9
 
 CANDIDATE_SOURCES = ("misclassifications", "disagreements")
 
+# GaussianNBClassifier's fields, each one value per class (non-extracted, extracted)
+_GNB_FIELDS = ("means", "variances", "priors")
+
 KEYSET_FORMAT = "seedmark-keyset"
 VERIFIER_FORMAT = "seedmark-verifier"
 
@@ -274,7 +277,7 @@ def parse_keyset(text: str) -> KeySet:
         raise FormatError(f"key-set labels must be a list of JSON integers, got {labels!r}")
     try:
         return KeySet(
-            _decode_array(doc["watermarks"]),
+            _decode_array(doc["watermarks"], (len(labels), None)),
             np.array(labels),
             doc.get("provenance", {}),
         )
@@ -288,13 +291,7 @@ def dump_verifier(verifier: VerificationModel) -> str:
         if verifier.kind == "lr":
             entries.append({"w": float(clf.weight).hex(), "b": float(clf.bias).hex()})
         else:
-            entries.append(
-                {
-                    "means": [float(v).hex() for v in clf.means],
-                    "variances": [float(v).hex() for v in clf.variances],
-                    "priors": [float(v).hex() for v in clf.priors],
-                }
-            )
+            entries.append({name: _encode_array(getattr(clf, name)) for name in _GNB_FIELDS})
     return json.dumps(
         {"format": VERIFIER_FORMAT, "version": VERSION, "kind": verifier.kind, "classifiers": entries},
         indent=1,
@@ -318,13 +315,9 @@ def parse_verifier(text: str) -> VerificationModel:
                     LogisticClassifier(float.fromhex(entry["w"]), float.fromhex(entry["b"]))
                 )
             else:
-                classifiers.append(
-                    GaussianNBClassifier(
-                        tuple(float.fromhex(v) for v in entry["means"]),
-                        tuple(float.fromhex(v) for v in entry["variances"]),
-                        tuple(float.fromhex(v) for v in entry["priors"]),
-                    )
-                )
+                classifiers.append(GaussianNBClassifier(*(
+                    tuple(_decode_array(entry[name], (2,)).tolist()) for name in _GNB_FIELDS
+                )))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed verifier artifact: {exc}") from exc
     return VerificationModel(kind, tuple(classifiers))

@@ -25,6 +25,20 @@ def test_config_validation():
         BimConfig(mode="sideways")
 
 
+@pytest.mark.parametrize("clip_range", [
+    [0.0], [], [-1.0, 0.0, 1.0], [1.0, -1.0], [0.5, 0.5], ["-1", 1.0], [-1.0, None],
+    [False, True], [float("nan"), 1.0],
+], ids=["one-value", "empty", "three-values", "reversed", "equal", "string", "none",
+        "bools", "nan"])
+def test_clip_range_must_be_an_increasing_numeric_pair(clip_range):
+    with pytest.raises(SpecError, match="clip_range must be a numeric"):
+        BimConfig(clip_range=clip_range)
+
+
+def test_clip_range_accepts_ints_and_stores_a_tuple():
+    assert BimConfig(clip_range=[-1, 2]).clip_range == (-1, 2)
+
+
 def test_zero_budget_identity():
     rng = np.random.default_rng(0)
     m = random_small_model(rng)

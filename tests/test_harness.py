@@ -105,9 +105,11 @@ class TestConfig:
         ({"repetitions": True}, ConfigError, "repetitions must be an integer, got True"),
         ({"nonextracted_families": "AB"}, ConfigError, "nonextracted_families must be a list"),
         ({"seen_attacks": "RET"}, ConfigError, "seen_attacks must be a list, got 'RET'"),
+        ({"bim": {"clip_range": [0.0]}}, SpecError, "clip_range must be a numeric"),
+        ({"bim": {"clip_range": [1.0, -1.0]}}, SpecError, "clip_range must be a numeric"),
     ], ids=["keyset-size", "epochs", "quantize-bits", "frozen-layers", "gen-dims",
             "bim-iterations", "master-seed", "repetitions", "families-string",
-            "attacks-string"])
+            "attacks-string", "clip-range-short", "clip-range-reversed"])
     def test_wrong_type_fails_at_construction(self, doc, error, message):
         with pytest.raises(error, match=message):
             eval_config_from_dict(doc)

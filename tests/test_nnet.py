@@ -259,12 +259,45 @@ class TestTrain:
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
 
     def test_divergence_error_names_location(self, blob_data):
+        # lr=1e200 makes the first step's weights overflow the second batch's logits
         train_set, _ = blob_data
         spec = ModelSpec((train_set.dims, 8, train_set.class_count))
         with pytest.raises(DivergenceError) as err:
             train(init_model(spec, 3), train_set.features, train_set.labels,
                   TrainConfig(epochs=1, learning_rate=1e200, seed=1))
-        assert err.value.epoch == 0 and err.value.batch >= 0
+        assert (err.value.epoch, err.value.batch) == (0, 1)
+
+    @pytest.mark.parametrize("row, batch", [(5, 12), (250, 2)])
+    def test_divergence_error_names_the_batch_of_a_nan_row(self, blob_data, row, batch):
+        train_set, _ = blob_data
+        cfg = TrainConfig(epochs=2, seed=1)
+        # the batch the row lands in, from the first epoch's shuffle
+        order = stream(cfg.seed, "shuffle").permutation(len(train_set.labels))
+        assert int(np.flatnonzero(order == row)[0]) // cfg.batch_size == batch
+        x = train_set.features.copy()
+        x[row, 2] = np.nan
+        spec = ModelSpec((train_set.dims, 8, train_set.class_count))
+        with pytest.raises(DivergenceError) as err:
+            train(init_model(spec, 3), x, train_set.labels, cfg)
+        assert (err.value.epoch, err.value.batch) == (0, batch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308, -0.5, 1.5])
+    def test_soft_targets_outside_unit_interval_rejected(self, bad):
+        m = bias_only_model([0.0, 0.0])
+        targets = np.full((2, 2), 0.5)
+        targets[1, 0] = bad
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            loss_and_param_grads(m, np.zeros((2, 2)), targets, loss="soft")
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            train(m, np.zeros((2, 2)), targets, TrainConfig(loss="soft"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("batch_size", 2.5), ("seed", 1.0),
+        ("epochs", True), ("batch_size", True), ("seed", False),
+    ], ids=["epochs", "batch-size", "seed", "epochs-bool", "batch-size-bool", "seed-bool"])
+    def test_config_field_types(self, field, value):
+        with pytest.raises(SpecError, match=f"{field} must be an integer, got {value!r}"):
+            TrainConfig(**{field: value})
 
     def test_provenance_updated(self, trained_model):
         assert trained_model.provenance.kind == "trained-fresh"

@@ -1,17 +1,32 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seedmark.errors import FormatError
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
 from seedmark.serialize import (
+    _decode_array,
+    _encode_array,
     dump_model,
     load_model,
     model_digest,
     parse_model,
     save_model,
+)
+from seedmark.watermark import (
+    GaussianNBClassifier,
+    KeySet,
+    VerificationModel,
+    dump_keyset,
+    dump_verifier,
+    parse_keyset,
+    parse_verifier,
 )
 
 from conftest import random_small_model
@@ -164,3 +179,88 @@ def test_digest_ignores_memory_layout():
                   model.provenance)
     digests = {model_digest(m) for m in (model, flat, fortran, fresh)}
     assert digests == {"eb085967d682"}
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+               -sys.float_info.max, 1.0 + 2**-52]
+
+
+@given(arrays(np.float64,
+              st.one_of(st.tuples(st.integers(0, 5)),
+                        st.tuples(st.integers(1, 5), st.integers(0, 5))),
+              elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+def test_codec_round_trip_keeps_shape_and_bits(a):
+    text = json.dumps(_encode_array(a))
+    for shape in (a.shape, (None,) * a.ndim):
+        back = _decode_array(json.loads(text), shape)
+        assert back.dtype == np.float64 and back.shape == a.shape
+        assert back.tobytes() == a.tobytes()
+
+
+def _set_first(value, replace):
+    """`value` with its first hex string `s` replaced by `replace(s)`."""
+    row = value[0] if isinstance(value[0], list) else value
+    row[0] = replace(row[0])
+    return value
+
+
+# Each rewrites one stored array (a list of hex strings, or of rows of them).
+MALFORMED = {
+    "bad-hex": lambda a: _set_first(a, lambda s: "0xnope"),
+    "json-number": lambda a: _set_first(a, lambda s: 1.5),
+    "json-null": lambda a: _set_first(a, lambda s: None),
+    "nested-list": lambda a: _set_first(a, lambda s: [s]),
+    "bare-string": lambda a: "0x1.0p+0",
+    "object": lambda a: {"0": a[0]},
+    "wrong-shape": lambda a: a[:-1],
+}
+MALFORMED_2D = {
+    "long-row": lambda a: [a[0] + a[0][:1]] + a[1:],
+    "short-row": lambda a: [a[0][:-1]] + a[1:],
+    "object-rows": lambda a: [dict.fromkeys(row, 0) for row in a],
+    "row-string": lambda a: ["0x1.0p+0"] + a[1:],
+    "flat-rows": lambda a: [v for row in a for v in row],
+}
+
+
+def _model_text():
+    return dump_model(init_model(ModelSpec((3, 4, 2)), 0))
+
+
+def _keyset_text():
+    rng = np.random.default_rng(3)
+    return dump_keyset(KeySet(rng.uniform(-1, 1, size=(4, 3)), np.array([0, 1, 1, 0]), {}))
+
+
+def _gnb_text():
+    clf = GaussianNBClassifier((0.25, 0.75), (0.01, 0.02), (0.5, 0.5))
+    return dump_verifier(VerificationModel("gnb", (clf, clf)))
+
+
+# (artifact text, parser, path to one of its arrays, whether that array is 2-D)
+ARRAY_SITES = {
+    "model-w": (_model_text, parse_model, ("weights", 1, "w"), True),
+    "model-b": (_model_text, parse_model, ("weights", 0, "b"), False),
+    "keyset": (_keyset_text, parse_keyset, ("watermarks",), True),
+    "gnb-means": (_gnb_text, parse_verifier, ("classifiers", 1, "means"), False),
+    "gnb-priors": (_gnb_text, parse_verifier, ("classifiers", 0, "priors"), False),
+}
+MALFORMED_CASES = [
+    pytest.param(site, mutate, id=f"{site}-{name}")
+    for site, (_, _, _, two_d) in ARRAY_SITES.items()
+    for name, mutate in {**MALFORMED, **(MALFORMED_2D if two_d else {})}.items()
+]
+
+
+@pytest.mark.parametrize("site, mutate", MALFORMED_CASES)
+def test_malformed_array_raises_format_error(site, mutate):
+    make_text, parse, path, _ = ARRAY_SITES[site]
+    parse(make_text())  # the artifact as dumped parses
+    doc = json.loads(make_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = mutate(parent[path[-1]])
+    with pytest.raises(FormatError):
+        parse(json.dumps(doc))

@@ -257,8 +257,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig leaves the level alone once the root logger has a handler
+    logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         args.fn(args)
     except SeedmarkError as exc:

@@ -185,8 +185,9 @@ def _target_matrix(model, targets, loss):
     if loss == "hard":
         if targets.ndim != 1:
             raise InputError("hard-label loss expects a 1-D label vector")
-        if targets.min() < 0 or targets.max() >= k:
-            raise InputError(f"labels out of range [0, {k})")
+        # isin also rejects fractions, NaN and inf, which astype(int) would truncate
+        if not np.isin(targets, np.arange(k)).all():
+            raise InputError(f"hard labels must be whole numbers in [0, {k})")
         t = np.zeros((len(targets), k))
         t[np.arange(len(targets)), targets.astype(int)] = 1.0
         return t

@@ -1,14 +1,13 @@
 """Versioned JSON artifacts for models, key-sets, and verifiers.
 
-Float arrays are stored as C99 hex strings (float.hex), so round-trips are
-bit-exact regardless of decimal formatting. Every artifact carries a
-`format` name and integer `version`; loaders reject anything newer than
-they understand.
+Each float array is stored as one string, the hex of its little-endian
+float64 bytes, so round-trips are bit-exact. Every artifact carries a
+`format` name and integer `version`; loaders reject any other version.
 """
 
 import hashlib
 import json
-from itertools import chain
+import math
 
 import numpy as np
 
@@ -16,43 +15,36 @@ from .errors import FormatError, SpecError
 from .nnet import Model, ModelSpec, Provenance
 
 MODEL_FORMAT = "seedmark-model"
-VERSION = 1
+VERSION = 2
 
 
-def _encode_array(a) -> list:
-    """A 1-D or 2-D float array as a list (of rows) of `float.hex` strings."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        return list(map(float.hex, a.tolist()))
-    return [list(map(float.hex, row)) for row in a.tolist()]
+def _encode_array(a) -> str:
+    """A float array as one string: the hex of its little-endian float64
+    bytes in C order, 16 hex digits per value."""
+    return np.ascontiguousarray(a, dtype="<f8").tobytes().hex()
 
 
 def _decode_array(data, shape) -> np.ndarray:
-    """Inverse of `_encode_array`, in one flat pass over the strings.
+    """Inverse of `_encode_array`: a writable native float64 array of `shape`.
 
-    `shape` is the expected shape, 1-D or 2-D, with None for a free length.
-    Anything but such a list (of equal-length rows) of hex strings raises
-    FormatError."""
-    if type(data) is not list:
-        raise FormatError(f"expected a list of hex floats, got {type(data).__name__}")
-    if len(shape) == 1:
-        rows = (data,)
-    elif any(type(row) is not list for row in data):
-        raise FormatError("expected a list of rows of hex floats")
-    else:
-        rows = data
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
-        raise FormatError("rows of unequal length")
-    found = (width,) if len(shape) == 1 else (len(rows), width)
-    if any(want is not None and want != got for want, got in zip(shape, found)):
-        raise FormatError(f"array of shape {found}, expected {shape}")
+    `shape` gives every length, with at most one None for a free positive
+    length. Anything but a hex string without whitespace whose values fill
+    `shape` raises FormatError."""
+    if type(data) is not str:
+        raise FormatError(f"expected a hex string of float64 bytes, got {type(data).__name__}")
     try:
-        flat = np.fromiter(map(float.fromhex, chain.from_iterable(rows)), np.float64,
-                           len(rows) * width)
-    except (ValueError, TypeError) as exc:
+        raw = bytearray.fromhex(data)
+    except ValueError as exc:
         raise FormatError(f"bad float encoding: {exc}") from exc
-    return flat.reshape(found)
+    if 2 * len(raw) != len(data):  # fromhex skips whitespace
+        raise FormatError("bad float encoding: whitespace in a hex string")
+    count, rest = divmod(len(raw), 8)
+    fixed = math.prod(n for n in shape if n is not None)
+    if None in shape and count and fixed and not count % fixed:
+        shape = tuple(count // fixed if n is None else n for n in shape)
+    if rest or None in shape or count != math.prod(shape):
+        raise FormatError(f"{len(raw)} bytes do not hold float64 values of shape {shape}")
+    return np.frombuffer(raw, "<f8").astype(np.float64, copy=False).reshape(shape)
 
 
 def _check_envelope(doc, expected_format):
@@ -116,9 +108,12 @@ def parse_model(text: str) -> Model:
     _check_envelope(doc, MODEL_FORMAT)
     spec = spec_from_obj(doc.get("spec", {}))
     try:
+        entries, shapes = doc["weights"], tuple(zip(spec.widths, spec.widths[1:]))
+        if len(entries) != len(shapes):
+            raise FormatError(f"{len(entries)} weight entries for {len(shapes)} dense layers")
         weights = tuple(
-            (_decode_array(entry["w"], (None, None)), _decode_array(entry["b"], (None,)))
-            for entry in doc["weights"]
+            (_decode_array(entry["w"], shape), _decode_array(entry["b"], shape[1:]))
+            for entry, shape in zip(entries, shapes)
         )
         prov_obj = doc["provenance"]
         prov = Provenance(

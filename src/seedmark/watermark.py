@@ -8,6 +8,7 @@ of key-set inputs on which its confidence is classified "extracted".
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,14 +276,12 @@ def parse_keyset(text: str) -> KeySet:
     labels = doc.get("labels")
     if not isinstance(labels, list) or any(type(v) is not int for v in labels):
         raise FormatError(f"key-set labels must be a list of JSON integers, got {labels!r}")
-    try:
-        return KeySet(
-            _decode_array(doc["watermarks"], (len(labels), None)),
-            np.array(labels),
-            doc.get("provenance", {}),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed key-set artifact: {exc}") from exc
+    if not labels:
+        raise FormatError("key-set has no watermarks")
+    watermarks = _decode_array(doc.get("watermarks"), (len(labels), None))
+    if not np.isfinite(watermarks).all():
+        raise FormatError("key-set watermarks must be finite")
+    return KeySet(watermarks, np.array(labels), doc.get("provenance", {}))
 
 
 def dump_verifier(verifier: VerificationModel) -> str:
@@ -311,13 +310,18 @@ def parse_verifier(text: str) -> VerificationModel:
     try:
         for entry in doc["classifiers"]:
             if kind == "lr":
-                classifiers.append(
-                    LogisticClassifier(float.fromhex(entry["w"]), float.fromhex(entry["b"]))
-                )
+                clf = LogisticClassifier(float.fromhex(entry["w"]), float.fromhex(entry["b"]))
+                values = (clf.weight, clf.bias)
             else:
-                classifiers.append(GaussianNBClassifier(*(
+                clf = GaussianNBClassifier(*(
                     tuple(_decode_array(entry[name], (2,)).tolist()) for name in _GNB_FIELDS
-                )))
+                ))
+                values = clf.means + clf.variances + clf.priors
+                if min(clf.variances + clf.priors) <= 0:
+                    raise FormatError("GNB variances and priors must be positive")
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"non-finite {kind} classifier parameter")
+            classifiers.append(clf)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed verifier artifact: {exc}") from exc
     return VerificationModel(kind, tuple(classifiers))

@@ -1,5 +1,6 @@
 import glob
 import json
+import logging
 import os
 import shlex
 import shutil
@@ -203,6 +204,28 @@ def test_evaluate_preset_is_its_attack_mix(config_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--preset", "bogus", "--out", str(tmp_path / "bogus")])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def root_logger():
+    root = logging.getLogger()
+    level = root.level
+    yield root
+    root.setLevel(level)
+
+
+@pytest.mark.parametrize("first, second", [([], ["-v"]), (["-v"], [])],
+                         ids=["verbose-after-plain", "plain-after-verbose"])
+def test_verbosity_is_set_on_every_call(config_path, tmp_path, caplog, root_logger,
+                                        first, second):
+    doc = json.loads(Path(config_path).read_text())
+    one = tmp_path / "one-repetition.json"
+    one.write_text(json.dumps({**doc, "repetitions": 1}))
+    for i, flags in enumerate((first, second)):
+        caplog.clear()
+        assert main([*flags, "evaluate", "--config", str(one), "--out", str(tmp_path / str(i))]) == 0
+        logged = any("repetition 0" in r.getMessage() for r in caplog.records)
+        assert logged == bool(flags), flags
 
 
 def test_analyze_command(config_path, tmp_path, capsys):

@@ -291,6 +291,24 @@ class TestTrain:
         with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
             train(m, np.zeros((2, 2)), targets, TrainConfig(loss="soft"))
 
+    @pytest.mark.parametrize("bad", [0.7, 1.2, np.nan, np.inf, -np.inf, -1.0, 2.0])
+    def test_hard_labels_must_be_whole_class_indices(self, bad):
+        m = bias_only_model([0.0, 0.0])
+        labels = np.array([0.0, 1.0, bad])
+        with pytest.raises(InputError, match="whole numbers"):
+            loss_and_param_grads(m, np.zeros((3, 2)), labels)
+        with pytest.raises(InputError, match="whole numbers"):
+            train(m, np.zeros((3, 2)), labels, TrainConfig())
+
+    def test_whole_float_labels_train_like_integers(self):
+        m = init_model(ModelSpec((2, 4, 2)), 0)
+        x = np.random.default_rng(1).uniform(-1, 1, size=(40, 2))
+        labels = np.arange(40) % 2
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        as_int, as_float = (train(m, x, y, cfg) for y in (labels, labels.astype(float)))
+        for (w1, b1), (w2, b2) in zip(as_int.weights, as_float.weights):
+            assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.5), ("batch_size", 2.5), ("seed", 1.0),
         ("epochs", True), ("batch_size", True), ("seed", False),

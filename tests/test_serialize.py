@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from seedmark.errors import FormatError
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
 from seedmark.serialize import (
+    VERSION,
     _decode_array,
     _encode_array,
     dump_model,
@@ -90,9 +92,22 @@ def test_wrong_format_name(model):
 
 
 def test_future_version_names_version(model):
-    text = dump_model(model).replace('"version": 1', '"version": 7')
+    text = dump_model(model).replace(f'"version": {VERSION}', '"version": 7')
     with pytest.raises(FormatError, match="7"):
         parse_model(text)
+
+
+@pytest.mark.parametrize("make_text, parse", [
+    (lambda: _model_text(), parse_model),
+    (lambda: _keyset_text(), parse_keyset),
+    (lambda: _gnb_text(), parse_verifier),
+], ids=["model", "keyset", "verifier"])
+def test_version_1_file_raises_format_error(make_text, parse):
+    # version 1 stored float.hex lists; such files are regenerated, not read
+    doc = json.loads(make_text())
+    doc["version"] = 1
+    with pytest.raises(FormatError, match="version 1 "):
+        parse(json.dumps(doc))
 
 
 def test_missing_weights(model):
@@ -104,7 +119,16 @@ def test_missing_weights(model):
 
 def test_weight_shape_mismatch_rejected(model):
     doc = json.loads(dump_model(model))
-    doc["weights"][0]["b"] = doc["weights"][0]["b"][:-1]
+    doc["weights"][0]["b"] = doc["weights"][0]["b"][:-16]  # one value short
+    with pytest.raises(FormatError):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entries", [lambda w: w[:-1], lambda w: w + w[-1:]],
+                         ids=["one-short", "one-extra"])
+def test_weight_entry_count_must_match_spec(model, entries):
+    doc = json.loads(dump_model(model))
+    doc["weights"] = entries(doc["weights"])
     with pytest.raises(FormatError):
         parse_model(json.dumps(doc))
 
@@ -132,7 +156,7 @@ def test_spec_the_program_never_writes_is_rejected(layers, classes):
 
 def test_bad_hex_float(model):
     text = dump_model(model)
-    first_hex = text.split('"w": [\n')[1].split('"')[1]
+    first_hex = text.split('"w": "')[1].split('"')[0]
     with pytest.raises(FormatError):
         parse_model(text.replace(first_hex, "0xnope", 1))
 
@@ -153,13 +177,14 @@ def test_digest_golden_value():
 
 
 @pytest.mark.parametrize("family, sha256", [
-    ("A", "7cbe1b2751eb811578f9b29fe16a25630decd32aa5ab6a24e18ee04196bc6216"),
-    ("B", "0b0bc4845b2d887038970faf9f48427c0a2c59c568dd2f9bc61c83733f3dccc0"),
-    ("C", "f6c1cf6845afc9e164fe3ef567df0e028c9d120eb48f863c20cf646fdc037899"),
+    ("A", "81bbff40aa4e927be5eadb718484fe258112c28cb957de1701ccfc02c81ecdc4"),
+    ("B", "fd4f75f1b3bfbc4e4dbe0128d600b6fe8308696edc431e3d5bd6ed0290f3a9a1"),
+    ("C", "2980bcb34d5004424c3f700036e74440ce689e086ce228f4600cfe971240fec8"),
 ])
 def test_family_model_file_golden_value(family, sha256):
     # Pins the model file bytes of each family (spec JSON, init draw order,
-    # float encoding); no matrix product is involved, so BLAS cannot move it.
+    # float encoding, format version); no matrix product is involved, so BLAS
+    # cannot move it.
     text = dump_model(init_model(family_spec(family, 8, 4), 0))
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
@@ -185,6 +210,14 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.ma
                -sys.float_info.max, 1.0 + 2**-52]
 
 
+def test_encoding_is_little_endian_float64_hex():
+    text = _encode_array(np.array([[1.0, -2.0], [0.5, -0.0]]))
+    assert text == ("000000000000f03f" "00000000000000c0"
+                    "000000000000e03f" "0000000000000080")
+    # how README says to read an array back without seedmark
+    assert np.frombuffer(bytes.fromhex(text), "<f8").tolist() == [1.0, -2.0, 0.5, -0.0]
+
+
 @given(arrays(np.float64,
               st.one_of(st.tuples(st.integers(0, 5)),
                         st.tuples(st.integers(1, 5), st.integers(0, 5))),
@@ -192,35 +225,55 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.ma
                                  st.floats(allow_nan=False, allow_infinity=False))))
 def test_codec_round_trip_keeps_shape_and_bits(a):
     text = json.dumps(_encode_array(a))
-    for shape in (a.shape, (None,) * a.ndim):
+    shapes = [a.shape]
+    if a.size:  # a free length is positive
+        shapes += [(None,)] if a.ndim == 1 else [(a.shape[0], None), (None, a.shape[1])]
+    for shape in shapes:
         back = _decode_array(json.loads(text), shape)
-        assert back.dtype == np.float64 and back.shape == a.shape
+        assert back.dtype == np.float64 and back.dtype.isnative and back.flags.writeable
+        assert back.shape == a.shape
         assert back.tobytes() == a.tobytes()
 
 
-def _set_first(value, replace):
-    """`value` with its first hex string `s` replaced by `replace(s)`."""
-    row = value[0] if isinstance(value[0], list) else value
-    row[0] = replace(row[0])
-    return value
+@pytest.mark.parametrize("shape", [(None,), (3, None), (None, 2), (0, None)])
+def test_free_length_must_be_positive(shape):
+    with pytest.raises(FormatError):
+        _decode_array("", shape)
 
 
-# Each rewrites one stored array (a list of hex strings, or of rows of them).
+def _float_hex_list(s):
+    """The values of hex string `s` in the version-1 encoding, a list of `float.hex`."""
+    return [float(v).hex() for v in np.frombuffer(bytes.fromhex(s), "<f8")]
+
+
+# Each rewrites one stored array, a hex string `s` of little-endian float64 bytes.
 MALFORMED = {
-    "bad-hex": lambda a: _set_first(a, lambda s: "0xnope"),
-    "json-number": lambda a: _set_first(a, lambda s: 1.5),
-    "json-null": lambda a: _set_first(a, lambda s: None),
-    "nested-list": lambda a: _set_first(a, lambda s: [s]),
-    "bare-string": lambda a: "0x1.0p+0",
-    "object": lambda a: {"0": a[0]},
-    "wrong-shape": lambda a: a[:-1],
+    # not a string
+    "json-number": lambda s: 1.5,
+    "json-null": lambda s: None,
+    "nested-list": lambda s: [s],
+    "object": lambda s: {"0": s},
+    "v1-list": _float_hex_list,
+    # bad encoding
+    "bad-hex": lambda s: "zz" + s[2:],
+    "bare-string": lambda s: "0x1.0p+0",  # one float.hex string
+    "space": lambda s: s[:16] + " " + s[16:],
+    "newline": lambda s: s[:16] + "\n" + s[16:],
+    "odd-digits": lambda s: s[:-1],
+    # wrong count or shape
+    "partial-value": lambda s: s[:-2],
+    "trailing-byte": lambda s: s + s[:2],
+    "wrong-shape": lambda s: s[:-16],
+    "extra-value": lambda s: s + s[:16],
+    "empty": lambda s: "",
 }
+# The same for a 2-D array whose rows are `n` hex digits long.
 MALFORMED_2D = {
-    "long-row": lambda a: [a[0] + a[0][:1]] + a[1:],
-    "short-row": lambda a: [a[0][:-1]] + a[1:],
-    "object-rows": lambda a: [dict.fromkeys(row, 0) for row in a],
-    "row-string": lambda a: ["0x1.0p+0"] + a[1:],
-    "flat-rows": lambda a: [v for row in a for v in row],
+    "long-row": lambda s, n: s[:n] + s[:16] + s[n:],
+    "short-row": lambda s, n: s[:n - 16] + s[n:],
+    "object-rows": lambda s, n: [{s[i:i + n]: 0} for i in range(0, len(s), n)],
+    "row-string": lambda s, n: [s[i:i + n] for i in range(0, len(s), n)],
+    "flat-rows": lambda s, n: _float_hex_list(s),
 }
 
 
@@ -238,18 +291,22 @@ def _gnb_text():
     return dump_verifier(VerificationModel("gnb", (clf, clf)))
 
 
-# (artifact text, parser, path to one of its arrays, whether that array is 2-D)
+# (artifact text, parser, path to one of its arrays, its row width or None if 1-D)
 ARRAY_SITES = {
-    "model-w": (_model_text, parse_model, ("weights", 1, "w"), True),
-    "model-b": (_model_text, parse_model, ("weights", 0, "b"), False),
-    "keyset": (_keyset_text, parse_keyset, ("watermarks",), True),
-    "gnb-means": (_gnb_text, parse_verifier, ("classifiers", 1, "means"), False),
-    "gnb-priors": (_gnb_text, parse_verifier, ("classifiers", 0, "priors"), False),
+    "model-w": (_model_text, parse_model, ("weights", 1, "w"), 2),
+    "model-b": (_model_text, parse_model, ("weights", 0, "b"), None),
+    "keyset": (_keyset_text, parse_keyset, ("watermarks",), 3),
+    "gnb-means": (_gnb_text, parse_verifier, ("classifiers", 1, "means"), None),
+    "gnb-variances": (_gnb_text, parse_verifier, ("classifiers", 1, "variances"), None),
+    "gnb-priors": (_gnb_text, parse_verifier, ("classifiers", 0, "priors"), None),
 }
 MALFORMED_CASES = [
     pytest.param(site, mutate, id=f"{site}-{name}")
-    for site, (_, _, _, two_d) in ARRAY_SITES.items()
-    for name, mutate in {**MALFORMED, **(MALFORMED_2D if two_d else {})}.items()
+    for site, (_, _, _, width) in ARRAY_SITES.items()
+    for name, mutate in [
+        *MALFORMED.items(),
+        *((name, partial(row, n=16 * width)) for name, row in MALFORMED_2D.items() if width),
+    ]
 ]
 
 

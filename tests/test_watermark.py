@@ -10,6 +10,7 @@ from seedmark.bim import BimConfig, bim_batch
 from seedmark.errors import FormatError, InputError, WatermarkError
 from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, forward, init_model, predict, train
+from seedmark.serialize import VERSION
 from seedmark.watermark import (
     GNB_VAR_FLOOR,
     GaussianNBClassifier,
@@ -326,7 +327,7 @@ class TestPersistence:
             parse_keyset("not json {")
         with pytest.raises(FormatError):
             parse_keyset(dump_keyset(keyset).replace("seedmark-keyset", "seedmark-model"))
-        doc = dump_keyset(keyset).replace('"version": 1', '"version": 99')
+        doc = dump_keyset(keyset).replace(f'"version": {VERSION}', '"version": 99')
         with pytest.raises(FormatError, match="99"):
             parse_keyset(doc)
 
@@ -335,6 +336,12 @@ class TestPersistence:
         doc = json.loads(dump_keyset(keyset))
         doc["labels"][0] = label
         with pytest.raises(FormatError, match="labels must be a list of JSON integers"):
+            parse_keyset(json.dumps(doc))
+
+    def test_empty_keyset_raises_format_error(self, keyset):
+        doc = json.loads(dump_keyset(keyset))
+        doc["labels"], doc["watermarks"] = [], ""
+        with pytest.raises(FormatError, match="no watermarks"):
             parse_keyset(json.dumps(doc))
 
     @pytest.mark.parametrize("kind", ["lr", "gnb"])
@@ -354,3 +361,59 @@ class TestPersistence:
         truncated = dump_verifier(verifier)[:-40]
         with pytest.raises(FormatError):
             parse_verifier(truncated)
+
+
+def _keyset_text():
+    watermarks = np.random.default_rng(3).uniform(-1, 1, size=(4, 3))
+    return dump_keyset(KeySet(watermarks, np.array([0, 1, 1, 0]), {}))
+
+
+def _lr_text():
+    return dump_verifier(VerificationModel("lr", (LogisticClassifier(2.0, -1.0),) * 2))
+
+
+def _gnb_text():
+    clf = GaussianNBClassifier((0.25, 0.75), (0.01, 0.02), (0.5, 0.5))
+    return dump_verifier(VerificationModel("gnb", (clf, clf)))
+
+
+# artifact kind: (text, parser, the object in the parsed JSON that holds the field)
+VALUE_SITES = {
+    "keyset": (_keyset_text, parse_keyset, lambda doc: doc),
+    "lr": (_lr_text, parse_verifier, lambda doc: doc["classifiers"][1]),
+    "gnb": (_gnb_text, parse_verifier, lambda doc: doc["classifiers"][1]),
+}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("site, field, value", [
+    ("keyset", "watermarks", NAN),
+    ("keyset", "watermarks", INF),
+    ("keyset", "watermarks", -INF),
+    ("lr", "w", INF),
+    ("lr", "w", NAN),
+    ("lr", "b", -INF),
+    ("lr", "b", NAN),
+    ("gnb", "means", NAN),
+    ("gnb", "means", INF),
+    ("gnb", "variances", NAN),
+    ("gnb", "variances", INF),
+    ("gnb", "variances", -1.0),
+    ("gnb", "variances", 0.0),
+    ("gnb", "priors", 0.0),
+    ("gnb", "priors", -0.5),
+    ("gnb", "priors", NAN),
+    ("gnb", "priors", INF),
+])
+def test_loader_rejects_values_no_fit_holds(site, field, value):
+    make_text, parse, holder = VALUE_SITES[site]
+    parse(make_text())  # the artifact as dumped parses
+    doc = json.loads(make_text())
+    if site == "lr":
+        holder(doc)[field] = value.hex()
+    else:
+        values = np.frombuffer(bytes.fromhex(holder(doc)[field]), "<f8").copy()
+        values[-1] = value
+        holder(doc)[field] = values.tobytes().hex()
+    with pytest.raises(FormatError):
+        parse(json.dumps(doc))

@@ -1,8 +1,9 @@
-"""Basic iterative signed-gradient perturbation (targeted or untargeted).
+"""Targeted basic iterative method (BIM; Kurakin et al., arXiv 1607.02533).
 
-Targeted mode descends the cross-entropy toward the target class; untargeted
-mode ascends the true-label loss. Every iterate is projected back into the
-L-inf ball around the starting point and into the feature range.
+Each of `iterations` steps moves the input by epsilon / iterations against
+the sign of the target class's cross-entropy gradient, then projects it back
+into the L-inf ball of radius epsilon around the starting point and into the
+feature range.
 """
 
 from dataclasses import dataclass
@@ -18,32 +19,21 @@ from .nnet import Model, input_gradient
 class BimConfig:
     iterations: int = 20
     epsilon: float = 0.3
-    step_size: float = None  # defaults to epsilon / iterations
-    clip_range: tuple = FEATURE_RANGE
-    mode: str = "targeted"  # targeted | untargeted
 
     def __post_init__(self):
-        check_field_types(self, SpecError, ints=("iterations",), lists=("clip_range",))
-        if (len(self.clip_range) != 2
-                or any(not isinstance(v, (int, float)) or isinstance(v, bool)
-                       for v in self.clip_range)
-                or not self.clip_range[0] < self.clip_range[1]):
-            raise SpecError(f"clip_range must be a numeric (lo, hi) pair with lo < hi, "
-                            f"got {self.clip_range!r}")
+        check_field_types(self, SpecError, ints=("iterations",))
         if self.iterations < 1:
             raise SpecError("iterations must be positive")
         if self.epsilon < 0:
             raise SpecError("epsilon must be non-negative")
-        if self.step_size is None:
-            object.__setattr__(self, "step_size", self.epsilon / self.iterations)
-        if self.step_size < 0 or self.step_size > self.epsilon:
-            raise SpecError("step_size must satisfy 0 <= step <= epsilon")
-        if self.mode not in ("targeted", "untargeted"):
-            raise SpecError(f"unknown mode {self.mode!r}")
+
+    @property
+    def step_size(self) -> float:
+        return self.epsilon / self.iterations
 
 
 def bim(model: Model, x0, label, cfg: BimConfig) -> np.ndarray:
-    """Perturb one input; `label` is the target class (targeted) or true class."""
+    """Perturb one input toward the target class `label`."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.shape[0] != model.spec.input_dim:
         raise InputError(
@@ -69,12 +59,10 @@ def bim_batch(model: Model, inputs, labels, cfg: BimConfig) -> np.ndarray:
         )
     if cfg.epsilon == 0.0:
         return inputs.copy()
-    sign = -1.0 if cfg.mode == "targeted" else 1.0
-    lo, hi = cfg.clip_range
     x = inputs.copy()
     for _ in range(cfg.iterations):
         g = input_gradient(model, x, labels)
-        x = x + sign * cfg.step_size * np.sign(g)
+        x = x - cfg.step_size * np.sign(g)
         x = np.clip(x, inputs - cfg.epsilon, inputs + cfg.epsilon)
-        x = np.clip(x, lo, hi)
+        x = np.clip(x, *FEATURE_RANGE)
     return x

@@ -88,11 +88,9 @@ def cmd_blur(args):
 
 
 def cmd_analyze(args):
-    from .bim import BimConfig
-
     cfg = _load_config(args)
     train_set, test_set = prepare_data(cfg)
-    analysis_bim = BimConfig(iterations=cfg.bim.iterations, epsilon=ANALYSIS_BIM_EPSILON)
+    analysis_bim = replace(cfg.bim, epsilon=ANALYSIS_BIM_EPSILON)
     protected = [
         train_fresh(cfg, train_set, cfg.protected_family,
                     derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
@@ -176,9 +174,8 @@ def cmd_dump_confidences(args):
     keyset = watermark.load_keyset(args.keyset)
     extracted = [serialize.load_model(p) for p in args.extracted]
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
-    prof_e, prof_ne = (np.stack([watermark.confidence_profile(m, keyset) for m in pop])
-                       for pop in (extracted, nonextracted))
-    dump_confidences(prof_e, prof_ne, args.out)
+    dump_confidences(watermark.confidence_table(extracted, keyset),
+                     watermark.confidence_table(nonextracted, keyset), args.out)
     print(args.out)
 
 

@@ -1,9 +1,9 @@
 """Deterministic synthetic multiclass datasets.
 
-Features always live in [-1, 1] per dimension (the range BIM clipping and
-random probing assume). Two generators: gaussian blobs with class means
-placed away from each other, and concentric ring classes in the first two
-dimensions.
+Features always live in FEATURE_RANGE, [-1, 1] per dimension: `Dataset`
+rejects any other value, BIM clips to it and random probes are drawn from
+it. Two generators: gaussian blobs with class means placed away from each
+other, and concentric ring classes in the first two dimensions.
 """
 
 import io
@@ -55,6 +55,11 @@ class Dataset:
             raise SpecError("features/labels size mismatch or empty dataset")
         if not np.isfinite(self.features).all():
             raise SpecError("non-finite features")
+        (lo, hi), low, high = FEATURE_RANGE, self.features.min(), self.features.max()
+        if low < lo or high > hi:
+            # BIM clips to this range, so a row outside it leaves BIM's epsilon-ball
+            raise SpecError(f"features must lie in the feature range [{lo}, {hi}], "
+                            f"got values in [{low}, {high}]")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise SpecError("label out of range")
 
@@ -107,13 +112,11 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     return mk(train_idx, "train"), mk(test_idx, "test")
 
 
-def random_probe_inputs(count: int, dims: int, value_range=FEATURE_RANGE, seed: int = 0) -> np.ndarray:
+def random_probe_inputs(count: int, dims: int, seed: int = 0) -> np.ndarray:
+    """`count` uniform draws from the feature range."""
     if count < 1:
         raise SpecError("count must be positive")
-    lo, hi = value_range
-    if not hi > lo:
-        raise SpecError(f"empty range [{lo}, {hi}]")
-    return stream(seed, "probes").uniform(lo, hi, size=(count, dims))
+    return stream(seed, "probes").uniform(*FEATURE_RANGE, size=(count, dims))
 
 
 # Tabular text format: a '#' header carrying dims/classes/seed/name, then one
@@ -158,7 +161,10 @@ def parse_dataset(text: str) -> Dataset:
     labels = np.array(labels)
     if labels.max() >= classes:
         raise FormatError("label exceeds declared class count")
-    return Dataset(np.array(features), labels, classes, fields.get("name", "loaded"), seed)
+    try:
+        return Dataset(np.array(features), labels, classes, fields.get("name", "loaded"), seed)
+    except SpecError as exc:
+        raise FormatError(f"bad dataset: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path):

@@ -24,7 +24,7 @@ from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
 from .serialize import model_digest
-from .watermark import CANDIDATE_SOURCES, build_verifier, confidence_profile
+from .watermark import CANDIDATE_SOURCES, build_verifier, confidence_table
 from .watermark import generate_keyset, verify
 
 log = logging.getLogger(__name__)
@@ -249,9 +249,8 @@ def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
         keyed = sorted((model_digest(m), verify(m, verifier, keyset).score) for m in models)
         return tuple(s for _, s in keyed)
 
-    prof_e = np.stack([confidence_profile(m, keyset) for m in ext_train])
-    prof_ne = np.stack([confidence_profile(m, keyset) for m in ne_train])
-    return scores(ext_test), scores(ne_test), (prof_e, prof_ne), keyset
+    profiles = (confidence_table(ext_train, keyset), confidence_table(ne_train, keyset))
+    return scores(ext_test), scores(ne_test), profiles, keyset
 
 
 def prepare_data(cfg: EvaluationConfig):

@@ -116,11 +116,16 @@ def parse_model(text: str) -> Model:
             for entry, shape in zip(entries, shapes)
         )
         prov_obj = doc["provenance"]
-        prov = Provenance(
-            int(prov_obj["seed"]),
-            prov_obj["kind"],
-            tuple(prov_obj.get("history", ())),
-        )
+        seed, kind, history = prov_obj["seed"], prov_obj["kind"], prov_obj.get("history", [])
+        for name, ok, expected in (
+            ("seed", type(seed) is int, "a JSON integer"),
+            ("kind", type(kind) is str, "a string"),
+            ("history", type(history) is list and all(type(h) is dict for h in history),
+             "a list of JSON objects"),
+        ):
+            if not ok:
+                raise FormatError(f"provenance {name} must be {expected}, got {prov_obj[name]!r}")
+        prov = Provenance(seed, kind, tuple(history))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed model artifact: {exc}") from exc
     try:

@@ -139,14 +139,9 @@ def generate_keyset(
             f"requested key-set size {n} exceeds {len(candidates)} available candidates"
         )
 
-    conf_e = np.mean(
-        [forward(m, perturbed)[np.arange(len(perturbed)), post_preds] for m in extracted_pop],
-        axis=0,
-    )
-    conf_ne = np.mean(
-        [forward(m, perturbed)[np.arange(len(perturbed)), post_preds] for m in nonextracted_pop],
-        axis=0,
-    )
+    strengthened = KeySet(perturbed, post_preds, {})
+    conf_e, conf_ne = (confidence_table(pop, strengthened).mean(axis=0)
+                       for pop in (extracted_pop, nonextracted_pop))
     gaps = np.abs(conf_e - conf_ne)
     order = sorted(range(len(candidates)), key=lambda i: (-gaps[i], candidates[i]))
     chosen = order[:n]
@@ -171,6 +166,11 @@ def confidence_profile(model: Model, keyset: KeySet) -> np.ndarray:
         raise InputError(f"key-set label {bad[0]} is outside the model's classes [0, {classes})")
     confs = forward(model, keyset.watermarks)
     return confs[np.arange(len(keyset)), keyset.labels]
+
+
+def confidence_table(models, keyset: KeySet) -> np.ndarray:
+    """The (models, watermarks) array of each model's `confidence_profile`."""
+    return np.stack([confidence_profile(m, keyset) for m in models])
 
 
 def fit_lr(samples, labels) -> LogisticClassifier:
@@ -229,8 +229,7 @@ def build_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str = 
         raise InputError(f"unknown classifier kind {kind!r}")
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise InputError("both model populations must be non-empty")
-    prof_e = np.stack([confidence_profile(m, keyset) for m in extracted_pop])
-    prof_ne = np.stack([confidence_profile(m, keyset) for m in nonextracted_pop])
+    prof_e, prof_ne = (confidence_table(pop, keyset) for pop in (extracted_pop, nonextracted_pop))
     fit = fit_lr if kind == "lr" else fit_gnb
     classifiers = []
     labels = np.concatenate([np.ones(len(extracted_pop)), np.zeros(len(nonextracted_pop))])

@@ -116,7 +116,7 @@ def test_stage_commands_read_the_config(workspace, config_path, tmp_path):
     the library calls and `extract --attack 'WP(...)'` do."""
     doc = json.loads(Path(config_path).read_text())
     doc.update(keyset_size=6, classifier_kind="gnb", prune_sparsity=0.9,
-               bim={"iterations": 20, "epsilon": 0.3, "step_size": 0.05})
+               bim={"iterations": 6, "epsilon": 0.3})
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(doc))
     cfg = load_eval_config(path)
@@ -272,9 +272,13 @@ def test_keyset_label_outside_the_classes_fails_with_json_error(workspace, tmp_p
 @pytest.mark.parametrize("doc", [
     {"gen": {"clases": 4}},
     {"bim": {"iterationz": 5}},
+    {"bim": {"mode": "targeted"}},
+    {"bim": {"step_size": 0.015}},
+    {"bim": {"clip_range": [-1.0, 1.0]}},
     {"gen": 5},
     [1, 2],
-], ids=["gen-key", "bim-key", "gen-not-object", "not-object"])
+], ids=["gen-key", "bim-key", "bim-mode", "bim-step-size", "bim-clip-range",
+        "gen-not-object", "not-object"])
 def test_bad_nested_config_fails_with_json_error(doc, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -283,6 +287,28 @@ def test_bad_nested_config_fails_with_json_error(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "ConfigError"
     assert not (tmp_path / "out").exists()
+
+
+def test_keygen_on_data_outside_the_feature_range_fails_with_json_error(workspace, config_path,
+                                                                        tmp_path, capsys):
+    """BIM clips to the feature range, so rows outside it would put watermarks
+    far outside their epsilon-balls; the data file is rejected instead."""
+    header, *rows = Path(workspace["data"]).read_text().splitlines()
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text("\n".join([header] + [
+        ",".join([*(repr(3 * float(v)) for v in cells[:-1]), cells[-1]])
+        for cells in (row.split(",") for row in rows)
+    ]) + "\n")
+    capsys.readouterr()
+    assert main(["keygen", "--config", config_path, "--protected", workspace["models"][0],
+                 "--extracted", *workspace["extracted"],
+                 "--nonextracted", *workspace["models"][1:],
+                 "--data", str(scaled), "--out", str(tmp_path / "keyset.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "FormatError" and "feature range [-1.0, 1.0]" in doc["message"]
+    assert not (tmp_path / "keyset.json").exists()
 
 
 def test_missing_file_fails_with_json_error(workspace, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seedmark.datasets import (
+    Dataset,
     GenSpec,
     dump_dataset,
     generate,
@@ -79,7 +80,7 @@ class TestSplit:
 
 class TestProbes:
     def test_shape_and_range(self):
-        p = random_probe_inputs(5, 2, (-1, 1), seed=0)
+        p = random_probe_inputs(5, 2, seed=0)
         assert p.shape == (5, 2)
         assert p.min() >= -1 and p.max() <= 1
 
@@ -89,12 +90,8 @@ class TestProbes:
         )
 
     def test_empirical_mean(self):
-        p = random_probe_inputs(100_000, 1, (-1, 1), seed=1)
+        p = random_probe_inputs(100_000, 1, seed=1)
         assert abs(p.mean()) < 0.01
-
-    def test_empty_range(self):
-        with pytest.raises(SpecError):
-            random_probe_inputs(5, 2, (1, 1), seed=0)
 
 
 class TestDatasetIO:
@@ -122,3 +119,12 @@ class TestDatasetIO:
         text = "# seedmark-dataset v1 dims=2 classes=2 seed=0 name=x\n0.0,0.0,5\n"
         with pytest.raises(FormatError):
             parse_dataset(text)
+
+    @pytest.mark.parametrize("value", ["1.5", "-1.0000001", "3.0"])
+    def test_feature_outside_the_range(self, value):
+        text = f"# seedmark-dataset v1 dims=2 classes=2 seed=0 name=x\n0.0,1.0,0\n{value},0.0,1\n"
+        with pytest.raises(FormatError, match=r"feature range \[-1.0, 1.0\]"):
+            parse_dataset(text)
+        features = np.array([[0.0, 1.0], [float(value), 0.0]])
+        with pytest.raises(SpecError, match=r"feature range \[-1.0, 1.0\]"):
+            Dataset(features, np.array([0, 1]), 2, "x", 0)

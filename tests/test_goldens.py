@@ -48,7 +48,6 @@ CONFIG = EvaluationConfig(
     epochs=4,
 )
 ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC", "WP(RET)", "WQ(DIS)")
-DIGESTS = "config digests"
 
 
 def numpy_build() -> dict:
@@ -130,7 +129,7 @@ def run_pipeline(root: Path) -> dict:
                              "--out", str(out_dir / "confidences.csv")], d)
 
     hashed = {role: hashlib.sha256(text.encode()).hexdigest() for role, text in entries.items()}
-    hashed[DIGESTS] = " ".join(f"{name}={digest}" for name, digest in digests.items())
+    hashed["config digests"] = " ".join(f"{name}={digest}" for name, digest in digests.items())
     return hashed
 
 

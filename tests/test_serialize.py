@@ -133,6 +133,18 @@ def test_weight_entry_count_must_match_spec(model, entries):
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "abc"), ("seed", 1.5), ("seed", True), ("kind", 5), ("history", "xy"),
+    ("history", [1, 2]),
+], ids=["seed-string", "seed-float", "seed-bool", "kind-number", "history-string",
+        "history-of-numbers"])
+def test_provenance_field_of_the_wrong_type_raises_format_error(model, field, value):
+    doc = json.loads(dump_model(model))
+    doc["provenance"][field] = value
+    with pytest.raises(FormatError, match=f"provenance {field} must be"):
+        parse_model(json.dumps(doc))
+
+
 RELU, TANH = ["activation", "relu"], ["activation", "tanh"]
 
 

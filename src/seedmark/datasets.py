@@ -31,7 +31,8 @@ class GenSpec:
     spread: float = DEFAULT_SPREAD
 
     def __post_init__(self):
-        check_field_types(self, SpecError, ints=("classes", "dims", "samples_per_class"))
+        check_field_types(self, SpecError, ints=("classes", "dims", "samples_per_class"),
+                          floats=("spread",))
         if self.kind not in ("gaussian_blobs", "ring_classes"):
             raise SpecError(f"unknown generator kind {self.kind!r}")
         if self.classes < 2 or self.dims < 2:

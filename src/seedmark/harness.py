@@ -83,6 +83,8 @@ class EvaluationConfig:
             ints=("master_seed", "repetitions", "n_extracted_train", "n_nonextracted_train",
                   "n_extracted_test", "n_nonextracted_test", "keyset_size", "epochs",
                   "batch_size", "frozen_layers", "copycat_probe_factor", "quantize_bits"),
+            floats=("learning_rate", "test_fraction", "query_budget_fraction",
+                    "distill_temperature", "prune_sparsity"),
             lists=("seen_attacks", "unseen_attacks", "nonextracted_families"),
         )
         for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",

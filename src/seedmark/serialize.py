@@ -15,7 +15,7 @@ from .errors import FormatError, SpecError
 from .nnet import Model, ModelSpec, Provenance
 
 MODEL_FORMAT = "seedmark-model"
-VERSION = 2
+VERSION = 3
 
 
 def _encode_array(a) -> str:

@@ -7,8 +7,9 @@ classifier per chosen input. Online: score a suspect model by the fraction
 of key-set inputs on which its confidence is classified "extracted".
 """
 
+import hashlib
 import json
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ GNB_VAR_FLOOR = 1e-9
 
 CANDIDATE_SOURCES = ("misclassifications", "disagreements")
 
-# GaussianNBClassifier's fields, each one value per class (non-extracted, extracted)
-_GNB_FIELDS = ("means", "variances", "priors")
+# each classifier kind's parameters; every GNB parameter has one value per
+# class, ordered (non-extracted, extracted)
+VERIFIER_FIELDS = {"lr": ("weight", "bias"), "gnb": ("means", "variances", "priors")}
 
 KEYSET_FORMAT = "seedmark-keyset"
 VERIFIER_FORMAT = "seedmark-verifier"
@@ -46,47 +48,15 @@ class KeySet:
         return len(self.watermarks)
 
 
-@dataclass(frozen=True)
-class LogisticClassifier:
-    weight: float
-    bias: float
-
-    def prob_extracted(self, s):
-        # sigmoid(z) as exp(-log(1 + exp(-z))): no overflow for any finite z
-        z = self.weight * np.asarray(s) + self.bias
-        return np.exp(-np.logaddexp(0.0, -z))
-
-    def decide(self, s) -> bool:
-        """prob_extracted(s) >= 0.5, tested on its logit."""
-        return bool(self.weight * s + self.bias >= 0)
-
-
-@dataclass(frozen=True)
-class GaussianNBClassifier:
-    means: tuple  # (non-extracted, extracted)
-    variances: tuple
-    priors: tuple
-
-    def log_posteriors(self, s):
-        out = []
-        for mean, var, prior in zip(self.means, self.variances, self.priors):
-            out.append(
-                np.log(prior) - 0.5 * np.log(2 * np.pi * var) - (s - mean) ** 2 / (2 * var)
-            )
-        return out
-
-    def decide(self, s) -> bool:
-        lp_ne, lp_e = self.log_posteriors(float(s))
-        return bool(lp_e > lp_ne)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class VerificationModel:
     kind: str  # lr | gnb
-    classifiers: tuple  # one per watermark, index-aligned with the key-set
+    # VERIFIER_FIELDS[kind] -> float64 array, one row per watermark: (n,) LR, (n, 2) GNB
+    params: dict
+    keyset: str  # keyset_digest of the key-set the classifiers were fitted on
 
     def __len__(self):
-        return len(self.classifiers)
+        return len(self.params[VERIFIER_FIELDS[self.kind][0]])
 
 
 @dataclass(frozen=True)
@@ -173,17 +143,25 @@ def confidence_table(models, keyset: KeySet) -> np.ndarray:
     return np.stack([confidence_profile(m, keyset) for m in models])
 
 
-def fit_lr(samples, labels) -> LogisticClassifier:
+def keyset_digest(keyset: KeySet) -> str:
+    """Short stable identifier: the first 12 hex digits of SHA-256 over the
+    labels as `<i8` bytes, then the watermarks as `<f8` bytes in C order."""
+    h = hashlib.sha256(np.ascontiguousarray(keyset.labels, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(keyset.watermarks, dtype="<f8").tobytes())
+    return h.hexdigest()[:12]
+
+
+def fit_lr(samples, labels) -> tuple:
     """L2-regularized 1-D logistic regression, Newton-iterated to convergence.
 
-    labels: 1 = extracted, 0 = not. The bias is unregularized."""
+    labels: 1 = extracted, 0 = not. The bias is unregularized. Returns the
+    weight and bias; the classifier reads "extracted" where w * s + b >= 0."""
     s = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if len(s) != len(y) or len(s) == 0:
         raise InputError("samples/labels mismatch or empty")
     if len(np.unique(y)) < 2:
         raise InputError("logistic fit requires both classes present")
-    n = len(s)
     w, b = 0.0, 0.0
     for _ in range(LR_MAX_ITER):
         z = w * s + b
@@ -203,11 +181,12 @@ def fit_lr(samples, labels) -> LogisticClassifier:
             continue
         w -= (hbb * gw - hwb * gb) / det
         b -= (hww * gb - hwb * gw) / det
-    return LogisticClassifier(float(w), float(b))
+    return float(w), float(b)
 
 
-def fit_gnb(samples, labels) -> GaussianNBClassifier:
-    """Per-class Gaussian with floored variance and empirical priors."""
+def fit_gnb(samples, labels) -> tuple:
+    """Per-class Gaussian with floored variance and empirical priors: returns
+    (means, variances, priors), each ordered (non-extracted, extracted)."""
     s = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=int)
     if len(s) != len(y) or len(s) == 0:
@@ -220,33 +199,53 @@ def fit_gnb(samples, labels) -> GaussianNBClassifier:
         means.append(float(vals.mean()))
         variances.append(float(max(vals.var(), GNB_VAR_FLOOR)))
         priors.append(len(vals) / len(s))
-    return GaussianNBClassifier(tuple(means), tuple(variances), tuple(priors))
+    return tuple(means), tuple(variances), tuple(priors)
+
+
+def gnb_log_posteriors(means, variances, priors, s) -> np.ndarray:
+    """Each class's log prior plus Gaussian log likelihood of confidences `s`;
+    the parameters' last axis is the classes (non-extracted, extracted)."""
+    s, var = np.asarray(s, dtype=np.float64)[..., None], np.asarray(variances, dtype=np.float64)
+    return np.log(priors) - 0.5 * np.log(2 * np.pi * var) - (s - means) ** 2 / (2 * var)
 
 
 def build_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str = "lr") -> VerificationModel:
     """One classifier per watermark, fitted on the two populations' confidences."""
-    if kind not in ("lr", "gnb"):
+    if kind not in VERIFIER_FIELDS:
         raise InputError(f"unknown classifier kind {kind!r}")
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise InputError("both model populations must be non-empty")
     prof_e, prof_ne = (confidence_table(pop, keyset) for pop in (extracted_pop, nonextracted_pop))
     fit = fit_lr if kind == "lr" else fit_gnb
-    classifiers = []
+    fits = []
     labels = np.concatenate([np.ones(len(extracted_pop)), np.zeros(len(nonextracted_pop))])
     for i in range(len(keyset)):
         samples = np.concatenate([prof_e[:, i], prof_ne[:, i]])
         try:
-            classifiers.append(fit(samples, labels))
+            fits.append(fit(samples, labels))
         except Exception as exc:
             raise WatermarkError(f"classifier fit failed for watermark {i}: {exc}") from exc
-    return VerificationModel(kind, tuple(classifiers))
+    params = {n: np.array(c, dtype=np.float64) for n, c in zip(VERIFIER_FIELDS[kind], zip(*fits))}
+    return VerificationModel(kind, params, keyset_digest(keyset))
+
+
+def decide(verifier: VerificationModel, s) -> np.ndarray:
+    """Each watermark's classifier applied to its confidence in `s`: True
+    reads "extracted". A GNB tie reads as not extracted."""
+    p = verifier.params
+    if verifier.kind == "lr":
+        return p["weight"] * s + p["bias"] >= 0
+    lp = gnb_log_posteriors(p["means"], p["variances"], p["priors"], s)
+    return lp[:, 1] > lp[:, 0]
 
 
 def verify(suspect: Model, verifier: VerificationModel, keyset: KeySet) -> Verdict:
     if len(verifier) != len(keyset):
         raise InputError("verifier/key-set length mismatch")
-    profile = confidence_profile(suspect, keyset)
-    decisions = tuple(clf.decide(s) for clf, s in zip(verifier.classifiers, profile))
+    digest = keyset_digest(keyset)
+    if digest != verifier.keyset:
+        raise WatermarkError(f"verifier fits key-set {verifier.keyset}, not key-set {digest}")
+    decisions = tuple(decide(verifier, confidence_profile(suspect, keyset)).tolist())
     return Verdict(sum(decisions) / len(decisions), decisions)
 
 
@@ -284,16 +283,11 @@ def parse_keyset(text: str) -> KeySet:
 
 
 def dump_verifier(verifier: VerificationModel) -> str:
-    entries = []
-    for clf in verifier.classifiers:
-        if verifier.kind == "lr":
-            entries.append({"w": float(clf.weight).hex(), "b": float(clf.bias).hex()})
-        else:
-            entries.append({name: _encode_array(getattr(clf, name)) for name in _GNB_FIELDS})
-    return json.dumps(
-        {"format": VERIFIER_FORMAT, "version": VERSION, "kind": verifier.kind, "classifiers": entries},
-        indent=1,
-    )
+    doc = {"format": VERIFIER_FORMAT, "version": VERSION, "kind": verifier.kind,
+           "keyset": verifier.keyset}
+    doc.update((name, _encode_array(verifier.params[name]))
+               for name in VERIFIER_FIELDS[verifier.kind])
+    return json.dumps(doc, indent=1)
 
 
 def parse_verifier(text: str) -> VerificationModel:
@@ -303,27 +297,20 @@ def parse_verifier(text: str) -> VerificationModel:
         raise FormatError(f"not valid JSON: {exc}") from exc
     _check_envelope(doc, VERIFIER_FORMAT)
     kind = doc.get("kind")
-    if kind not in ("lr", "gnb"):
+    if kind not in VERIFIER_FIELDS:
         raise FormatError(f"unknown verifier kind {kind!r}")
-    classifiers = []
-    try:
-        for entry in doc["classifiers"]:
-            if kind == "lr":
-                clf = LogisticClassifier(float.fromhex(entry["w"]), float.fromhex(entry["b"]))
-                values = (clf.weight, clf.bias)
-            else:
-                clf = GaussianNBClassifier(*(
-                    tuple(_decode_array(entry[name], (2,)).tolist()) for name in _GNB_FIELDS
-                ))
-                values = clf.means + clf.variances + clf.priors
-                if min(clf.variances + clf.priors) <= 0:
-                    raise FormatError("GNB variances and priors must be positive")
-            if not all(map(math.isfinite, values)):
-                raise FormatError(f"non-finite {kind} classifier parameter")
-            classifiers.append(clf)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed verifier artifact: {exc}") from exc
-    return VerificationModel(kind, tuple(classifiers))
+    digest = doc.get("keyset")
+    if type(digest) is not str or not re.fullmatch("[0-9a-f]{12}", digest):
+        raise FormatError(f"verifier keyset must be a 12-digit lowercase hex digest, got {digest!r}")
+    shape = (None,) if kind == "lr" else (None, 2)
+    params = {name: _decode_array(doc.get(name), shape) for name in VERIFIER_FIELDS[kind]}
+    if len({len(a) for a in params.values()}) != 1:
+        raise FormatError(f"{kind} verifier fields differ in length")
+    if not all(np.isfinite(a).all() for a in params.values()):
+        raise FormatError(f"non-finite {kind} classifier parameter")
+    if kind == "gnb" and not ((params["variances"] > 0).all() and (params["priors"] > 0).all()):
+        raise FormatError("GNB variances and priors must be positive")
+    return VerificationModel(kind, params, digest)
 
 
 def save_keyset(keyset, path):

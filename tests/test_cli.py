@@ -257,16 +257,44 @@ def test_keyset_label_outside_the_classes_fails_with_json_error(workspace, tmp_p
     keyset = watermark.load_keyset(workspace["keyset"])
     labels = keyset.labels.copy()
     labels[0] = label
+    edited = watermark.KeySet(keyset.watermarks, labels, keyset.provenance)
     path = tmp_path / "keyset.json"
-    path.write_text(watermark.dump_keyset(
-        watermark.KeySet(keyset.watermarks, labels, keyset.provenance)))
+    path.write_text(watermark.dump_keyset(edited))
+    # the verifier names the edited key-set, so the label check is what fails
+    verifier = json.loads(Path(workspace["verifier"]).read_text())
+    verifier["keyset"] = watermark.keyset_digest(edited)
+    verifier_path = tmp_path / "verifier.json"
+    verifier_path.write_text(json.dumps(verifier))
     capsys.readouterr()
     assert main(["verify", "--suspect", workspace["extracted"][0],
-                 "--verifier", workspace["verifier"], "--keyset", str(path)]) == 1
+                 "--verifier", str(verifier_path), "--keyset", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     doc = json.loads(captured.err)
     assert doc["error"] == "InputError" and f"key-set label {label} " in doc["message"]
+
+
+def test_verify_against_another_keyset_fails_with_json_error(workspace, config_path, tmp_path,
+                                                            capsys):
+    """A key-set of the same length from another protected model does not
+    pair with the verifier: verify names both key-set digests and scores nothing."""
+    models = workspace["models"]
+    other = str(tmp_path / "keyset.json")
+    assert main(["keygen", "--config", config_path, "--protected", models[1],
+                 "--extracted", *workspace["extracted"],
+                 "--nonextracted", models[0], *models[2:],
+                 "--data", workspace["data"], "--out", other]) == 0
+    theirs, ours = (watermark.load_keyset(path) for path in (other, workspace["keyset"]))
+    assert len(theirs) == len(ours)
+    capsys.readouterr()
+    assert main(["verify", "--suspect", workspace["extracted"][0],
+                 "--verifier", workspace["verifier"], "--keyset", other]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "WatermarkError"
+    for keyset in (theirs, ours):
+        assert watermark.keyset_digest(keyset) in doc["message"]
 
 
 @pytest.mark.parametrize("doc", [

@@ -14,8 +14,9 @@ masked wherever they appear; the digests are pinned as one entry of their
 own, so a change to a config field moves that entry alone, while a change
 to training moves many.
 
-Regenerate with `PYTHONPATH=src python tests/test_goldens.py`, and say in
-CHANGES.md which entries moved and why.
+Regenerate with `PYTHONPATH=src python tests/test_goldens.py`, which prints
+each role whose hash changed, was added or was removed, and say in CHANGES.md
+which entries moved and why.
 """
 
 import contextlib
@@ -133,19 +134,26 @@ def run_pipeline(root: Path) -> dict:
     return hashed
 
 
+def moved_roles(old: dict, new: dict) -> dict:
+    """Each role whose hash differs between two entry maps: changed, added or removed."""
+    return {role: "added" if role not in old else "removed" if role not in new else "changed"
+            for role in sorted(old.keys() | new.keys()) if old.get(role) != new.get(role)}
+
+
 def test_end_to_end_bytes_match_the_goldens(tmp_path):
     golden = json.loads(GOLDENS.read_text())
     build = numpy_build()
     if build != golden["build"]:
         pytest.skip(f"goldens were made with {golden['build']}; this is {build}")
-    entries = run_pipeline(tmp_path)
-    moved = sorted(role for role in entries.keys() | golden["entries"].keys()
-                   if entries.get(role) != golden["entries"].get(role))
+    moved = sorted(moved_roles(golden["entries"], run_pipeline(tmp_path)))
     assert not moved, f"{len(moved)} of {len(golden['entries'])} entries moved: {moved}"
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDENS.read_text())["entries"] if GOLDENS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"build": numpy_build(), "entries": run_pipeline(Path(tmp))}
     GOLDENS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for role, status in moved_roles(old, doc["entries"]).items():
+        print(f"{status} {role}")
     print(f"wrote {len(doc['entries'])} entries to {GOLDENS}")

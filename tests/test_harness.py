@@ -105,9 +105,24 @@ class TestConfig:
         ({"repetitions": True}, ConfigError, "repetitions must be an integer, got True"),
         ({"nonextracted_families": "AB"}, ConfigError, "nonextracted_families must be a list"),
         ({"seen_attacks": "RET"}, ConfigError, "seen_attacks must be a list, got 'RET'"),
+        ({"bim": {"epsilon": np.nan}}, SpecError, "epsilon must be a finite number, got nan"),
+        ({"bim": {"epsilon": np.inf}}, SpecError, "epsilon must be a finite number, got inf"),
+        ({"bim": {"epsilon": True}}, SpecError, "epsilon must be a finite number, got True"),
+        ({"bim": {"epsilon": "0.3"}}, SpecError, "epsilon must be a finite number, got '0.3'"),
+        ({"distill_temperature": np.inf}, ConfigError, "distill_temperature must be a finite number"),
+        ({"learning_rate": np.inf}, ConfigError, "learning_rate must be a finite number, got inf"),
+        ({"learning_rate": True}, ConfigError, "learning_rate must be a finite number, got True"),
+        ({"gen": {"spread": np.nan}}, SpecError, "spread must be a finite number, got nan"),
+        ({"gen": {"spread": np.inf}}, SpecError, "spread must be a finite number, got inf"),
+        ({"query_budget_fraction": True}, ConfigError, "query_budget_fraction must be a finite"),
+        ({"test_fraction": "0.5"}, ConfigError, "test_fraction must be a finite number"),
+        ({"prune_sparsity": "0.5"}, ConfigError, "prune_sparsity must be a finite number"),
     ], ids=["keyset-size", "epochs", "quantize-bits", "frozen-layers", "gen-dims",
             "bim-iterations", "master-seed", "repetitions", "families-string",
-            "attacks-string"])
+            "attacks-string", "bim-epsilon-nan", "bim-epsilon-inf", "bim-epsilon-bool",
+            "bim-epsilon-string", "distill-temperature-inf", "learning-rate-inf",
+            "learning-rate-bool", "gen-spread-nan", "gen-spread-inf", "query-budget-bool",
+            "test-fraction-string", "prune-sparsity-string"])
     def test_wrong_type_fails_at_construction(self, doc, error, message):
         with pytest.raises(error, match=message):
             eval_config_from_dict(doc)

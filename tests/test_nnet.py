@@ -317,6 +317,15 @@ class TestTrain:
         with pytest.raises(SpecError, match=f"{field} must be an integer, got {value!r}"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.inf), ("learning_rate", True), ("temperature", np.inf),
+        ("temperature", np.nan), ("temperature", "1.0"),
+    ], ids=["learning-rate-inf", "learning-rate-bool", "temperature-inf", "temperature-nan",
+            "temperature-string"])
+    def test_config_float_fields_are_finite_numbers(self, field, value):
+        with pytest.raises(SpecError, match=f"{field} must be a finite number, got {value!r}"):
+            TrainConfig(**{field: value})
+
     def test_provenance_updated(self, trained_model):
         assert trained_model.provenance.kind == "trained-fresh"
         assert trained_model.provenance.history[-1]["stage"] == "trained-fresh"

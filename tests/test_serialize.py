@@ -22,7 +22,6 @@ from seedmark.serialize import (
     save_model,
 )
 from seedmark.watermark import (
-    GaussianNBClassifier,
     KeySet,
     VerificationModel,
     dump_keyset,
@@ -189,9 +188,9 @@ def test_digest_golden_value():
 
 
 @pytest.mark.parametrize("family, sha256", [
-    ("A", "81bbff40aa4e927be5eadb718484fe258112c28cb957de1701ccfc02c81ecdc4"),
-    ("B", "fd4f75f1b3bfbc4e4dbe0128d600b6fe8308696edc431e3d5bd6ed0290f3a9a1"),
-    ("C", "2980bcb34d5004424c3f700036e74440ce689e086ce228f4600cfe971240fec8"),
+    ("A", "2a91305c2590be4b2c826396da54bddea5ce7e8e3827ee124abcb8fd89e5f40e"),
+    ("B", "ae6865c421416daefa2709fbd65c1e8a1dc1bdd641c81df74cd71bda2ef2f3bd"),
+    ("C", "98ff31a2479e6f6fa11f7b47e4469e52de54dae5bd107998ecff9fa82bcb669a"),
 ])
 def test_family_model_file_golden_value(family, sha256):
     # Pins the model file bytes of each family (spec JSON, init draw order,
@@ -298,9 +297,15 @@ def _keyset_text():
     return dump_keyset(KeySet(rng.uniform(-1, 1, size=(4, 3)), np.array([0, 1, 1, 0]), {}))
 
 
+def _lr_text():
+    params = {"weight": np.array([2.0, 3.0]), "bias": np.array([-1.0, -2.0])}
+    return dump_verifier(VerificationModel("lr", params, "0123456789ab"))
+
+
 def _gnb_text():
-    clf = GaussianNBClassifier((0.25, 0.75), (0.01, 0.02), (0.5, 0.5))
-    return dump_verifier(VerificationModel("gnb", (clf, clf)))
+    params = {"means": np.array([[0.25, 0.75]] * 2), "variances": np.array([[0.01, 0.02]] * 2),
+              "priors": np.array([[0.5, 0.5]] * 2)}
+    return dump_verifier(VerificationModel("gnb", params, "0123456789ab"))
 
 
 # (artifact text, parser, path to one of its arrays, its row width or None if 1-D)
@@ -308,9 +313,11 @@ ARRAY_SITES = {
     "model-w": (_model_text, parse_model, ("weights", 1, "w"), 2),
     "model-b": (_model_text, parse_model, ("weights", 0, "b"), None),
     "keyset": (_keyset_text, parse_keyset, ("watermarks",), 3),
-    "gnb-means": (_gnb_text, parse_verifier, ("classifiers", 1, "means"), None),
-    "gnb-variances": (_gnb_text, parse_verifier, ("classifiers", 1, "variances"), None),
-    "gnb-priors": (_gnb_text, parse_verifier, ("classifiers", 0, "priors"), None),
+    "lr-weight": (_lr_text, parse_verifier, ("weight",), None),
+    "lr-bias": (_lr_text, parse_verifier, ("bias",), None),
+    "gnb-means": (_gnb_text, parse_verifier, ("means",), 2),
+    "gnb-variances": (_gnb_text, parse_verifier, ("variances",), 2),
+    "gnb-priors": (_gnb_text, parse_verifier, ("priors",), 2),
 }
 MALFORMED_CASES = [
     pytest.param(site, mutate, id=f"{site}-{name}")

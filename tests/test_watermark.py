@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -13,18 +14,20 @@ from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, forward, i
 from seedmark.serialize import VERSION
 from seedmark.watermark import (
     GNB_VAR_FLOOR,
-    GaussianNBClassifier,
     KeySet,
     LR_LAMBDA,
-    LogisticClassifier,
+    VERIFIER_FIELDS,
     VerificationModel,
     build_verifier,
     confidence_profile,
+    decide,
     dump_keyset,
     dump_verifier,
     fit_gnb,
     fit_lr,
     generate_keyset,
+    gnb_log_posteriors,
+    keyset_digest,
     parse_keyset,
     parse_verifier,
     verify,
@@ -45,6 +48,16 @@ def populations(blob_data, trained_model):
         for i in range(4)
     ]
     return extracted, controls
+
+
+def one_classifier(kind, fitted):
+    """A one-watermark verifier holding the parameters `fit_lr` or `fit_gnb` returned."""
+    params = {name: np.array([value]) for name, value in zip(VERIFIER_FIELDS[kind], fitted)}
+    return VerificationModel(kind, params, "0" * 12)
+
+
+def decides(kind, fitted, s) -> bool:
+    return bool(decide(one_classifier(kind, fitted), np.array([s]))[0])
 
 
 @pytest.fixture(scope="module")
@@ -179,22 +192,22 @@ class TestLogisticFit:
             ex = rng.uniform(0.4, 1.0, size=8)
             samples = np.concatenate([ex, ne])
             labels = np.concatenate([np.ones(8), np.zeros(8)])
-            clf = fit_lr(samples, labels)
+            w, b = fit_lr(samples, labels)
             w_ref, b_ref = scipy_lr(samples, labels)
-            assert clf.weight == pytest.approx(w_ref, abs=1e-4)
-            assert clf.bias == pytest.approx(b_ref, abs=1e-4)
+            assert w == pytest.approx(w_ref, abs=1e-4)
+            assert b == pytest.approx(b_ref, abs=1e-4)
 
     def test_separable_boundary_location(self):
         samples = [0.1, 0.15, 0.2, 0.8, 0.85, 0.9]
         labels = [0, 0, 0, 1, 1, 1]
-        clf = fit_lr(samples, labels)
-        crossing = -clf.bias / clf.weight  # where prob_extracted == 0.5
+        w, b = fit_lr(samples, labels)
+        crossing = -b / w  # where the logit is 0
         assert 0.2 < crossing < 0.8
-        assert clf.decide(0.9) and not clf.decide(0.1)
+        assert decides("lr", (w, b), 0.9) and not decides("lr", (w, b), 0.1)
 
     def test_symmetric_data_near_half(self):
-        clf = fit_lr([0.4, 0.6], [0, 1])
-        assert clf.prob_extracted(0.5) == pytest.approx(0.5, abs=1e-6)
+        w, b = fit_lr([0.4, 0.6], [0, 1])
+        assert w * 0.5 + b == pytest.approx(0.0, abs=4e-6)  # sigmoid within 1e-6 of 0.5
 
     def test_requires_both_classes(self):
         with pytest.raises(InputError):
@@ -204,50 +217,41 @@ class TestLogisticFit:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_logits_do_not_overflow(self):
-        clf = LogisticClassifier(1e4, -5e3)
-        assert not clf.decide(-1.0) and clf.decide(0.5) and clf.decide(1.0)
-        assert clf.prob_extracted(-1.0) == 0.0
-        assert clf.prob_extracted(0.5) == 0.5
-        assert clf.prob_extracted(1.0) == 1.0
-
-    def test_prob_vectorized(self):
-        clf = fit_lr([0.1, 0.9], [0, 1])
-        probs = clf.prob_extracted(np.array([0.1, 0.5, 0.9]))
-        assert probs.shape == (3,)
-        assert np.all(np.diff(probs) > 0)
+        clf = (1e4, -5e3)
+        assert not decides("lr", clf, -1.0) and decides("lr", clf, 0.5) and decides("lr", clf, 1.0)
 
 
 class TestGaussianFit:
     def test_closed_form_parameters(self):
         samples = np.array([0.1, 0.2, 0.3, 0.7, 0.8, 0.9, 1.0])
         labels = np.array([0, 0, 0, 1, 1, 1, 1])
-        clf = fit_gnb(samples, labels)
-        assert clf.means[0] == pytest.approx(0.2, abs=1e-15)
-        assert clf.means[1] == pytest.approx(0.85, abs=1e-15)
-        assert clf.variances[0] == pytest.approx(np.var([0.1, 0.2, 0.3]), abs=1e-15)
-        assert clf.priors == pytest.approx((3 / 7, 4 / 7), abs=1e-15)
+        means, variances, priors = fit_gnb(samples, labels)
+        assert means[0] == pytest.approx(0.2, abs=1e-15)
+        assert means[1] == pytest.approx(0.85, abs=1e-15)
+        assert variances[0] == pytest.approx(np.var([0.1, 0.2, 0.3]), abs=1e-15)
+        assert priors == pytest.approx((3 / 7, 4 / 7), abs=1e-15)
 
     def test_posterior_matches_manual(self):
         samples = np.array([0.1, 0.3, 0.6, 0.9])
         labels = np.array([0, 0, 1, 1])
-        clf = fit_gnb(samples, labels)
+        means, variances, priors = fit_gnb(samples, labels)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-            lp = clf.log_posteriors(s)
+            lp = gnb_log_posteriors(means, variances, priors, s)
             for cls in (0, 1):
-                mu, var, pi = clf.means[cls], clf.variances[cls], clf.priors[cls]
+                mu, var, pi = means[cls], variances[cls], priors[cls]
                 manual = np.log(pi) - 0.5 * np.log(2 * np.pi * var) - (s - mu) ** 2 / (2 * var)
                 assert lp[cls] == pytest.approx(manual, abs=1e-9)
 
     def test_variance_floor(self):
         clf = fit_gnb([0.5, 0.5, 0.9, 0.9], [0, 0, 1, 1])
-        assert clf.variances == (GNB_VAR_FLOOR, GNB_VAR_FLOOR)
-        assert clf.decide(0.89)
-        assert not clf.decide(0.51)
+        assert clf[1] == (GNB_VAR_FLOOR, GNB_VAR_FLOOR)
+        assert decides("gnb", clf, 0.89)
+        assert not decides("gnb", clf, 0.51)
 
     def test_tie_goes_to_nonextracted(self):
         clf = fit_gnb([0.4, 0.6], [0, 1])
         # exact midpoint: equal posteriors, the benign reading wins
-        assert not clf.decide(0.5)
+        assert not decides("gnb", clf, 0.5)
 
     def test_requires_both_classes(self):
         with pytest.raises(InputError):
@@ -288,29 +292,76 @@ class TestVerifier:
         with pytest.raises(InputError):
             verify(trained_model, verifier, short)
 
+    def test_records_its_keyset(self, populations, keyset):
+        extracted, controls = populations
+        verifier = build_verifier(extracted, controls, keyset)
+        labels = keyset.labels.astype("<i8").tobytes()
+        expected = hashlib.sha256(labels + keyset.watermarks.astype("<f8").tobytes()).hexdigest()
+        assert verifier.keyset == keyset_digest(keyset) == expected[:12]
+
+    def test_other_keyset_of_the_same_length(self, populations, keyset, trained_model):
+        extracted, controls = populations
+        verifier = build_verifier(extracted, controls, keyset)
+        other = KeySet(keyset.watermarks[::-1], keyset.labels[::-1], {})
+        with pytest.raises(WatermarkError) as info:
+            verify(trained_model, verifier, other)
+        assert verifier.keyset in str(info.value) and keyset_digest(other) in str(info.value)
+
+
+def reference_decisions(kind, params, profile):
+    """The per-watermark scalar rules the vectorized `decide` replaced, one
+    Python float at a time; returns each watermark's decision and its logit
+    (LR) or pair of log posteriors (GNB)."""
+    out = []
+    for i, s in enumerate(profile.tolist()):
+        if kind == "lr":
+            z = params["weight"][i].item() * s + params["bias"][i].item()
+            out.append((bool(z >= 0), z))
+        else:
+            lp_ne, lp_e = (
+                np.log(prior) - 0.5 * np.log(2 * np.pi * var) - (s - mean) ** 2 / (2 * var)
+                for mean, var, prior in zip(*(params[name][i].tolist()
+                                              for name in VERIFIER_FIELDS["gnb"]))
+            )
+            out.append((bool(lp_e > lp_ne), (lp_ne, lp_e)))
+    return out
+
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["lr", "gnb"]), st.data())
 @settings(max_examples=50, deadline=None)
 def test_verify_invariant_to_watermark_order(seed, kind, data):
-    """Permuting the watermarks together with their classifiers permutes the
-    decisions and leaves the score unchanged."""
+    """`verify` decides each watermark as the scalar reference rule does, bit
+    for bit; permuting the watermarks together with their classifiers permutes
+    the decisions and leaves the score unchanged."""
     rng = np.random.default_rng(seed)
     suspect = random_small_model(rng)
     n = int(rng.integers(1, 12))
     watermarks = rng.uniform(-1, 1, size=(n, suspect.spec.input_dim))
     labels = rng.integers(0, suspect.spec.output_classes, size=n)
+    keyset = KeySet(watermarks, labels, {})
     if kind == "lr":
-        classifiers = [LogisticClassifier(float(rng.normal(0, 20)), float(rng.normal(0, 10)))
-                       for _ in range(n)]
+        params = {"weight": rng.normal(0, 20, n), "bias": rng.normal(0, 10, n)}
     else:
-        classifiers = [GaussianNBClassifier(tuple(rng.uniform(0, 1, 2)),
-                                            tuple(rng.uniform(0.01, 0.1, 2)), (0.5, 0.5))
-                       for _ in range(n)]
-    perm = data.draw(st.permutations(range(n)))
-    verdict = verify(suspect, VerificationModel(kind, tuple(classifiers)),
-                     KeySet(watermarks, labels, {}))
-    permuted = verify(suspect, VerificationModel(kind, tuple(classifiers[i] for i in perm)),
-                      KeySet(watermarks[perm], labels[perm], {}))
+        prior = rng.uniform(0.05, 0.95, n)
+        params = {"means": rng.uniform(0, 1, (n, 2)), "variances": rng.uniform(0.01, 0.1, (n, 2)),
+                  "priors": np.stack([prior, 1 - prior], axis=1)}
+    verdict = verify(suspect, VerificationModel(kind, params, keyset_digest(keyset)), keyset)
+
+    profile = confidence_profile(suspect, keyset)
+    reference = reference_decisions(kind, params, profile)
+    assert verdict.decisions == tuple(d for d, _ in reference)
+    if kind == "lr":
+        logits = params["weight"] * profile + params["bias"]
+        assert logits.tobytes() == np.array([z for _, z in reference]).tobytes()
+    else:
+        lp = gnb_log_posteriors(params["means"], params["variances"], params["priors"], profile)
+        assert lp.tobytes() == np.array([pair for _, pair in reference]).tobytes()
+
+    perm = np.array(data.draw(st.permutations(range(n))))
+    permuted_keyset = KeySet(watermarks[perm], labels[perm], {})
+    permuted = verify(suspect, VerificationModel(kind, {k: v[perm] for k, v in params.items()},
+                                                 keyset_digest(permuted_keyset)),
+                      permuted_keyset)
     assert permuted.score == verdict.score
     assert permuted.decisions == tuple(verdict.decisions[i] for i in perm)
 
@@ -349,7 +400,11 @@ class TestPersistence:
         extracted, controls = populations
         verifier = build_verifier(extracted, controls, keyset, kind)
         back = parse_verifier(dump_verifier(verifier))
-        assert back == verifier  # frozen dataclasses: bit-exact field equality
+        assert (back.kind, back.keyset) == (kind, verifier.keyset)
+        assert back.params.keys() == verifier.params.keys() == set(VERIFIER_FIELDS[kind])
+        for name, values in verifier.params.items():
+            assert back.params[name].shape == values.shape == (len(keyset),) + values.shape[1:]
+            assert back.params[name].tobytes() == values.tobytes()
 
     def test_verifier_bad_inputs(self, populations, keyset):
         extracted, controls = populations
@@ -361,6 +416,25 @@ class TestPersistence:
         truncated = dump_verifier(verifier)[:-40]
         with pytest.raises(FormatError):
             parse_verifier(truncated)
+        doc = dump_verifier(verifier).replace(f'"version": {VERSION}', '"version": 2')
+        with pytest.raises(FormatError, match="version 2"):
+            parse_verifier(doc)
+
+    @pytest.mark.parametrize("digest", [None, 7, "", "ABCDEF012345", "abcdef01234", "abcdef0123456",
+                                        "abcdef01234g", "abcdef012345\n"])
+    def test_verifier_keyset_must_be_a_digest(self, digest):
+        doc = json.loads(_lr_text())
+        doc["keyset"] = digest
+        with pytest.raises(FormatError, match="keyset must be a 12-digit lowercase hex digest"):
+            parse_verifier(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["lr", "gnb"])
+    def test_verifier_fields_must_have_one_length(self, kind):
+        doc = json.loads(_lr_text() if kind == "lr" else _gnb_text())
+        last = VERIFIER_FIELDS[kind][-1]
+        doc[last] = doc[last][:len(doc[last]) // 2]  # one watermark of two
+        with pytest.raises(FormatError, match="differ in length"):
+            parse_verifier(json.dumps(doc))
 
 
 def _keyset_text():
@@ -369,19 +443,21 @@ def _keyset_text():
 
 
 def _lr_text():
-    return dump_verifier(VerificationModel("lr", (LogisticClassifier(2.0, -1.0),) * 2))
+    params = {"weight": np.array([2.0, 2.0]), "bias": np.array([-1.0, -1.0])}
+    return dump_verifier(VerificationModel("lr", params, "0123456789ab"))
 
 
 def _gnb_text():
-    clf = GaussianNBClassifier((0.25, 0.75), (0.01, 0.02), (0.5, 0.5))
-    return dump_verifier(VerificationModel("gnb", (clf, clf)))
+    params = {"means": np.array([[0.25, 0.75]] * 2), "variances": np.array([[0.01, 0.02]] * 2),
+              "priors": np.array([[0.5, 0.5]] * 2)}
+    return dump_verifier(VerificationModel("gnb", params, "0123456789ab"))
 
 
-# artifact kind: (text, parser, the object in the parsed JSON that holds the field)
+# artifact kind: (text, parser)
 VALUE_SITES = {
-    "keyset": (_keyset_text, parse_keyset, lambda doc: doc),
-    "lr": (_lr_text, parse_verifier, lambda doc: doc["classifiers"][1]),
-    "gnb": (_gnb_text, parse_verifier, lambda doc: doc["classifiers"][1]),
+    "keyset": (_keyset_text, parse_keyset),
+    "lr": (_lr_text, parse_verifier),
+    "gnb": (_gnb_text, parse_verifier),
 }
 NAN, INF = float("nan"), float("inf")
 
@@ -390,10 +466,10 @@ NAN, INF = float("nan"), float("inf")
     ("keyset", "watermarks", NAN),
     ("keyset", "watermarks", INF),
     ("keyset", "watermarks", -INF),
-    ("lr", "w", INF),
-    ("lr", "w", NAN),
-    ("lr", "b", -INF),
-    ("lr", "b", NAN),
+    pytest.param("lr", "weight", INF, id="lr-w-inf"),
+    pytest.param("lr", "weight", NAN, id="lr-w-nan"),
+    pytest.param("lr", "bias", -INF, id="lr-b--inf"),
+    pytest.param("lr", "bias", NAN, id="lr-b-nan"),
     ("gnb", "means", NAN),
     ("gnb", "means", INF),
     ("gnb", "variances", NAN),
@@ -406,14 +482,11 @@ NAN, INF = float("nan"), float("inf")
     ("gnb", "priors", INF),
 ])
 def test_loader_rejects_values_no_fit_holds(site, field, value):
-    make_text, parse, holder = VALUE_SITES[site]
+    make_text, parse = VALUE_SITES[site]
     parse(make_text())  # the artifact as dumped parses
     doc = json.loads(make_text())
-    if site == "lr":
-        holder(doc)[field] = value.hex()
-    else:
-        values = np.frombuffer(bytes.fromhex(holder(doc)[field]), "<f8").copy()
-        values[-1] = value
-        holder(doc)[field] = values.tobytes().hex()
+    values = np.frombuffer(bytes.fromhex(doc[field]), "<f8").copy()
+    values[-1] = value
+    doc[field] = values.tobytes().hex()
     with pytest.raises(FormatError):
         parse(json.dumps(doc))

@@ -204,9 +204,11 @@ def fit_gnb(samples, labels) -> tuple:
 
 def gnb_log_posteriors(means, variances, priors, s) -> np.ndarray:
     """Each class's log prior plus Gaussian log likelihood of confidences `s`;
-    the parameters' last axis is the classes (non-extracted, extracted)."""
+    the parameters' last axis is the classes (non-extracted, extracted).
+    The square is libm `pow`, as a Python float's `** 2` is: an array's
+    `** 2` is `x * x`, which differs in the last bit for about 0.1% of inputs."""
     s, var = np.asarray(s, dtype=np.float64)[..., None], np.asarray(variances, dtype=np.float64)
-    return np.log(priors) - 0.5 * np.log(2 * np.pi * var) - (s - means) ** 2 / (2 * var)
+    return np.log(priors) - 0.5 * np.log(2 * np.pi * var) - np.float_power(s - means, 2) / (2 * var)
 
 
 def build_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str = "lr") -> VerificationModel:

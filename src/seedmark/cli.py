@@ -61,7 +61,7 @@ def cmd_train_population(args):
     train_set, _ = prepare_data(cfg)
     os.makedirs(args.out, exist_ok=True)
     digest = cfg.digest()
-    save_dataset(train_set, os.path.join(args.out, f"data-{digest}.csv"))
+    save_dataset(train_set, os.path.join(args.out, f"data-{digest}.json"))
     for i in range(args.count):
         family = cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
         seed = derive_seed(cfg.master_seed, f"population/{i}")

@@ -6,13 +6,14 @@ it. Two generators: gaussian blobs with class means placed away from each
 other, and concentric ring classes in the first two dimensions.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, SpecError, check_field_types
 from .rng import stream
+from .serialize import (_INT, _LABELS, _STR, _check_fields, _decode_array, _encode_array,
+                        _read_artifact, _write_artifact)
 
 FEATURE_RANGE = (-1.0, 1.0)
 
@@ -120,50 +121,22 @@ def random_probe_inputs(count: int, dims: int, seed: int = 0) -> np.ndarray:
     return stream(seed, "probes").uniform(*FEATURE_RANGE, size=(count, dims))
 
 
-# Tabular text format: a '#' header carrying dims/classes/seed/name, then one
-# CSV row per sample with the integer label last.
+DATASET_FORMAT = "seedmark-dataset"
+
 
 def dump_dataset(dataset: Dataset) -> str:
-    buf = io.StringIO()
-    buf.write(
-        f"# seedmark-dataset v1 dims={dataset.dims} classes={dataset.class_count} "
-        f"seed={dataset.seed} name={dataset.name}\n"
-    )
-    for row, label in zip(dataset.features, dataset.labels):
-        buf.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
-    return buf.getvalue()
+    return _write_artifact(DATASET_FORMAT, name=dataset.name, seed=dataset.seed,
+                           classes=dataset.class_count,
+                           labels=[int(v) for v in dataset.labels],
+                           features=_encode_array(dataset.features))
 
 
 def parse_dataset(text: str) -> Dataset:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("# seedmark-dataset v1 "):
-        raise FormatError("missing or unrecognized dataset header")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].split()[3:] if "=" in part
-    )
+    doc = _check_fields(_read_artifact(text, DATASET_FORMAT), "dataset",
+                        {"name": _STR, "seed": _INT, "classes": _INT, "labels": _LABELS})
+    features = _decode_array(doc.get("features"), (len(doc["labels"]), None))
     try:
-        dims = int(fields["dims"])
-        classes = int(fields["classes"])
-        seed = int(fields["seed"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad dataset header: {exc}") from exc
-    features, labels = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != dims + 1:
-            raise FormatError(f"line {ln}: expected {dims + 1} columns, got {len(cells)}")
-        try:
-            features.append([float(c) for c in cells[:-1]])
-            labels.append(int(cells[-1]))
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-    if not features:
-        raise FormatError("dataset has no rows")
-    labels = np.array(labels)
-    if labels.max() >= classes:
-        raise FormatError("label exceeds declared class count")
-    try:
-        return Dataset(np.array(features), labels, classes, fields.get("name", "loaded"), seed)
+        return Dataset(features, np.array(doc["labels"]), doc["classes"], doc["name"], doc["seed"])
     except SpecError as exc:
         raise FormatError(f"bad dataset: {exc}") from exc
 

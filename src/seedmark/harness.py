@@ -230,7 +230,7 @@ def _control_population(cfg, data, count, seed, tag):
 
 
 def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
-    """One offline+online pass; returns (pos scores, neg scores, profiles)."""
+    """One offline+online pass; returns (pos scores, neg scores, profiles, key-set)."""
     protected = train_fresh(cfg, train_set, cfg.protected_family, derive_seed(rep_seed, "protected"))
     ext_train = _attack_population(
         cfg, protected, cfg.seen_attacks, train_set, cfg.n_extracted_train, rep_seed, "ext-train"

@@ -261,14 +261,18 @@ def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
     return dx[0] if single else dx
 
 
-def _layer_views(buf, weights):
-    """(W, b) views into flat `buf`, laid out layer by layer like `weights`."""
+def _flatten(weights) -> np.ndarray:
+    """The parameters W0, b0, W1, b1, ... as one new float64 vector."""
+    return np.concatenate([a.ravel() for wb in weights for a in wb], dtype=np.float64)
+
+
+def _layer_views(buf, spec: ModelSpec):
+    """(W, b) views into `buf`, laid out W0, b0, W1, b1, ... for `spec`."""
     views, offset = [], 0
-    for w, b in weights:
-        wv = buf[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-        views.append((wv, buf[offset : offset + b.size]))
-        offset += b.size
+    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
+        end = offset + n_in * n_out
+        views.append((buf[offset:end].reshape(n_in, n_out), buf[end : end + n_out]))
+        offset = end + n_out
     return views
 
 
@@ -291,10 +295,10 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
         raise SpecError(
             f"frozen_dense={frozen_dense} would freeze all {len(model.weights)} dense layers"
         )
-    params = np.concatenate([a.ravel() for wb in model.weights for a in wb], dtype=np.float64)
-    weights = _layer_views(params, model.weights)
+    params = _flatten(model.weights)
+    weights = _layer_views(params, model.spec)
     grad = np.empty_like(params)
-    grads = _layer_views(grad, model.weights)
+    grads = _layer_views(grad, model.spec)
     first = sum(w.size + b.size for w, b in model.weights[:frozen_dense])
     p, g = params[first:], grad[first:]
     shuffler = stream(cfg.seed, "shuffle")

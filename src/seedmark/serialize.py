@@ -1,21 +1,20 @@
-"""Versioned JSON artifacts for models, key-sets, and verifiers.
-
-Each float array is stored as one string, the hex of its little-endian
-float64 bytes, so round-trips are bit-exact. Every artifact carries a
-`format` name and integer `version`; loaders reject any other version.
-"""
+"""Versioned JSON artifacts: model files, and the envelope, float codec and
+field checks that every artifact shares. A float array is stored as one
+string, the hex of its little-endian float64 bytes, so round-trips are
+bit-exact; loaders reject any `format` name or `version` but their own."""
 
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import FormatError, SpecError
-from .nnet import Model, ModelSpec, Provenance
+from .nnet import Model, ModelSpec, Provenance, _flatten, _layer_views
 
 MODEL_FORMAT = "seedmark-model"
-VERSION = 3
+VERSION = 4
 
 
 def _encode_array(a) -> str:
@@ -47,90 +46,68 @@ def _decode_array(data, shape) -> np.ndarray:
     return np.frombuffer(raw, "<f8").astype(np.float64, copy=False).reshape(shape)
 
 
-def _check_envelope(doc, expected_format):
-    if not isinstance(doc, dict) or doc.get("format") != expected_format:
-        raise FormatError(f"not a {expected_format} artifact")
-    version = doc.get("version")
-    if version != VERSION:
-        raise FormatError(
-            f"unsupported {expected_format} version {version!r} (supported: {VERSION})"
-        )
+def _write_artifact(fmt, /, **fields) -> str:
+    """The JSON text of a `fmt` artifact of the current version holding `fields`."""
+    return json.dumps({"format": fmt, "version": VERSION, **fields}, indent=1)
 
 
-def spec_to_obj(spec: ModelSpec):
-    """The spec as the layer list model files store: dense, activation, ..., dense."""
-    layers = []
-    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
-        if layers:
-            layers.append(["activation", spec.activation])
-        layers.append(["dense", n_in, n_out])
-    return {"layers": layers, "output_classes": spec.output_classes}
-
-
-def spec_from_obj(obj) -> ModelSpec:
-    """Inverse of `spec_to_obj`; rejects any layer list it would not write."""
-    try:
-        denses = [entry for entry in obj["layers"] if entry[0] == "dense"]
-        kinds = [entry[1] for entry in obj["layers"] if entry[0] == "activation"]
-        # a stack without hidden layers stores no activation; any kind computes the same
-        spec = ModelSpec([denses[0][1]] + [entry[2] for entry in denses],
-                         kinds[0] if kinds else "relu")
-    except (KeyError, IndexError, TypeError, SpecError) as exc:
-        raise FormatError(f"malformed model spec: {exc}") from exc
-    # compared as JSON text, so a 4.0 or true where 4 belongs fails too
-    if json.dumps(spec_to_obj(spec), sort_keys=True) != json.dumps(obj, sort_keys=True):
-        raise FormatError("model spec is not a dense stack with one activation")
-    return spec
-
-
-def dump_model(model: Model) -> str:
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": VERSION,
-        "spec": spec_to_obj(model.spec),
-        "provenance": {
-            "seed": model.provenance.seed,
-            "kind": model.provenance.kind,
-            "history": list(model.provenance.history),
-        },
-        "weights": [
-            {"w": _encode_array(w), "b": _encode_array(b)} for w, b in model.weights
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def parse_model(text: str) -> Model:
+def _read_artifact(text, fmt) -> dict:
+    """The fields of `fmt` artifact `text`; FormatError unless JSON naming `fmt` and VERSION."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
-    _check_envelope(doc, MODEL_FORMAT)
-    spec = spec_from_obj(doc.get("spec", {}))
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise FormatError(f"not a {fmt} artifact")
+    version = doc.get("version")
+    if type(version) is not int or version != VERSION:
+        raise FormatError(f"unsupported {fmt} version {version!r} (supported: {VERSION})")
+    return doc
+
+
+# (check, what passes it) for `_check_fields`
+_INT = (lambda v: type(v) is int, "a JSON integer")
+_STR = (lambda v: type(v) is str, "a string")
+_LABELS = (lambda v: type(v) is list and v != [] and all(type(x) is int for x in v),
+           "a non-empty list of JSON integers")
+
+
+def _check_fields(obj, what, checks, optional=()) -> dict:
+    """JSON object `obj`, once each field of `checks` (name: (check, what
+    passes it)) passes, or is missing and `optional`; else FormatError."""
+    if type(obj) is not dict:
+        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
+    for name, (ok, expected) in checks.items():
+        if not (ok(obj[name]) if name in obj else name in optional):
+            raise FormatError(f"{what} {name} must be {expected}, got {obj.get(name)!r}")
+    return obj
+
+
+def dump_model(model: Model) -> str:
+    return _write_artifact(MODEL_FORMAT, spec=asdict(model.spec),
+                           provenance=asdict(model.provenance),
+                           weights=_encode_array(_flatten(model.weights)))
+
+
+def parse_model(text: str) -> Model:
+    doc = _read_artifact(text, MODEL_FORMAT)
+    spec_obj = doc.get("spec")
+    if type(spec_obj) is not dict or spec_obj.keys() != {"widths", "activation"}:
+        raise FormatError(f"model spec must hold widths and activation only, got {spec_obj!r}")
     try:
-        entries, shapes = doc["weights"], tuple(zip(spec.widths, spec.widths[1:]))
-        if len(entries) != len(shapes):
-            raise FormatError(f"{len(entries)} weight entries for {len(shapes)} dense layers")
-        weights = tuple(
-            (_decode_array(entry["w"], shape), _decode_array(entry["b"], shape[1:]))
-            for entry, shape in zip(entries, shapes)
-        )
-        prov_obj = doc["provenance"]
-        seed, kind, history = prov_obj["seed"], prov_obj["kind"], prov_obj.get("history", [])
-        for name, ok, expected in (
-            ("seed", type(seed) is int, "a JSON integer"),
-            ("kind", type(kind) is str, "a string"),
-            ("history", type(history) is list and all(type(h) is dict for h in history),
-             "a list of JSON objects"),
-        ):
-            if not ok:
-                raise FormatError(f"provenance {name} must be {expected}, got {prov_obj[name]!r}")
-        prov = Provenance(seed, kind, tuple(history))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed model artifact: {exc}") from exc
+        spec = ModelSpec(**spec_obj)
+    except (TypeError, SpecError) as exc:
+        raise FormatError(f"malformed model spec: {exc}") from exc
+    count = sum((n_in + 1) * n_out for n_in, n_out in zip(spec.widths, spec.widths[1:]))
+    weights = _layer_views(_decode_array(doc.get("weights"), (count,)), spec)
+    history = (lambda v: type(v) is list and all(type(h) is dict for h in v),
+               "a list of JSON objects")
+    prov = _check_fields(doc.get("provenance"), "provenance",
+                         {"seed": _INT, "kind": _STR, "history": history}, optional=("history",))
     try:
-        return Model(spec, weights, prov)
-    except Exception as exc:
+        return Model(spec, tuple(weights),
+                     Provenance(prov["seed"], prov["kind"], tuple(prov.get("history", ()))))
+    except SpecError as exc:
         raise FormatError(f"inconsistent model artifact: {exc}") from exc
 
 
@@ -147,11 +124,10 @@ def load_model(path) -> Model:
 def model_digest(model: Model) -> str:
     """Short stable identifier of spec + weights.
 
-    The first 12 hex digits of SHA-256 over the spec's JSON, then each W and
-    b as little-endian float64 bytes in C order. Memory layout (views into a
-    flat buffer, Fortran order) does not change it."""
-    h = hashlib.sha256(json.dumps(spec_to_obj(model.spec)).encode())
-    for w, b in model.weights:
-        for a in (w, b):
-            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    The first 12 hex digits of SHA-256 over the spec's JSON, then the
+    parameters W0, b0, W1, b1, ... as little-endian float64 bytes in C order,
+    the bytes a model file stores. Memory layout (views into a flat buffer,
+    Fortran order) does not change it."""
+    h = hashlib.sha256(json.dumps(asdict(model.spec)).encode())
+    h.update(np.ascontiguousarray(_flatten(model.weights), dtype="<f8").tobytes())
     return h.hexdigest()[:12]

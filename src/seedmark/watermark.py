@@ -8,7 +8,7 @@ of key-set inputs on which its confidence is classified "extracted".
 """
 
 import hashlib
-import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -17,7 +17,8 @@ import numpy as np
 from .bim import BimConfig, bim_batch
 from .errors import FormatError, InputError, WatermarkError
 from .nnet import Model, forward, predict
-from .serialize import VERSION, _check_envelope, _decode_array, _encode_array, model_digest
+from .serialize import (_LABELS, _STR, _check_fields, _decode_array, _encode_array,
+                        _read_artifact, _write_artifact, model_digest)
 
 LR_LAMBDA = 1e-4
 LR_TOL = 1e-8
@@ -77,8 +78,8 @@ def generate_keyset(
     """Select the n strengthened misclassifications with the largest
     extracted/non-extracted mean-confidence gap.
 
-    candidate_source="disagreements" widens the candidate pool to inputs
-    where any non-extracted model disputes the protected model's prediction.
+    candidate_source="disagreements" does not widen the pool: a disputed row the
+    protected model gets right stays right after BIM, so the filter drops it.
     """
     if n < 1:
         raise WatermarkError("key-set size must be positive")
@@ -255,55 +256,46 @@ def verify(suspect: Model, verifier: VerificationModel, keyset: KeySet) -> Verdi
 
 
 def dump_keyset(keyset: KeySet) -> str:
-    return json.dumps(
-        {
-            "format": KEYSET_FORMAT,
-            "version": VERSION,
-            "provenance": keyset.provenance,
-            "labels": [int(v) for v in keyset.labels],
-            "watermarks": _encode_array(keyset.watermarks),
-        },
-        indent=1,
-    )
+    return _write_artifact(KEYSET_FORMAT, provenance=keyset.provenance,
+                           labels=[int(v) for v in keyset.labels],
+                           watermarks=_encode_array(keyset.watermarks))
+
+
+# a `keyset_digest` or `serialize.model_digest`, as `_check_fields` checks it
+_DIGEST = (lambda v: type(v) is str and re.fullmatch("[0-9a-f]{12}", v) is not None,
+           "a 12-digit lowercase hex digest")
+# each key-set provenance field that `generate_keyset` writes, checked when present
+_PROVENANCE_CHECKS = {
+    "protected": _DIGEST,
+    "candidate_source": _STR,
+    "dataset": _STR,
+    "bim": (lambda v: type(v) is dict and type(v.get("iterations")) is int
+            and all(type(x) in (int, float) and math.isfinite(x) for x in v.values()),
+            "an object with an integer iterations and finite numbers"),
+}
 
 
 def parse_keyset(text: str) -> KeySet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    _check_envelope(doc, KEYSET_FORMAT)
-    labels = doc.get("labels")
-    if not isinstance(labels, list) or any(type(v) is not int for v in labels):
-        raise FormatError(f"key-set labels must be a list of JSON integers, got {labels!r}")
-    if not labels:
-        raise FormatError("key-set has no watermarks")
-    watermarks = _decode_array(doc.get("watermarks"), (len(labels), None))
+    doc = _check_fields(_read_artifact(text, KEYSET_FORMAT), "key-set", {"labels": _LABELS})
+    watermarks = _decode_array(doc.get("watermarks"), (len(doc["labels"]), None))
     if not np.isfinite(watermarks).all():
         raise FormatError("key-set watermarks must be finite")
-    return KeySet(watermarks, np.array(labels), doc.get("provenance", {}))
+    prov = _check_fields(doc.get("provenance", {}), "key-set provenance", _PROVENANCE_CHECKS,
+                         optional=_PROVENANCE_CHECKS)
+    return KeySet(watermarks, np.array(doc["labels"]), prov)
 
 
 def dump_verifier(verifier: VerificationModel) -> str:
-    doc = {"format": VERIFIER_FORMAT, "version": VERSION, "kind": verifier.kind,
-           "keyset": verifier.keyset}
-    doc.update((name, _encode_array(verifier.params[name]))
-               for name in VERIFIER_FIELDS[verifier.kind])
-    return json.dumps(doc, indent=1)
+    return _write_artifact(VERIFIER_FORMAT, kind=verifier.kind, keyset=verifier.keyset,
+                           **{name: _encode_array(verifier.params[name])
+                              for name in VERIFIER_FIELDS[verifier.kind]})
 
 
 def parse_verifier(text: str) -> VerificationModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    _check_envelope(doc, VERIFIER_FORMAT)
-    kind = doc.get("kind")
-    if kind not in VERIFIER_FIELDS:
-        raise FormatError(f"unknown verifier kind {kind!r}")
-    digest = doc.get("keyset")
-    if type(digest) is not str or not re.fullmatch("[0-9a-f]{12}", digest):
-        raise FormatError(f"verifier keyset must be a 12-digit lowercase hex digest, got {digest!r}")
+    kinds = (lambda v: v in tuple(VERIFIER_FIELDS), "lr or gnb")
+    doc = _check_fields(_read_artifact(text, VERIFIER_FORMAT), "verifier",
+                        {"kind": kinds, "keyset": _DIGEST})
+    kind = doc["kind"]
     shape = (None,) if kind == "lr" else (None, 2)
     params = {name: _decode_array(doc.get(name), shape) for name in VERIFIER_FIELDS[kind]}
     if len({len(a) for a in params.values()}) != 1:
@@ -312,7 +304,7 @@ def parse_verifier(text: str) -> VerificationModel:
         raise FormatError(f"non-finite {kind} classifier parameter")
     if kind == "gnb" and not ((params["variances"] > 0).all() and (params["priors"] > 0).all()):
         raise FormatError("GNB variances and priors must be positive")
-    return VerificationModel(kind, params, digest)
+    return VerificationModel(kind, params, doc["keyset"])
 
 
 def save_keyset(keyset, path):

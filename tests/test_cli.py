@@ -9,6 +9,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seedmark import serialize, watermark
@@ -46,7 +47,7 @@ def workspace(tmp_path_factory, config_path, capsys_factory=None):
                  "--count", "4", "--out", str(pop)]) == 0
     models = sorted(str(p) for p in pop.glob("model-*.json"))
     assert len(models) == 4
-    data = next(str(p) for p in pop.glob("data-*.csv"))
+    data = next(str(p) for p in pop.glob("data-*.json"))
 
     extracted = []
     for i in range(2):
@@ -321,12 +322,10 @@ def test_keygen_on_data_outside_the_feature_range_fails_with_json_error(workspac
                                                                         tmp_path, capsys):
     """BIM clips to the feature range, so rows outside it would put watermarks
     far outside their epsilon-balls; the data file is rejected instead."""
-    header, *rows = Path(workspace["data"]).read_text().splitlines()
-    scaled = tmp_path / "scaled.csv"
-    scaled.write_text("\n".join([header] + [
-        ",".join([*(repr(3 * float(v)) for v in cells[:-1]), cells[-1]])
-        for cells in (row.split(",") for row in rows)
-    ]) + "\n")
+    doc = json.loads(Path(workspace["data"]).read_text())
+    doc["features"] = (3 * np.frombuffer(bytes.fromhex(doc["features"]), "<f8")).tobytes().hex()
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["keygen", "--config", config_path, "--protected", workspace["models"][0],
                  "--extracted", *workspace["extracted"],

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,37 +96,61 @@ class TestProbes:
         assert abs(p.mean()) < 0.01
 
 
+def _dataset_doc(features, labels, classes=2):
+    """A dataset artifact holding `features` and `labels`, as JSON."""
+    data = Dataset(np.zeros((len(labels), 2)), np.zeros(len(labels), dtype=int), classes, "x", 0)
+    doc = json.loads(dump_dataset(data))
+    doc["features"] = np.asarray(features, dtype="<f8").tobytes().hex()
+    doc["labels"] = labels
+    return doc
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         data = generate(GenSpec(samples_per_class=10), 6)
-        path = tmp_path / "d.csv"
+        path = tmp_path / "d.json"
         save_dataset(data, path)
         loaded = load_dataset(path)
-        assert np.array_equal(loaded.features, data.features)
+        assert loaded.features.tobytes() == data.features.tobytes()
         assert np.array_equal(loaded.labels, data.labels)
         assert loaded.class_count == data.class_count
-        assert loaded.seed == data.seed
+        assert (loaded.name, loaded.seed) == (data.name, data.seed)
 
     def test_truncated(self):
         text = dump_dataset(generate(GenSpec(samples_per_class=5), 0))
-        broken = text[: len(text) // 2].rsplit("\n", 1)[0] + "\n1.0,2.0\n"
         with pytest.raises(FormatError):
-            parse_dataset(broken)
+            parse_dataset(text[: len(text) // 2])
 
     def test_bad_header(self):
+        # the version-1 text format, regenerated rather than read
         with pytest.raises(FormatError):
-            parse_dataset("not a dataset\n1,2,0\n")
+            parse_dataset("# seedmark-dataset v1 dims=2 classes=2 seed=0 name=x\n0.0,1.0,0\n")
+        with pytest.raises(FormatError, match="not a seedmark-dataset artifact"):
+            parse_dataset(dump_dataset(generate(GenSpec(), 0)).replace("-dataset", "-keyset"))
 
     def test_label_class_mismatch(self):
-        text = "# seedmark-dataset v1 dims=2 classes=2 seed=0 name=x\n0.0,0.0,5\n"
-        with pytest.raises(FormatError):
-            parse_dataset(text)
+        with pytest.raises(FormatError, match="label out of range"):
+            parse_dataset(json.dumps(_dataset_doc([[0.0, 0.0]], [5])))
+
+    @pytest.mark.parametrize("field, value", [
+        ("labels", [0, 1.0]), ("labels", [0, "1"]), ("labels", [0, True]), ("labels", []),
+        ("name", 5), ("seed", "0"), ("seed", 1.5), ("classes", None),
+    ], ids=["float-label", "string-label", "bool-label", "no-rows", "name-number",
+            "seed-string", "seed-float", "classes-null"])
+    def test_field_of_the_wrong_type_raises_format_error(self, field, value):
+        doc = _dataset_doc([[0.0, 1.0], [0.5, 0.0]], [0, 1])
+        doc[field] = value
+        with pytest.raises(FormatError, match="dataset"):
+            parse_dataset(json.dumps(doc))
+
+    def test_non_finite_features_raise_format_error(self):
+        with pytest.raises(FormatError, match="non-finite"):
+            parse_dataset(json.dumps(_dataset_doc([[0.0, np.nan], [0.5, 0.0]], [0, 1])))
 
     @pytest.mark.parametrize("value", ["1.5", "-1.0000001", "3.0"])
     def test_feature_outside_the_range(self, value):
-        text = f"# seedmark-dataset v1 dims=2 classes=2 seed=0 name=x\n0.0,1.0,0\n{value},0.0,1\n"
-        with pytest.raises(FormatError, match=r"feature range \[-1.0, 1.0\]"):
-            parse_dataset(text)
         features = np.array([[0.0, 1.0], [float(value), 0.0]])
+        with pytest.raises(FormatError, match=r"feature range \[-1.0, 1.0\]"):
+            parse_dataset(json.dumps(_dataset_doc(features, [0, 1])))
         with pytest.raises(SpecError, match=r"feature range \[-1.0, 1.0\]"):
             Dataset(features, np.array([0, 1]), 2, "x", 0)

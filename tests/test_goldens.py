@@ -102,7 +102,7 @@ def run_pipeline(root: Path) -> dict:
     run("train-population", ["train-population", "--config", base, "--count", "4",
                              "--out", str(pop)], d)
     models = [str(pop / f"model-{family}-{i:03d}-{d}.json") for i, family in enumerate("ABCA")]
-    data = str(pop / f"data-{d}.csv")
+    data = str(pop / f"data-{d}.json")
     suspects = {}
     for i, attack in enumerate(ATTACKS):
         suspects[attack] = str(out_dir / f"extract-{attack}.json")

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from seedmark.datasets import GenSpec, dump_dataset, generate, parse_dataset
 from seedmark.errors import FormatError
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
 from seedmark.serialize import (
@@ -90,6 +91,12 @@ def test_wrong_format_name(model):
         parse_model(text)
 
 
+def test_version_must_be_a_json_integer(model):
+    text = dump_model(model).replace(f'"version": {VERSION}', f'"version": {VERSION}.0')
+    with pytest.raises(FormatError, match=f"version {VERSION}.0 "):
+        parse_model(text)
+
+
 def test_future_version_names_version(model):
     text = dump_model(model).replace(f'"version": {VERSION}', '"version": 7')
     with pytest.raises(FormatError, match="7"):
@@ -109,6 +116,31 @@ def test_version_1_file_raises_format_error(make_text, parse):
         parse(json.dumps(doc))
 
 
+V3_LAYERS = {"layers": [["dense", 3, 4], ["activation", "relu"], ["dense", 4, 2]],
+             "output_classes": 2}
+
+
+def _v3_model_text():
+    """The model of `_model_text` as version 3 wrote it: a layer list, and a
+    W and b string per dense layer."""
+    doc = json.loads(_model_text())
+    cuts = np.cumsum([0, 12, 4, 8, 2]) * 16  # W0, b0, W1, b1 in hex digits
+    parts = [doc["weights"][a:b] for a, b in zip(cuts, cuts[1:])]
+    doc.update(version=3, spec=V3_LAYERS,
+               weights=[{"w": parts[0], "b": parts[1]}, {"w": parts[2], "b": parts[3]}])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("make_text, parse", [
+    (_v3_model_text, parse_model),
+    (lambda: _keyset_text().replace(f'"version": {VERSION}', '"version": 3'), parse_keyset),
+    (lambda: _gnb_text().replace(f'"version": {VERSION}', '"version": 3'), parse_verifier),
+], ids=["model", "keyset", "verifier"])
+def test_version_3_file_raises_format_error(make_text, parse):
+    with pytest.raises(FormatError, match="version 3 "):
+        parse(make_text())
+
+
 def test_missing_weights(model):
     doc = json.loads(dump_model(model))
     del doc["weights"]
@@ -118,18 +150,31 @@ def test_missing_weights(model):
 
 def test_weight_shape_mismatch_rejected(model):
     doc = json.loads(dump_model(model))
-    doc["weights"][0]["b"] = doc["weights"][0]["b"][:-16]  # one value short
+    doc["weights"] = doc["weights"][:-16]  # one value short
     with pytest.raises(FormatError):
         parse_model(json.dumps(doc))
 
 
-@pytest.mark.parametrize("entries", [lambda w: w[:-1], lambda w: w + w[-1:]],
+# the weights of ModelSpec((3, 4, 2)) are 26 values: W0 (12), b0 (4), W1 (8), b1 (2)
+@pytest.mark.parametrize("entries", [lambda w: w[:16 * 16], lambda w: w + w[16 * 16:]],
                          ids=["one-short", "one-extra"])
-def test_weight_entry_count_must_match_spec(model, entries):
-    doc = json.loads(dump_model(model))
+def test_weight_entry_count_must_match_spec(entries):
+    # one dense layer's values missing, or one too many
+    doc = json.loads(_model_text())
     doc["weights"] = entries(doc["weights"])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="shape"):
         parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("widths", [(3, 2), (3, 4, 2), (3, 5, 4, 2)],
+                         ids=["no-hidden", "one-hidden", "two-hidden"])
+def test_spec_round_trip_keeps_widths_and_activation(widths, activation):
+    model = init_model(ModelSpec(widths, activation), 0)
+    back = parse_model(dump_model(model))
+    assert back.spec == model.spec
+    assert [a.tobytes() for wb in back.weights for a in wb] == \
+        [a.tobytes() for wb in model.weights for a in wb]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -144,30 +189,34 @@ def test_provenance_field_of_the_wrong_type_raises_format_error(model, field, va
         parse_model(json.dumps(doc))
 
 
-RELU, TANH = ["activation", "relu"], ["activation", "tanh"]
-
-
-@pytest.mark.parametrize("layers, classes", [
-    ([["dense", 3, 4], RELU, ["dense", 4, 4], TANH, ["dense", 4, 2]], 2),
-    ([["dense", 3, 4], RELU, RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
-    ([RELU, ["dense", 3, 4], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
-    ([["dense", 3, 4], RELU, ["dense", 5, 4], RELU, ["dense", 4, 2]], 2),
-    ([["dense", 3, 4], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 3),
-    ([["dense", 3, 4], ["dropout", 0.5], ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
-    ([["dense", 3, "4"], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
-    ([["dense", 3, 4.5], RELU, ["dense", 4, 4], RELU, ["dense", 4, 2]], 2),
-], ids=["mixed-activations", "two-activations", "activation-first", "dense-chain",
-        "output-classes", "unknown-tag", "string-width", "float-width"])
-def test_spec_the_program_never_writes_is_rejected(layers, classes):
-    doc = json.loads(dump_model(init_model(ModelSpec((3, 4, 4, 2)), 0)))
-    doc["spec"] = {"layers": layers, "output_classes": classes}
-    with pytest.raises(FormatError):
+@pytest.mark.parametrize("spec", [
+    {"widths": [3, "4", 2], "activation": "relu"},
+    {"widths": [3, 4.5, 2], "activation": "relu"},
+    {"widths": [3, True, 2], "activation": "relu"},
+    {"widths": [3, 0, 2], "activation": "relu"},
+    {"widths": [3], "activation": "relu"},
+    {"widths": "342", "activation": "relu"},
+    {"widths": [[3, 4], [4, 2]], "activation": "relu"},
+    {"widths": [3, 4, 2], "activation": "dropout"},
+    {"widths": [3, 4, 2], "activation": ["relu", "tanh"]},
+    {"widths": [3, 4, 2], "activation": ["relu", "relu"]},
+    {"widths": [3, 4, 2]},
+    {"widths": [3, 4, 2], "activation": "relu", "output_classes": 2},
+    V3_LAYERS,
+    [[3, 4, 2], "relu"],
+], ids=["string-width", "float-width", "bool-width", "zero-width", "single-width",
+        "widths-string", "dense-chain", "unknown-tag", "mixed-activations", "two-activations",
+        "missing-key", "output-classes", "v3-layer-list", "not-an-object"])
+def test_spec_the_program_never_writes_is_rejected(spec):
+    doc = json.loads(_model_text())
+    doc["spec"] = spec
+    with pytest.raises(FormatError, match="model spec"):
         parse_model(json.dumps(doc))
 
 
 def test_bad_hex_float(model):
     text = dump_model(model)
-    first_hex = text.split('"w": "')[1].split('"')[0]
+    first_hex = text.split('"weights": "')[1].split('"')[0]
     with pytest.raises(FormatError):
         parse_model(text.replace(first_hex, "0xnope", 1))
 
@@ -181,17 +230,20 @@ def test_digest_distinguishes_weights(model):
     assert len(model_digest(model)) == 12
 
 
+DIGEST_3_4_2 = "d7569c53baa2"
+
+
 def test_digest_golden_value():
-    # Pins the definition (SHA-256 of the spec JSON, then each W and b as
-    # little-endian float64 C-order bytes): changing it must be deliberate.
-    assert model_digest(init_model(ModelSpec((3, 4, 2)), 0)) == "eb085967d682"
+    # Pins the definition (SHA-256 of the spec JSON, then W0, b0, W1, b1, ...
+    # as little-endian float64 C-order bytes): changing it must be deliberate.
+    assert model_digest(init_model(ModelSpec((3, 4, 2)), 0)) == DIGEST_3_4_2
 
 
 @pytest.mark.parametrize("family, sha256", [
-    ("A", "2a91305c2590be4b2c826396da54bddea5ce7e8e3827ee124abcb8fd89e5f40e"),
-    ("B", "ae6865c421416daefa2709fbd65c1e8a1dc1bdd641c81df74cd71bda2ef2f3bd"),
-    ("C", "98ff31a2479e6f6fa11f7b47e4469e52de54dae5bd107998ecff9fa82bcb669a"),
-])
+    ("A", "ce6c458f51067a2be94987a6b0320c710c33371c623e58d5be0519ee92370ce0"),
+    ("B", "32518ce6532270aacaa98344303d72820114b4561871c40fcba1c8571d725464"),
+    ("C", "acddd51855d57bcb98ed04e3160f6a7074fa35ebe085a32fe94d544c6fd07cde"),
+], ids=["A", "B", "C"])
 def test_family_model_file_golden_value(family, sha256):
     # Pins the model file bytes of each family (spec JSON, init draw order,
     # float encoding, format version); no matrix product is involved, so BLAS
@@ -214,7 +266,7 @@ def test_digest_ignores_memory_layout():
     fresh = Model(model.spec, tuple((w.copy(), b.copy()) for w, b in flat.weights),
                   model.provenance)
     digests = {model_digest(m) for m in (model, flat, fortran, fresh)}
-    assert digests == {"eb085967d682"}
+    assert digests == {DIGEST_3_4_2}
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
@@ -308,11 +360,19 @@ def _gnb_text():
     return dump_verifier(VerificationModel("gnb", params, "0123456789ab"))
 
 
-# (artifact text, parser, path to one of its arrays, its row width or None if 1-D)
+def _dataset_text():
+    return dump_dataset(generate(GenSpec(classes=2, dims=3, samples_per_class=2), 0))
+
+
+# (artifact text, parser, path to one of its arrays, its row width or None if 1-D).
+# A model stores one array, W0, b0, W1, b1, ...: "model-w" also cuts and pads
+# it at the end of W0's first row; "model-b" is a model without hidden layers.
 ARRAY_SITES = {
-    "model-w": (_model_text, parse_model, ("weights", 1, "w"), 2),
-    "model-b": (_model_text, parse_model, ("weights", 0, "b"), None),
+    "model-w": (_model_text, parse_model, ("weights",), 4),
+    "model-b": (lambda: dump_model(init_model(ModelSpec((3, 2), "tanh"), 0)), parse_model,
+                ("weights",), None),
     "keyset": (_keyset_text, parse_keyset, ("watermarks",), 3),
+    "dataset": (_dataset_text, parse_dataset, ("features",), 3),
     "lr-weight": (_lr_text, parse_verifier, ("weight",), None),
     "lr-bias": (_lr_text, parse_verifier, ("bias",), None),
     "gnb-means": (_gnb_text, parse_verifier, ("means",), 2),

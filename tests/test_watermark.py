@@ -386,13 +386,27 @@ class TestPersistence:
     def test_keyset_labels_must_be_json_integers(self, keyset, label):
         doc = json.loads(dump_keyset(keyset))
         doc["labels"][0] = label
-        with pytest.raises(FormatError, match="labels must be a list of JSON integers"):
+        with pytest.raises(FormatError, match="labels must be a non-empty list of JSON integers"):
+            parse_keyset(json.dumps(doc))
+
+    @pytest.mark.parametrize("provenance", [
+        "xyz", [1, 2], {"protected": 5}, {"protected": "ABCDEF012345"},
+        {"candidate_source": ["misclassifications"]}, {"dataset": 7}, {"bim": "x"},
+        {"bim": {"iterations": 1.5, "epsilon": 0.3}}, {"bim": {"iterations": 5, "epsilon": "0.3"}},
+        {"bim": {"iterations": 5, "epsilon": float("nan")}},
+    ], ids=["string", "list", "protected-number", "protected-uppercase", "candidate-source-list",
+            "dataset-number", "bim-string", "bim-float-iterations", "bim-string-epsilon",
+            "bim-nan-epsilon"])
+    def test_keyset_provenance_of_the_wrong_type_raises_format_error(self, keyset, provenance):
+        doc = json.loads(dump_keyset(keyset))
+        doc["provenance"] = provenance
+        with pytest.raises(FormatError, match="key-set provenance"):
             parse_keyset(json.dumps(doc))
 
     def test_empty_keyset_raises_format_error(self, keyset):
         doc = json.loads(dump_keyset(keyset))
         doc["labels"], doc["watermarks"] = [], ""
-        with pytest.raises(FormatError, match="no watermarks"):
+        with pytest.raises(FormatError, match="labels must be a non-empty list of JSON integers"):
             parse_keyset(json.dumps(doc))
 
     @pytest.mark.parametrize("kind", ["lr", "gnb"])

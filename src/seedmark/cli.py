@@ -9,6 +9,7 @@ machine-readable JSON error line goes to stderr and the exit code is 1.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import boundary, serialize, watermark
 from .datasets import load_dataset, save_dataset
-from .errors import SeedmarkError
+from .errors import InputError, SeedmarkError
 from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
@@ -57,6 +58,8 @@ def _load_config(args) -> EvaluationConfig:
 
 
 def cmd_train_population(args):
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     cfg = _load_config(args)
     train_set, _ = prepare_data(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -142,14 +145,25 @@ def cmd_build_verifier(args):
 
 
 def cmd_verify(args):
-    suspect = serialize.load_model(args.suspect)
+    """Score each `--suspect` against one key-set and verifier.
+
+    Every suspect is read and scored before anything is printed, so a
+    failure leaves stdout empty. One suspect prints its score, decisions and
+    optional verdict lines; several print each block after a
+    `suspect <path>` line."""
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise InputError(f"--threshold must be a finite number, got {args.threshold!r}")
     verifier = watermark.load_verifier(args.verifier)
     keyset = watermark.load_keyset(args.keyset)
-    verdict = watermark.verify(suspect, verifier, keyset)
-    print(f"score {verdict.score!r}")
-    print("decisions " + "".join("E" if d else "." for d in verdict.decisions))
-    if args.threshold is not None:
-        print(f"verdict {'extracted' if verdict.score >= args.threshold else 'not-extracted'}")
+    verdicts = [watermark.verify(serialize.load_model(path), verifier, keyset)
+                for path in args.suspect]
+    for path, verdict in zip(args.suspect, verdicts):
+        if len(verdicts) > 1:
+            print(f"suspect {path}")
+        print(f"score {verdict.score!r}")
+        print("decisions " + "".join("E" if d else "." for d in verdict.decisions))
+        if args.threshold is not None:
+            print(f"verdict {'extracted' if verdict.score >= args.threshold else 'not-extracted'}")
 
 
 def cmd_evaluate(args):
@@ -179,7 +193,11 @@ def cmd_dump_confidences(args):
     print(args.out)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The argparse tree. Every subcommand is listed with its help; with
+    `command` given, only that one gets its arguments. A process runs one
+    command, and building the other eight's arguments takes about as long
+    as `verify` takes to read its files and score a suspect."""
     parser = argparse.ArgumentParser(prog="seedmark")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -187,73 +205,76 @@ def build_parser():
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        return p
+        return p if command in (None, name) else None
 
-    p = add("train-population", cmd_train_population, help="train fresh seeded models")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--out", required=True)
+    if p := add("train-population", cmd_train_population, help="train fresh seeded models"):
+        p.add_argument("--config")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--count", type=int, default=10)
+        p.add_argument("--out", required=True)
 
-    p = add("extract", cmd_extract, help="run an extraction attack against a victim model")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--victim", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--attack", required=True, help="RET|DIS|TRL|CAR|CC or WP(...)/WQ(...)")
-    p.add_argument("--out", required=True)
+    if p := add("extract", cmd_extract, help="run an extraction attack against a victim model"):
+        p.add_argument("--config")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--victim", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--attack", required=True, help="RET|DIS|TRL|CAR|CC or WP(...)/WQ(...)")
+        p.add_argument("--out", required=True)
 
-    p = add("blur", cmd_blur, help="prune or quantize a model's weights")
-    p.add_argument("--config")
-    p.add_argument("--model", required=True)
-    p.add_argument("--method", choices=BLUR_METHODS, required=True)
-    p.add_argument("--out", required=True)
+    if p := add("blur", cmd_blur, help="prune or quantize a model's weights"):
+        p.add_argument("--config")
+        p.add_argument("--model", required=True)
+        p.add_argument("--method", choices=BLUR_METHODS, required=True)
+        p.add_argument("--out", required=True)
 
-    p = add("analyze", cmd_analyze, help="population disagreement/strategy analysis")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    if p := add("analyze", cmd_analyze, help="population disagreement/strategy analysis"):
+        p.add_argument("--config")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", required=True)
 
-    p = add("keygen", cmd_keygen, help="generate a watermark key-set")
-    p.add_argument("--config")
-    p.add_argument("--protected", required=True)
-    p.add_argument("--extracted", nargs="+", required=True)
-    p.add_argument("--nonextracted", nargs="+", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    if p := add("keygen", cmd_keygen, help="generate a watermark key-set"):
+        p.add_argument("--config")
+        p.add_argument("--protected", required=True)
+        p.add_argument("--extracted", nargs="+", required=True)
+        p.add_argument("--nonextracted", nargs="+", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
 
-    p = add("build-verifier", cmd_build_verifier, help="fit per-watermark classifiers")
-    p.add_argument("--config")
-    p.add_argument("--keyset", required=True)
-    p.add_argument("--extracted", nargs="+", required=True)
-    p.add_argument("--nonextracted", nargs="+", required=True)
-    p.add_argument("--out", required=True)
+    if p := add("build-verifier", cmd_build_verifier, help="fit per-watermark classifiers"):
+        p.add_argument("--config")
+        p.add_argument("--keyset", required=True)
+        p.add_argument("--extracted", nargs="+", required=True)
+        p.add_argument("--nonextracted", nargs="+", required=True)
+        p.add_argument("--out", required=True)
 
-    p = add("verify", cmd_verify, help="score a suspect model against a verifier")
-    p.add_argument("--suspect", required=True)
-    p.add_argument("--verifier", required=True)
-    p.add_argument("--keyset", required=True)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="optionally print a binary verdict at this score threshold")
+    if p := add("verify", cmd_verify, help="score one or more suspect models against a verifier"):
+        p.add_argument("--suspect", action="extend", nargs="+", required=True)
+        p.add_argument("--verifier", required=True)
+        p.add_argument("--keyset", required=True)
+        p.add_argument("--threshold", type=float, default=None,
+                       help="optionally print a binary verdict at this score threshold")
 
-    p = add("evaluate", cmd_evaluate, help="run the full end-to-end evaluation")
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=tuple(PRESETS),
-                   help="set the seen/unseen attacks to one of the paper's scenarios")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    if p := add("evaluate", cmd_evaluate, help="run the full end-to-end evaluation"):
+        p.add_argument("--config")
+        p.add_argument("--preset", choices=tuple(PRESETS),
+                       help="set the seen/unseen attacks to one of the paper's scenarios")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", required=True)
 
-    p = add("dump-confidences", cmd_dump_confidences, help="per-watermark confidence CSV")
-    p.add_argument("--keyset", required=True)
-    p.add_argument("--extracted", nargs="+", required=True)
-    p.add_argument("--nonextracted", nargs="+", required=True)
-    p.add_argument("--out", required=True)
+    if p := add("dump-confidences", cmd_dump_confidences, help="per-watermark confidence CSV"):
+        p.add_argument("--keyset", required=True)
+        p.add_argument("--extracted", nargs="+", required=True)
+        p.add_argument("--nonextracted", nargs="+", required=True)
+        p.add_argument("--out", required=True)
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the only top-level option is a flag, so the first bare word names the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     # basicConfig leaves the level alone once the root logger has a handler
     logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)

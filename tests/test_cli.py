@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seedmark import serialize, watermark
+from seedmark import cli, serialize, watermark
 from seedmark.cli import main
 from seedmark.datasets import GenSpec, load_dataset
 from seedmark.harness import EvaluationConfig, load_eval_config
+from seedmark.nnet import ModelSpec, init_model
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -72,6 +73,18 @@ def workspace(tmp_path_factory, config_path, capsys_factory=None):
             "keyset": keyset, "verifier": verifier, "root": root}
 
 
+def src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def verify_argv(workspace, *suspects, keyset=None):
+    return ["verify", "--suspect", *suspects, "--verifier", workspace["verifier"],
+            "--keyset", keyset or workspace["keyset"]]
+
+
 def read_score(out: str) -> float:
     line = next(l for l in out.splitlines() if l.startswith("score "))
     return float(line.split()[1])
@@ -98,6 +111,143 @@ def test_verify_threshold_verdict(workspace, capsys):
                  "--verifier", workspace["verifier"],
                  "--keyset", workspace["keyset"], "--threshold", "0.0"]) == 0
     assert "verdict extracted" in capsys.readouterr().out
+
+
+def test_verify_prints_one_block_per_suspect(workspace, capsys):
+    """Each block is a `suspect <path>` line, then exactly what a one-suspect
+    call prints for that file, with the score of the library's `verify`."""
+    paths = [*workspace["extracted"], *workspace["models"][1:]]
+    verifier = watermark.load_verifier(workspace["verifier"])
+    keyset = watermark.load_keyset(workspace["keyset"])
+    capsys.readouterr()
+    assert main([*verify_argv(workspace, *paths), "--threshold", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 * len(paths)
+    for path, block in zip(paths, (lines[i:i + 4] for i in range(0, len(lines), 4))):
+        verdict = watermark.verify(serialize.load_model(path), verifier, keyset)
+        assert block[:2] == [f"suspect {path}", f"score {verdict.score!r}"]
+        assert main([*verify_argv(workspace, path), "--threshold", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines() == block[1:]
+
+
+@pytest.mark.parametrize("bad", ["malformed", "wrong-input-dim"])
+def test_a_bad_suspect_among_good_ones_prints_nothing(workspace, tmp_path, capsys, bad):
+    """Every suspect is read and scored before the first block is printed."""
+    path = tmp_path / "bad.json"
+    if bad == "malformed":
+        path.write_text("{}")
+    else:
+        serialize.save_model(init_model(ModelSpec((5, 3)), 0), path)
+    capsys.readouterr()
+    assert main(verify_argv(workspace, *workspace["extracted"], str(path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == ("FormatError" if bad == "malformed" else "InputError")
+
+
+@pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"],
+                                   ["--threshold=-inf"]], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_threshold_fails_before_any_file_is_read(capsys, flags):
+    """No score compares true against NaN, so a `nan` threshold would print
+    `verdict not-extracted` for every suspect."""
+    capsys.readouterr()
+    assert main(["verify", "--suspect", "/nonexistent/model.json", "--verifier",
+                 "/nonexistent/verifier.json", "--keyset", "/nonexistent/keyset.json",
+                 *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "InputError" and "--threshold" in doc["message"]
+
+
+def test_a_repeated_suspect_flag_adds_its_files(workspace, capsys):
+    a, b = workspace["extracted"]
+    capsys.readouterr()
+    assert main(["verify", "--suspect", a, "--suspect", b, "--verifier", workspace["verifier"],
+                 "--keyset", workspace["keyset"]]) == 0
+    repeated = capsys.readouterr().out
+    assert [l for l in repeated.splitlines() if l.startswith("suspect ")] == [
+        f"suspect {a}", f"suspect {b}"]
+    assert main(verify_argv(workspace, a, b)) == 0
+    assert capsys.readouterr().out == repeated
+
+
+ONE_CALL_PER_COMMAND = [
+    ["train-population", "--count", "2", "--out", "o"],
+    ["-v", "extract", "--victim", "v", "--data", "d", "--attack", "RET", "--out", "o"],
+    ["blur", "--model", "m", "--method", "WP", "--out", "o"],
+    ["analyze", "--seed", "1", "--out", "o"],
+    ["keygen", "--protected", "p", "--extracted", "a", "b", "--nonextracted", "c",
+     "--data", "d", "--out", "o"],
+    ["build-verifier", "--keyset", "k", "--extracted", "a", "--nonextracted", "c", "--out", "o"],
+    ["verify", "--suspect", "a", "--suspect", "b", "c", "--verifier", "v", "--keyset", "k"],
+    ["evaluate", "--preset", "naive", "--out", "o"],
+    ["dump-confidences", "--keyset", "k", "--extracted", "a", "--nonextracted", "c",
+     "--out", "o"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_PER_COMMAND, ids=lambda argv: argv[argv[0] == "-v"])
+def test_a_parser_built_for_one_command_parses_it_as_the_full_parser(argv):
+    command = next(a for a in argv if not a.startswith("-"))
+    assert vars(cli.build_parser(command).parse_args(argv)) == vars(
+        cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suspect"], ["extract", "--victim", "v"],
+                                  ["bogus"], [], ["-v"]])
+def test_usage_errors_read_as_the_full_parser_writes_them(argv, capsys):
+    """`main` builds only the named command's arguments; what a bad command
+    line prints does not change."""
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == full.value.code == 2
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_train_population_count_below_one_fails_before_writing(config_path, tmp_path, capsys,
+                                                               count):
+    capsys.readouterr()
+    out = tmp_path / "pop"
+    assert main(["train-population", "--config", config_path, "--count", str(count),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "InputError" and "--count" in doc["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("attack", ["RET", "DIS", "TRL", "CC"])
+@pytest.mark.parametrize("edit", ["classes", "dims"])
+def test_extract_with_data_of_another_shape_fails_with_json_error(workspace, config_path,
+                                                                  tmp_path, capsys, edit, attack):
+    """The surrogate is sized from the data file, so data that does not fit
+    the victim would give a surrogate of another shape (RET) or a
+    misleading training error (DIS)."""
+    doc = json.loads(Path(workspace["data"]).read_text())
+    if edit == "classes":
+        doc["classes"] = 5
+    else:
+        features = np.frombuffer(bytes.fromhex(doc["features"]), "<f8")
+        doc["features"] = features.reshape(len(doc["labels"]), -1)[:, :-1].tobytes().hex()
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    out = tmp_path / "ext.json"
+    capsys.readouterr()
+    assert main(["extract", "--config", config_path, "--victim", workspace["models"][0],
+                 "--data", str(data), "--attack", attack, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "InputError"
+    assert "a victim of 4 inputs and 3 classes" in doc["message"]
+    assert not out.exists()
 
 
 def test_blur_command(workspace, capsys):
@@ -287,15 +437,15 @@ def test_verify_against_another_keyset_fails_with_json_error(workspace, config_p
                  "--data", workspace["data"], "--out", other]) == 0
     theirs, ours = (watermark.load_keyset(path) for path in (other, workspace["keyset"]))
     assert len(theirs) == len(ours)
-    capsys.readouterr()
-    assert main(["verify", "--suspect", workspace["extracted"][0],
-                 "--verifier", workspace["verifier"], "--keyset", other]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    doc = json.loads(captured.err)
-    assert doc["error"] == "WatermarkError"
-    for keyset in (theirs, ours):
-        assert watermark.keyset_digest(keyset) in doc["message"]
+    for suspects in ([workspace["extracted"][0]], [*workspace["extracted"], *models[1:]]):
+        capsys.readouterr()
+        assert main(verify_argv(workspace, *suspects, keyset=other)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        doc = json.loads(captured.err)
+        assert doc["error"] == "WatermarkError"
+        for keyset in (theirs, ours):
+            assert watermark.keyset_digest(keyset) in doc["message"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -377,10 +527,8 @@ def test_console_script_installed():
         "sys.argv[0] = 'seedmark'\n"
         "sys.exit(main())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: seedmark")
     assert "evaluate" in proc.stdout

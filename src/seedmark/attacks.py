@@ -7,6 +7,7 @@ used by the simulated adversary and, during key-set generation, by the
 model owner.
 """
 
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,8 @@ ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC")
 
 def sample_queries(train_inputs, fraction, seed):
     """round(fraction * N) distinct rows of `train_inputs`, in shuffled order."""
+    if not (isinstance(fraction, numbers.Real) and 0 < fraction <= 1):
+        raise InputError(f"query fraction must be a number in (0, 1], got {fraction!r}")
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     n = len(train_inputs)
     count = int(round(n * fraction))
@@ -50,7 +53,7 @@ def extract(victim: Model, queries, surrogate: Model, train_cfg: TrainConfig, at
         train_cfg = replace(train_cfg, loss="soft", temperature=temperature)
     trained = train(surrogate, queries, targets, train_cfg, frozen_dense=frozen_dense)
     prov = trained.provenance.extended("extracted", attack=attack, victim=model_digest(victim))
-    return Model(trained.spec, trained.weights, prov)
+    return Model(trained.spec, trained.params, prov)
 
 
 def blur_prune(model: Model, sparsity: float) -> Model:
@@ -59,22 +62,16 @@ def blur_prune(model: Model, sparsity: float) -> Model:
     Biases are untouched. Ties resolve by flattened position, ascending."""
     if not 0 <= sparsity < 1:
         raise ConfigError("sparsity must be in [0, 1)")
-    mats = [w for w, _ in model.weights]
-    flat = np.concatenate([w.ravel() for w in mats])
-    k = int(np.floor(sparsity * flat.size))
-    if k > 0:
-        order = np.lexsort((np.arange(flat.size), np.abs(flat)))
-        flat[order[:k]] = 0.0
-    new_weights = []
-    offset = 0
-    for (w, b) in model.weights:
-        new_w = flat[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-        new_weights.append((new_w, b.copy()))
+    params = model.params.copy()
+    # each dense weight's index in params, ascending: layer by layer, row-major
+    pos = np.concatenate([w.ravel() for w, _ in model.spec.layer_views(np.arange(params.size))])
+    k = int(np.floor(sparsity * pos.size))
+    order = np.lexsort((pos, np.abs(params[pos])))
+    params[pos[order[:k]]] = 0.0
     prov = model.provenance.extended(
         "blurred", method="WP", sparsity=sparsity, parent=model_digest(model)
     )
-    return Model(model.spec, tuple(new_weights), prov)
+    return Model(model.spec, params, prov)
 
 
 def blur_quantize(model: Model, bits: int) -> Model:
@@ -84,18 +81,17 @@ def blur_quantize(model: Model, bits: int) -> Model:
     if not 1 <= bits <= 16:
         raise ConfigError("bits must be in [1, 16]")
     levels = (1 << bits) - 1
-    new_weights = []
-    for w, b in model.weights:
+    params = model.params.copy()
+    for w, b in model.spec.layer_views(params):
         lo = min(w.min(), b.min())
         hi = max(w.max(), b.max())
         if hi == lo:
-            new_weights.append((w.copy(), b.copy()))
             continue
         step = (hi - lo) / levels
-        snap = lambda a: lo + np.rint((a - lo) / step) * step
-        new_weights.append((snap(w), snap(b)))
+        for a in (w, b):
+            a[...] = lo + np.rint((a - lo) / step) * step
     prov = model.provenance.extended(
         "blurred", method="WQ", bits=bits, parent=model_digest(model)
     )
-    return Model(model.spec, tuple(new_weights), prov)
+    return Model(model.spec, params, prov)
 

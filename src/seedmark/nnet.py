@@ -9,6 +9,7 @@ so identical (spec, seed) always reproduces bit-identical weights.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,20 @@ class ModelSpec:
     def dense_count(self) -> int:
         return len(self.widths) - 1
 
+    @property
+    def param_count(self) -> int:
+        """Length of a model's parameter vector: every dense layer's W and b."""
+        return sum((n_in + 1) * n_out for n_in, n_out in zip(self.widths, self.widths[1:]))
+
+    def layer_views(self, params) -> tuple:
+        """(W, b) views into `params`, laid out W0, b0, W1, b1, ..., each W row-major."""
+        views, offset = [], 0
+        for n_in, n_out in zip(self.widths, self.widths[1:]):
+            end = offset + n_in * n_out
+            views.append((params[offset:end].reshape(n_in, n_out), params[end : end + n_out]))
+            offset = end + n_out
+        return tuple(views)
+
 
 # Named topology families used by the evaluation harness. Family A is the
 # default "protected" shape; B shares the activation but not the structure;
@@ -91,21 +106,27 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Model:
+    """A network whose parameters are one vector in `ModelSpec.layer_views`' layout:
+    the vector `train` updates, a model file stores and `model_digest` hashes."""
+
     spec: ModelSpec
-    weights: tuple  # one (W, b) pair per dense layer
+    params: np.ndarray  # C-contiguous float64, spec.param_count values
     provenance: Provenance
 
     def __post_init__(self):
-        widths = self.spec.widths
-        if len(self.weights) != self.spec.dense_count:
-            raise SpecError("weight count does not match dense layer count")
-        for (w, b), n_in, n_out in zip(self.weights, widths, widths[1:]):
-            if w.shape != (n_in, n_out) or b.shape != (n_out,):
-                raise SpecError(
-                    f"weight shape {w.shape}/{b.shape} does not match dense {n_in}->{n_out}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise SpecError("non-finite weight values")
+        p, count = self.params, self.spec.param_count
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (count,)
+                and p.flags.c_contiguous):
+            got = (f"{p.dtype} array of shape {p.shape}, strides {p.strides}"
+                   if isinstance(p, np.ndarray) else type(p).__name__)
+            raise SpecError(f"params must be a C-contiguous float64 vector of {count} values, "
+                            f"got {got}")
+        if not np.isfinite(p).all():
+            raise SpecError("params hold non-finite values")
+
+    @cached_property
+    def weights(self) -> tuple:  # one (W, b) pair of views into params per dense layer
+        return self.spec.layer_views(self.params)
 
 
 @dataclass(frozen=True)
@@ -133,11 +154,11 @@ class TrainConfig:
 def init_model(spec: ModelSpec, seed: int) -> Model:
     """Glorot-uniform weights (bound sqrt(6/(in+out))), zero biases."""
     rng = stream(seed, "init")
-    weights = []
-    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        weights.append((rng.uniform(-bound, bound, size=(n_in, n_out)), np.zeros(n_out)))
-    return Model(spec, tuple(weights), Provenance(seed, "initialized", ({"stage": "init", "seed": seed},)))
+    params = np.zeros(spec.param_count)
+    for w, _ in spec.layer_views(params):
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return Model(spec, params, Provenance(seed, "initialized", ({"stage": "init", "seed": seed},)))
 
 
 def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -251,7 +272,7 @@ def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
     """Gradient of hard-label cross-entropy w.r.t. the input vector(s)."""
     single = np.asarray(inputs).ndim == 1
     x = _check_inputs(model, inputs)
-    labels = np.atleast_1d(np.asarray(target_label, dtype=int))
+    labels = np.atleast_1d(np.asarray(target_label))
     t = _target_matrix(model, labels, "hard")
     if len(t) != len(x):
         raise InputError("input/label batch size mismatch")
@@ -259,21 +280,6 @@ def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
     delta = softmax(z) - t  # per-sample loss, no batch averaging
     dx = _backprop(model.spec, model.weights, layer_inputs, delta)
     return dx[0] if single else dx
-
-
-def _flatten(weights) -> np.ndarray:
-    """The parameters W0, b0, W1, b1, ... as one new float64 vector."""
-    return np.concatenate([a.ravel() for wb in weights for a in wb], dtype=np.float64)
-
-
-def _layer_views(buf, spec: ModelSpec):
-    """(W, b) views into `buf`, laid out W0, b0, W1, b1, ... for `spec`."""
-    views, offset = [], 0
-    for n_in, n_out in zip(spec.widths, spec.widths[1:]):
-        end = offset + n_in * n_out
-        views.append((buf[offset:end].reshape(n_in, n_out), buf[end : end + n_out]))
-        offset = end + n_out
-    return views
 
 
 def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> Model:
@@ -284,22 +290,20 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     backprop stops at the first trainable layer, so no gradient is formed
     for the frozen layers or the inputs.
 
-    All parameters live in one flat buffer (the returned model's weights
-    are views of it), so each step is one optimizer update over the
-    trainable tail of that buffer. The update applies the same elementwise
-    operations in the same order as a per-tensor loop, so the weights are
-    bit-identical to it.
+    Each step is one optimizer update over the trainable tail of a copy of
+    `model.params`. The update applies the same elementwise operations in
+    the same order as a per-tensor loop, so the weights are bit-identical to it.
     """
     x = _check_inputs(model, features)
-    if frozen_dense >= len(model.weights):
+    if frozen_dense >= model.spec.dense_count:
         raise SpecError(
-            f"frozen_dense={frozen_dense} would freeze all {len(model.weights)} dense layers"
+            f"frozen_dense={frozen_dense} would freeze all {model.spec.dense_count} dense layers"
         )
-    params = _flatten(model.weights)
-    weights = _layer_views(params, model.spec)
+    params = model.params.copy()
+    weights = model.spec.layer_views(params)
     grad = np.empty_like(params)
-    grads = _layer_views(grad, model.spec)
-    first = sum(w.size + b.size for w, b in model.weights[:frozen_dense])
+    grads = model.spec.layer_views(grad)
+    first = sum(w.size + b.size for w, b in weights[:frozen_dense])
     p, g = params[first:], grad[first:]
     shuffler = stream(cfg.seed, "shuffle")
     t = _target_matrix(model, targets, cfg.loss)
@@ -351,7 +355,7 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
         optimizer="adam",
         loss=cfg.loss,
     )
-    return Model(model.spec, tuple(weights), prov)
+    return Model(model.spec, params, prov)
 
 
 def accuracy(model: Model, features, labels) -> float:

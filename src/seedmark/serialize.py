@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import FormatError, SpecError
-from .nnet import Model, ModelSpec, Provenance, _flatten, _layer_views
+from .nnet import Model, ModelSpec, Provenance
 
 MODEL_FORMAT = "seedmark-model"
 VERSION = 4
@@ -86,7 +86,7 @@ def _check_fields(obj, what, checks, optional=()) -> dict:
 def dump_model(model: Model) -> str:
     return _write_artifact(MODEL_FORMAT, spec=asdict(model.spec),
                            provenance=asdict(model.provenance),
-                           weights=_encode_array(_flatten(model.weights)))
+                           weights=_encode_array(model.params))
 
 
 def parse_model(text: str) -> Model:
@@ -98,14 +98,13 @@ def parse_model(text: str) -> Model:
         spec = ModelSpec(**spec_obj)
     except (TypeError, SpecError) as exc:
         raise FormatError(f"malformed model spec: {exc}") from exc
-    count = sum((n_in + 1) * n_out for n_in, n_out in zip(spec.widths, spec.widths[1:]))
-    weights = _layer_views(_decode_array(doc.get("weights"), (count,)), spec)
+    params = _decode_array(doc.get("weights"), (spec.param_count,))
     history = (lambda v: type(v) is list and all(type(h) is dict for h in v),
                "a list of JSON objects")
     prov = _check_fields(doc.get("provenance"), "provenance",
                          {"seed": _INT, "kind": _STR, "history": history}, optional=("history",))
     try:
-        return Model(spec, tuple(weights),
+        return Model(spec, params,
                      Provenance(prov["seed"], prov["kind"], tuple(prov.get("history", ()))))
     except SpecError as exc:
         raise FormatError(f"inconsistent model artifact: {exc}") from exc
@@ -124,10 +123,9 @@ def load_model(path) -> Model:
 def model_digest(model: Model) -> str:
     """Short stable identifier of spec + weights.
 
-    The first 12 hex digits of SHA-256 over the spec's JSON, then the
-    parameters W0, b0, W1, b1, ... as little-endian float64 bytes in C order,
-    the bytes a model file stores. Memory layout (views into a flat buffer,
-    Fortran order) does not change it."""
+    The first 12 hex digits of SHA-256 over the spec's JSON, then
+    `model.params` (W0, b0, W1, b1, ...) as little-endian float64 bytes, the
+    bytes a model file stores."""
     h = hashlib.sha256(json.dumps(asdict(model.spec)).encode())
-    h.update(np.ascontiguousarray(_flatten(model.weights), dtype="<f8").tobytes())
+    h.update(model.params.astype("<f8", copy=False))
     return h.hexdigest()[:12]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from seedmark.datasets import GenSpec, generate, split
@@ -19,6 +20,11 @@ def trained_model(blob_data):
     return train(model, train_set.features, train_set.labels, TrainConfig(seed=1))
 
 
+def flat_params(layers):
+    """Per-layer (W, b) pairs as one parameter vector laid out W0, b0, W1, b1, ..."""
+    return np.concatenate([np.ravel(a) for wb in layers for a in wb], dtype=np.float64)
+
+
 def random_small_model(rng, in_dim=None, classes=None):
     """A tiny randomly-shaped model with random (non-init-scheme) weights."""
     in_dim = in_dim or int(rng.integers(2, 6))
@@ -28,8 +34,8 @@ def random_small_model(rng, in_dim=None, classes=None):
     spec = ModelSpec((in_dim, *hidden, classes), activation)
     model = init_model(spec, int(rng.integers(0, 2**32)))
     # perturb weights so biases are nonzero too
-    weights = tuple(
+    params = flat_params(
         (w + 0.3 * rng.standard_normal(w.shape), b + 0.3 * rng.standard_normal(b.shape))
         for w, b in model.weights
     )
-    return type(model)(spec, weights, model.provenance)
+    return type(model)(spec, params, model.provenance)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from seedmark.nnet import (
 )
 from seedmark.rng import derive_seed
 
-from conftest import random_small_model
+from conftest import flat_params, random_small_model
 
 
 def agreement(a, b, features):
@@ -113,6 +115,11 @@ class TestRetraining:
             sample_queries(np.empty((0, 8)), 1.0, 0)
         with pytest.raises(InputError):
             sample_queries(np.zeros((3, 8)), 0.1, 0)
+        # a fraction outside (0, 1] names itself instead of clamping or failing bare
+        for fraction in (1.5, 0.0, -0.5, np.nan, np.inf, "0.5", None):
+            with pytest.raises(InputError, match=r"fraction must be a number in \(0, 1\], "
+                                                 f"got {re.escape(repr(fraction))}"):
+                sample_queries(np.zeros((10, 3)), fraction, 0)
 
 
 class TestDistillation:
@@ -224,7 +231,16 @@ def tiny_model(w_flat, in_dim=2, out_dim=2, bias=None):
     spec = ModelSpec((in_dim, out_dim))
     w = np.array(w_flat, dtype=float).reshape(in_dim, out_dim)
     b = np.zeros(out_dim) if bias is None else np.array(bias, dtype=float)
-    return Model(spec, ((w, b),), Provenance(0))
+    return Model(spec, flat_params(((w, b),)), Provenance(0))
+
+
+@pytest.mark.parametrize("blur", [lambda m: blur_prune(m, 0.5), lambda m: blur_quantize(m, 2)],
+                         ids=["WP", "WQ"])
+def test_blur_leaves_its_input_untouched(trained_model, blur):
+    before = trained_model.params.copy()
+    blurred = blur(trained_model)
+    assert trained_model.params.tobytes() == before.tobytes()
+    assert not np.shares_memory(blurred.params, trained_model.params)
 
 
 class TestPrune:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seedmark.bim import BimConfig, bim_batch
 from seedmark.datasets import GenSpec, generate
 from seedmark.errors import DivergenceError, InputError, SpecError
 from seedmark.nnet import (
@@ -21,26 +22,52 @@ from seedmark.nnet import (
 )
 from seedmark.rng import stream
 
-from conftest import random_small_model
+from conftest import flat_params, random_small_model
 
 
 def bias_only_model(biases):
     """One dense layer with zero weights: logits == biases for any input."""
     k = len(biases)
     spec = ModelSpec((2, k))
-    weights = ((np.zeros((2, k)), np.array(biases, dtype=float)),)
-    return Model(spec, weights, Provenance(0))
+    return Model(spec, flat_params(((np.zeros((2, k)), biases),)), Provenance(0))
 
 
 class TestSpec:
-    def test_chaining_violation(self):
-        weights = ((np.zeros((4, 3)), np.zeros(3)), (np.zeros((5, 2)), np.zeros(2)))
-        with pytest.raises(SpecError, match="5, 2"):
-            Model(ModelSpec((4, 3, 2)), weights, Provenance(0))
+    # ModelSpec((4, 3, 2)) holds 4*3 + 3 + 3*2 + 2 = 23 parameters
+    @pytest.mark.parametrize("params, got", [
+        (np.zeros(22), r"float64 array of shape \(22,\), strides \(8,\)"),
+        (np.zeros(24), r"float64 array of shape \(24,\), strides \(8,\)"),
+        (np.zeros((1, 23)), r"float64 array of shape \(1, 23\), strides \(184, 8\)"),
+        (np.zeros(23, dtype=np.float32), r"float32 array of shape \(23,\), strides \(4,\)"),
+        (np.zeros(23, dtype=">f8"), r">f8 array of shape \(23,\), strides \(8,\)"),
+        (np.zeros(46)[::2], r"float64 array of shape \(23,\), strides \(16,\)"),
+        ([0.0] * 23, "list"),
+    ], ids=["one-short", "one-extra", "two-d", "float32", "big-endian", "non-contiguous",
+            "list"])
+    def test_params_must_be_one_float64_vector(self, params, got):
+        with pytest.raises(SpecError, match="params must be a C-contiguous float64 vector of "
+                                            f"23 values, got {got}"):
+            Model(ModelSpec((4, 3, 2)), params, Provenance(0))
 
-    def test_output_classes_mismatch(self):
-        with pytest.raises(SpecError, match="does not match dense 4->2"):
-            Model(ModelSpec((4, 2)), ((np.zeros((4, 3)), np.zeros(3)),), Provenance(0))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_params_must_be_finite(self, bad):
+        params = np.zeros(23)
+        params[7] = bad
+        with pytest.raises(SpecError, match="params hold non-finite values"):
+            Model(ModelSpec((4, 3, 2)), params, Provenance(0))
+
+    def test_weights_are_views_into_params(self):
+        spec = ModelSpec((4, 3, 2))
+        params = np.arange(23.0)
+        model = Model(spec, params, Provenance(0))
+        assert spec.param_count == 23
+        (w0, b0), (w1, b1) = model.weights
+        assert all(a.base is params for a in (w0, b0, w1, b1))
+        assert w0.tolist() == np.arange(12.0).reshape(4, 3).tolist()
+        assert b0.tolist() == [12.0, 13.0, 14.0]
+        assert w1.tolist() == np.arange(15.0, 21.0).reshape(3, 2).tolist()
+        assert b1.tolist() == [21.0, 22.0]
+        assert np.array_equal(flat_params(model.weights), params)
 
     def test_requires_dense(self):
         with pytest.raises(SpecError, match="an input and an output width"):
@@ -219,7 +246,7 @@ class TestGradients:
         spec = ModelSpec((d, k))
         w = rng.standard_normal((d, k))
         b = rng.standard_normal(k)
-        m = Model(spec, ((w, b),), Provenance(0))
+        m = Model(spec, flat_params(((w, b),)), Provenance(0))
         x = rng.uniform(-1, 1, size=d)
         y = 2
         p = forward(m, x)[0]
@@ -299,6 +326,12 @@ class TestTrain:
             loss_and_param_grads(m, np.zeros((3, 2)), labels)
         with pytest.raises(InputError, match="whole numbers"):
             train(m, np.zeros((3, 2)), labels, TrainConfig())
+        with pytest.raises(InputError, match="whole numbers"):
+            input_gradient(m, np.zeros((3, 2)), labels)
+        with pytest.raises(InputError, match="whole numbers"):
+            input_gradient(m, np.zeros(2), bad)
+        with pytest.raises(InputError, match="whole numbers"):
+            bim_batch(m, np.zeros((3, 2)), labels, BimConfig())
 
     def test_whole_float_labels_train_like_integers(self):
         m = init_model(ModelSpec((2, 4, 2)), 0)
@@ -419,7 +452,7 @@ def _reference_train(model, features, targets, cfg, frozen_dense=0):
         order = shuffler.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            current = Model(model.spec, tuple(weights), model.provenance)
+            current = Model(model.spec, flat_params(weights), model.provenance)
             _, grads = _reference_loss_and_grads(current, x[idx], targets[idx], cfg.loss,
                                                  cfg.temperature)
             step += 1

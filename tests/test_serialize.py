@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seedmark.datasets import GenSpec, dump_dataset, generate, parse_dataset
-from seedmark.errors import FormatError
+from seedmark.errors import FormatError, SpecError
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
 from seedmark.serialize import (
     VERSION,
@@ -42,9 +42,7 @@ def model():
 def test_round_trip_bit_exact(model):
     back = parse_model(dump_model(model))
     assert back.spec == model.spec
-    for (w1, b1), (w2, b2) in zip(back.weights, model.weights):
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(b1, b2)
+    assert back.params.tobytes() == model.params.tobytes()
     assert back.provenance == model.provenance
 
 
@@ -64,15 +62,12 @@ def test_file_round_trip(model, tmp_path):
 def test_extreme_values_survive():
     rng = np.random.default_rng(9)
     m = random_small_model(rng)
-    w0, b0 = m.weights[0]
-    w0 = w0.copy()
-    w0.flat[0] = 5e-324  # subnormal
-    w0.flat[1] = 1.0 + 2**-52  # one ulp above 1
-    weights = ((w0, b0),) + tuple(m.weights[1:])
-    tweaked = type(m)(m.spec, weights, m.provenance)
-    back = parse_model(dump_model(tweaked))
-    assert back.weights[0][0].flat[0] == 5e-324
-    assert back.weights[0][0].flat[1] == 1.0 + 2**-52
+    params = m.params.copy()
+    params[0] = 5e-324  # subnormal
+    params[1] = 1.0 + 2**-52  # one ulp above 1
+    back = parse_model(dump_model(type(m)(m.spec, params, m.provenance)))
+    assert back.params[0] == 5e-324
+    assert back.params[1] == 1.0 + 2**-52
 
 
 def test_not_json():
@@ -173,8 +168,7 @@ def test_spec_round_trip_keeps_widths_and_activation(widths, activation):
     model = init_model(ModelSpec(widths, activation), 0)
     back = parse_model(dump_model(model))
     assert back.spec == model.spec
-    assert [a.tobytes() for wb in back.weights for a in wb] == \
-        [a.tobytes() for wb in model.weights for a in wb]
+    assert back.params.tobytes() == model.params.tobytes()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -214,6 +208,16 @@ def test_spec_the_program_never_writes_is_rejected(spec):
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_weight_raises_format_error(bad):
+    doc = json.loads(_model_text())
+    params = _decode_array(doc["weights"], (None,))
+    params[3] = bad
+    doc["weights"] = _encode_array(params)
+    with pytest.raises(FormatError, match="inconsistent model artifact: params hold non-finite"):
+        parse_model(json.dumps(doc))
+
+
 def test_bad_hex_float(model):
     text = dump_model(model)
     first_hex = text.split('"weights": "')[1].split('"')[0]
@@ -222,10 +226,9 @@ def test_bad_hex_float(model):
 
 
 def test_digest_distinguishes_weights(model):
-    w0, b0 = model.weights[0]
-    w0 = w0.copy()
-    w0.flat[0] += 1e-9
-    other = type(model)(model.spec, ((w0, b0),) + tuple(model.weights[1:]), model.provenance)
+    params = model.params.copy()
+    params[0] += 1e-9
+    other = type(model)(model.spec, params, model.provenance)
     assert model_digest(other) != model_digest(model)
     assert len(model_digest(model)) == 12
 
@@ -256,17 +259,21 @@ def test_digest_ignores_memory_layout():
     model = init_model(ModelSpec((3, 4, 2)), 0)
     rng = np.random.default_rng(0)
     x, y = rng.uniform(-1, 1, size=(6, 3)), rng.integers(0, 2, size=6)
-    # lr 0 keeps the values; train returns views into one flat buffer.
-    flat = train(model, x, y, TrainConfig(epochs=1, learning_rate=0.0))
-    buffer = flat.weights[0][0].base
-    assert buffer is not None and all(a.base is buffer for wb in flat.weights for a in wb)
-    fortran = Model(model.spec, tuple((np.asfortranarray(w), b) for w, b in model.weights),
-                    model.provenance)
-    assert not fortran.weights[0][0].flags.c_contiguous
-    fresh = Model(model.spec, tuple((w.copy(), b.copy()) for w, b in flat.weights),
-                  model.provenance)
-    digests = {model_digest(m) for m in (model, flat, fortran, fresh)}
+    # lr 0 keeps the values; train updates a copy of the params
+    trained = train(model, x, y, TrainConfig(epochs=1, learning_rate=0.0))
+    assert not np.shares_memory(trained.params, model.params)
+    fresh = Model(model.spec, trained.params.copy(), model.provenance)
+    # a contiguous slice of a larger buffer is a valid params vector
+    buffer = np.zeros(model.spec.param_count + 10)
+    buffer[5:-5] = model.params
+    inner = Model(model.spec, buffer[5:-5], model.provenance)
+    digests = {model_digest(m) for m in (model, trained, fresh, inner)}
     assert digests == {DIGEST_3_4_2}
+    # a strided view is rejected rather than hashed or stored in another layout
+    strided = np.zeros(2 * model.spec.param_count)
+    strided[::2] = model.params
+    with pytest.raises(SpecError, match=r"strides \(16,\)"):
+        Model(model.spec, strided[::2], model.provenance)
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,

@@ -33,7 +33,7 @@ from seedmark.watermark import (
     verify,
 )
 
-from conftest import random_small_model
+from conftest import flat_params, random_small_model
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ class TestConfidenceProfile:
         """Zero-weight model: softmax depends only on the output biases."""
         spec = ModelSpec((3, 2))
         logits = np.array([np.log(3.0), 0.0])
-        model = Model(spec, ((np.zeros((3, 2)), logits),),
+        model = Model(spec, flat_params(((np.zeros((3, 2)), logits),)),
                       init_model(spec, 0).provenance)
         ks = KeySet(np.zeros((4, 3)), np.array([0, 1, 0, 1]), {})
         profile = confidence_profile(model, ks)

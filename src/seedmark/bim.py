@@ -57,8 +57,6 @@ def bim_batch(model: Model, inputs, labels, cfg: BimConfig) -> np.ndarray:
         raise InputError(
             f"expected inputs of dim {model.spec.input_dim}, got shape {inputs.shape}"
         )
-    if cfg.epsilon == 0.0:
-        return inputs.copy()
     x = inputs.copy()
     for _ in range(cfg.iterations):
         g = input_gradient(model, x, labels)

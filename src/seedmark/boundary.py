@@ -20,7 +20,7 @@ from .nnet import forward, predict
 STRATEGIES = ("none", "unique", "disagreements", "entire_set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class PopulationPredictions:
     preds: np.ndarray  # (M, N) int labels, one row per model
     confs: np.ndarray  # (M, N, K) confidence vectors
@@ -58,12 +58,11 @@ def find_disagreements(pop: PopulationPredictions) -> np.ndarray:
     return np.flatnonzero((pop.preds != pop.preds[0]).any(axis=0))
 
 
-def find_unique_disagreements(pop: PopulationPredictions, model_index: int, truth=None) -> np.ndarray:
+def find_unique_disagreements(pop: PopulationPredictions, model_index: int) -> np.ndarray:
     """Indices this model misclassifies while every other model is correct."""
-    truth = pop.truth if truth is None else np.asarray(truth)
-    mine_wrong = pop.preds[model_index] != truth
+    mine_wrong = pop.preds[model_index] != pop.truth
     others = np.delete(pop.preds, model_index, axis=0)
-    others_right = (others == truth).all(axis=0)
+    others_right = (others == pop.truth).all(axis=0)
     return np.flatnonzero(mine_wrong & others_right)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import boundary, serialize, watermark
 from .datasets import load_dataset, save_dataset
-from .errors import InputError, SeedmarkError
+from .errors import InputError, SeedmarkError, WatermarkError
 from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
@@ -120,10 +120,21 @@ def cmd_analyze(args):
     print(path)
 
 
+def _check_victims(paths, models, protected_digest):
+    """Raise a WatermarkError unless every extraction record of each
+    `--extracted` model names the protected model as its victim."""
+    for path, model in zip(paths, models):
+        for record in model.provenance.history:
+            if record.get("stage") == "extracted" and record.get("victim") != protected_digest:
+                raise WatermarkError(f"{path} was extracted from model {record.get('victim')}, "
+                                     f"not from the protected model {protected_digest}")
+
+
 def cmd_keygen(args):
     cfg = _load_config(args)
     protected = serialize.load_model(args.protected)
     extracted = [serialize.load_model(p) for p in args.extracted]
+    _check_victims(args.extracted, extracted, serialize.model_digest(protected))
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
     data = load_dataset(args.data)
     keyset = watermark.generate_keyset(
@@ -138,6 +149,8 @@ def cmd_build_verifier(args):
     cfg = _load_config(args)
     keyset = watermark.load_keyset(args.keyset)
     extracted = [serialize.load_model(p) for p in args.extracted]
+    if "protected" in keyset.provenance:
+        _check_victims(args.extracted, extracted, keyset.provenance["protected"])
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
     verifier = watermark.build_verifier(extracted, nonextracted, keyset, cfg.classifier_kind)
     watermark.save_verifier(verifier, args.out)

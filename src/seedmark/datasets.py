@@ -2,8 +2,8 @@
 
 Features always live in FEATURE_RANGE, [-1, 1] per dimension: `Dataset`
 rejects any other value, BIM clips to it and random probes are drawn from
-it. Two generators: gaussian blobs with class means placed away from each
-other, and concentric ring classes in the first two dimensions.
+it. The one generator draws gaussian blobs around uniformly placed class
+means.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ DEFAULT_SPREAD = 0.45
 
 @dataclass(frozen=True)
 class GenSpec:
-    kind: str = "gaussian_blobs"  # gaussian_blobs | ring_classes
     classes: int = 4
     dims: int = 8
     samples_per_class: int = 250
@@ -34,8 +33,6 @@ class GenSpec:
     def __post_init__(self):
         check_field_types(self, SpecError, ints=("classes", "dims", "samples_per_class"),
                           floats=("spread",))
-        if self.kind not in ("gaussian_blobs", "ring_classes"):
-            raise SpecError(f"unknown generator kind {self.kind!r}")
         if self.classes < 2 or self.dims < 2:
             raise SpecError("need classes >= 2 and dims >= 2")
         if self.samples_per_class < 1:
@@ -44,7 +41,7 @@ class GenSpec:
             raise SpecError("spread must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class Dataset:
     features: np.ndarray  # (N, D) float64 in [-1, 1]
     labels: np.ndarray  # (N,) ints in [0, K)
@@ -74,27 +71,15 @@ class Dataset:
 
 
 def generate(spec: GenSpec, seed: int) -> Dataset:
-    rng = stream(seed, f"gen/{spec.kind}")
+    rng = stream(seed, "gen/gaussian_blobs")
     k, d, m = spec.classes, spec.dims, spec.samples_per_class
-    if spec.kind == "gaussian_blobs":
-        means = rng.uniform(-0.6, 0.6, size=(k, d))
-        features = np.concatenate(
-            [means[c] + spec.spread * rng.standard_normal((m, d)) for c in range(k)]
-        )
-    else:  # ring_classes: radius encodes the class in the first two dims
-        radii = (np.arange(k) + 1) / (k + 1)
-        parts = []
-        for c in range(k):
-            theta = rng.uniform(0, 2 * np.pi, size=m)
-            r = radii[c] + spec.spread * 0.25 * rng.standard_normal(m)
-            block = spec.spread * 0.25 * rng.standard_normal((m, d))
-            block[:, 0] = r * np.cos(theta)
-            block[:, 1] = r * np.sin(theta)
-            parts.append(block)
-        features = np.concatenate(parts)
+    means = rng.uniform(-0.6, 0.6, size=(k, d))
+    features = np.concatenate(
+        [means[c] + spec.spread * rng.standard_normal((m, d)) for c in range(k)]
+    )
     features = np.clip(features, *FEATURE_RANGE)
     labels = np.repeat(np.arange(k), m)
-    return Dataset(features, labels, k, f"{spec.kind}-k{k}-d{d}", seed)
+    return Dataset(features, labels, k, f"gaussian_blobs-k{k}-d{d}", seed)
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int):

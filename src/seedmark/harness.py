@@ -31,6 +31,12 @@ log = logging.getLogger(__name__)
 
 BLUR_METHODS = ("WP", "WQ")
 
+# DIS trains on the victim's confidences with the soft loss at this
+# temperature; TRL keeps this many of the pretrained network's first dense
+# layers frozen (every family has at least three).
+DISTILL_TEMPERATURE = 2.0
+FROZEN_LAYERS = 1
+
 
 def parse_attack_token(token: str):
     """'RET' -> ('RET', None); 'WP(DIS)' -> ('DIS', 'WP')."""
@@ -70,8 +76,6 @@ class EvaluationConfig:
     batch_size: int = 32
     learning_rate: float = 1e-2
     query_budget_fraction: float = 0.5
-    distill_temperature: float = 2.0
-    frozen_layers: int = 1
     copycat_probe_factor: int = 20
     prune_sparsity: float = 0.5
     quantize_bits: int = 8
@@ -82,9 +86,8 @@ class EvaluationConfig:
             self, ConfigError,
             ints=("master_seed", "repetitions", "n_extracted_train", "n_nonextracted_train",
                   "n_extracted_test", "n_nonextracted_test", "keyset_size", "epochs",
-                  "batch_size", "frozen_layers", "copycat_probe_factor", "quantize_bits"),
-            floats=("learning_rate", "test_fraction", "query_budget_fraction",
-                    "distill_temperature", "prune_sparsity"),
+                  "batch_size", "copycat_probe_factor", "quantize_bits"),
+            floats=("learning_rate", "test_fraction", "query_budget_fraction", "prune_sparsity"),
             lists=("seen_attacks", "unseen_attacks", "nonextracted_families"),
         )
         for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",
@@ -105,12 +108,8 @@ class EvaluationConfig:
                 raise ConfigError(f"unknown family {family!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
         for token in self.seen_attacks + self.unseen_attacks:
             parse_attack_token(token)
-        dense = family_spec(self.protected_family, self.gen.dims, self.gen.classes).dense_count
         for attr, ok, expected in (
             ("query_budget_fraction", 0 < self.query_budget_fraction <= 1, "in (0, 1]"),
-            ("distill_temperature", self.distill_temperature > 0, "positive"),
-            ("frozen_layers", 0 <= self.frozen_layers < dense,
-             f"in [0, {dense}) for family {self.protected_family}"),
             ("learning_rate", self.learning_rate >= 0, "non-negative"),
             ("prune_sparsity", 0 <= self.prune_sparsity < 1, "in [0, 1)"),
             ("quantize_bits", 1 <= self.quantize_bits <= 16, "in [1, 16]"),
@@ -150,7 +149,7 @@ def load_eval_config(path) -> EvaluationConfig:
     return eval_config_from_dict(doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class EvaluationReport:
     pos_scores: tuple  # verdict scores of extracted test models, all repetitions
     neg_scores: tuple
@@ -205,8 +204,8 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
         spec = family_spec(family, data.dims, data.class_count)
         surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
     model = extract(victim, queries, surrogate, _train_cfg(cfg, seed), base,
-                    temperature=cfg.distill_temperature if base == "DIS" else None,
-                    frozen_dense=cfg.frozen_layers if base == "TRL" else 0)
+                    temperature=DISTILL_TEMPERATURE if base == "DIS" else None,
+                    frozen_dense=FROZEN_LAYERS if base == "TRL" else 0)
     if blur_name is not None:
         model = blur_model(cfg, model, blur_name)
     return model
@@ -303,15 +302,6 @@ def export_report(report: EvaluationReport, path):
         writer.writerow(["fpr", "tpr"])
         for fpr, tpr in report.roc.points:
             writer.writerow([repr(fpr), repr(tpr)])
-
-
-def read_report_csv(path):
-    """Return (points, auc recomputed from the points)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    points = [tuple(float(c) for c in line.split(",")) for line in lines[2:] if line]
-    pts = np.array(points)
-    return points, float(np.trapezoid(pts[:, 1], pts[:, 0]))
 
 
 def dump_confidences(prof_e, prof_ne, path):

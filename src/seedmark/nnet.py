@@ -104,7 +104,7 @@ class Provenance:
         return Provenance(self.seed, kind, self.history + (dict(record, stage=kind),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class Model:
     """A network whose parameters are one vector in `ModelSpec.layer_views`' layout:
     the vector `train` updates, a model file stores and `model_digest` hashes."""
@@ -356,7 +356,3 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
         loss=cfg.loss,
     )
     return Model(model.spec, params, prov)
-
-
-def accuracy(model: Model, features, labels) -> float:
-    return float(np.mean(predict(model, features) == np.asarray(labels)))

@@ -35,7 +35,7 @@ KEYSET_FORMAT = "seedmark-keyset"
 VERIFIER_FORMAT = "seedmark-verifier"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class KeySet:
     watermarks: np.ndarray  # (n, D) perturbed inputs
     labels: np.ndarray  # (n,) protected model's predicted classes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seedmark.datasets import GenSpec, generate, split
-from seedmark.nnet import ModelSpec, TrainConfig, family_spec, init_model, train
+from seedmark.nnet import ModelSpec, TrainConfig, family_spec, init_model, predict, train
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,10 @@ def trained_model(blob_data):
     spec = family_spec("A", train_set.dims, train_set.class_count)
     model = init_model(spec, 42)
     return train(model, train_set.features, train_set.labels, TrainConfig(seed=1))
+
+
+def accuracy(model, features, labels) -> float:
+    return float(np.mean(predict(model, features) == np.asarray(labels)))
 
 
 def flat_params(layers):

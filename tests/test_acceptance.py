@@ -26,7 +26,6 @@ from seedmark.harness import EvaluationConfig, build_attacked_model, export_repo
 from seedmark.metrics import roc_auc
 from seedmark.nnet import (
     TrainConfig,
-    accuracy,
     family_spec,
     forward,
     init_model,
@@ -37,7 +36,7 @@ from seedmark.nnet import (
 )
 from seedmark.watermark import LR_LAMBDA, fit_gnb, fit_lr, generate_keyset, gnb_log_posteriors
 
-from conftest import random_small_model
+from conftest import accuracy, random_small_model
 from test_nnet import finite_difference_param_grads
 
 

@@ -73,6 +73,19 @@ def workspace(tmp_path_factory, config_path, capsys_factory=None):
             "keyset": keyset, "verifier": verifier, "root": root}
 
 
+@pytest.fixture(scope="module")
+def foreign_extracted(workspace, config_path):
+    """Two RET extractions of population model 1, not of the protected model 0."""
+    paths = []
+    for i in range(2):
+        out = str(workspace["root"] / f"foreign-{i}.json")
+        assert main(["extract", "--config", config_path, "--seed", str(60 + i),
+                     "--victim", workspace["models"][1], "--data", workspace["data"],
+                     "--attack", "RET", "--out", out]) == 0
+        paths.append(out)
+    return paths
+
+
 def src_env():
     """The environment with this checkout's `src` first on PYTHONPATH."""
     env = dict(os.environ)
@@ -426,13 +439,13 @@ def test_keyset_label_outside_the_classes_fails_with_json_error(workspace, tmp_p
 
 
 def test_verify_against_another_keyset_fails_with_json_error(workspace, config_path, tmp_path,
-                                                            capsys):
+                                                            capsys, foreign_extracted):
     """A key-set of the same length from another protected model does not
     pair with the verifier: verify names both key-set digests and scores nothing."""
     models = workspace["models"]
     other = str(tmp_path / "keyset.json")
     assert main(["keygen", "--config", config_path, "--protected", models[1],
-                 "--extracted", *workspace["extracted"],
+                 "--extracted", *foreign_extracted,
                  "--nonextracted", models[0], *models[2:],
                  "--data", workspace["data"], "--out", other]) == 0
     theirs, ours = (watermark.load_keyset(path) for path in (other, workspace["keyset"]))
@@ -446,6 +459,50 @@ def test_verify_against_another_keyset_fails_with_json_error(workspace, config_p
         assert doc["error"] == "WatermarkError"
         for keyset in (theirs, ours):
             assert watermark.keyset_digest(keyset) in doc["message"]
+
+
+def assert_victim_mismatch(capsys, out, victim, protected):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "WatermarkError"
+    assert f"extracted from model {victim}, not from the protected model {protected}" \
+        in doc["message"]
+    assert not out.exists()
+
+
+def test_keygen_on_models_extracted_from_another_victim_fails_with_json_error(
+        workspace, config_path, tmp_path, capsys):
+    """The extracted population must be extracted from the protected model."""
+    models = workspace["models"]
+    out = tmp_path / "keyset.json"
+    capsys.readouterr()
+    assert main(["keygen", "--config", config_path, "--protected", models[1],
+                 "--extracted", *workspace["extracted"],
+                 "--nonextracted", models[0], *models[2:],
+                 "--data", workspace["data"], "--out", str(out)]) == 1
+    victim, protected = (serialize.model_digest(serialize.load_model(models[i])) for i in (0, 1))
+    assert_victim_mismatch(capsys, out, victim, protected)
+
+
+def test_build_verifier_on_models_extracted_from_another_victim_fails_with_json_error(
+        workspace, tmp_path, capsys, foreign_extracted):
+    """The extracted population must be extracted from the model the
+    key-set names as protected; a key-set without that digest is not checked."""
+    argv = ["build-verifier", "--extracted", workspace["extracted"][0], *foreign_extracted,
+            "--nonextracted", *workspace["models"][2:]]
+    out = tmp_path / "verifier.json"
+    capsys.readouterr()
+    assert main([*argv, "--keyset", workspace["keyset"], "--out", str(out)]) == 1
+    keyset = watermark.load_keyset(workspace["keyset"])
+    victim = serialize.model_digest(serialize.load_model(workspace["models"][1]))
+    assert_victim_mismatch(capsys, out, victim, keyset.provenance["protected"])
+
+    unnamed = tmp_path / "keyset.json"
+    unnamed.write_text(watermark.dump_keyset(
+        watermark.KeySet(keyset.watermarks, keyset.labels, {})))
+    assert main([*argv, "--keyset", str(unnamed), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -34,20 +34,13 @@ class TestGenerate:
         data = generate(GenSpec(spread=2.0), 1)
         assert data.features.min() >= -1.0 and data.features.max() <= 1.0
 
-    def test_ring_classes(self):
-        data = generate(GenSpec(kind="ring_classes", classes=3), 2)
-        assert data.class_count == 3
-        radii = np.hypot(data.features[:, 0], data.features[:, 1])
-        # outer ring sits farther out than the inner ring on average
-        assert radii[data.labels == 2].mean() > radii[data.labels == 0].mean()
-
     def test_bad_spec(self):
         with pytest.raises(SpecError):
             GenSpec(classes=1)
         with pytest.raises(SpecError):
             GenSpec(spread=0.0)
-        with pytest.raises(SpecError):
-            GenSpec(kind="moons")
+        with pytest.raises(TypeError, match="kind"):  # one generator, no kind to pick
+            GenSpec(kind="gaussian_blobs")
 
 
 class TestSplit:

@@ -7,6 +7,8 @@ from seedmark.attacks import extract, sample_queries
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import (
+    DISTILL_TEMPERATURE,
+    FROZEN_LAYERS,
     EvaluationConfig,
     build_attacked_model,
     dump_confidences,
@@ -15,12 +17,13 @@ from seedmark.harness import (
     load_eval_config,
     parse_attack_token,
     prepare_data,
-    read_report_csv,
     run_raw_evaluation,
     train_fresh,
 )
-from seedmark.nnet import TrainConfig, accuracy, family_spec, init_model
+from seedmark.nnet import TrainConfig, family_spec, init_model
 from seedmark.rng import derive_seed
+
+from conftest import accuracy
 
 
 def tiny_config(**over):
@@ -75,9 +78,6 @@ class TestConfig:
         ({"protected_family": "Z"}, "unknown family 'Z'"),
         ({"query_budget_fraction": 0.0}, "query_budget_fraction must be in"),
         ({"query_budget_fraction": 2.0}, "query_budget_fraction must be in"),
-        ({"distill_temperature": 0.0}, "distill_temperature must be positive"),
-        ({"frozen_layers": -1}, "frozen_layers must be in"),
-        ({"frozen_layers": 3}, "frozen_layers must be in"),  # family A has 3 dense layers
         ({"copycat_probe_factor": 0}, "copycat_probe_factor must be positive"),
         ({"epochs": 0}, "epochs must be positive"),
         ({"batch_size": 0}, "batch_size must be positive"),
@@ -87,8 +87,7 @@ class TestConfig:
         ({"test_fraction": 1.0}, "test_fraction must be in"),
     ], ids=["seen", "unseen", "families", "source", "nonextracted-family",
             "cross-arch-family", "protected-family", "query-budget-zero",
-            "query-budget-above-one", "distill-temperature", "frozen-negative",
-            "frozen-every-layer", "copycat-probe-factor", "epochs", "batch-size",
+            "query-budget-above-one", "copycat-probe-factor", "epochs", "batch-size",
             "learning-rate", "prune-sparsity", "quantize-bits", "test-fraction"])
     def test_bad_value_fails_at_construction(self, over, message):
         with pytest.raises(ConfigError, match=message):
@@ -98,7 +97,6 @@ class TestConfig:
         ({"keyset_size": 2.5}, ConfigError, "keyset_size must be an integer, got 2.5"),
         ({"epochs": 1.5}, ConfigError, "epochs must be an integer, got 1.5"),
         ({"quantize_bits": 2.5}, ConfigError, "quantize_bits must be an integer"),
-        ({"frozen_layers": 0.5}, ConfigError, "frozen_layers must be an integer"),
         ({"gen": {"dims": 8.5}}, SpecError, "dims must be an integer, got 8.5"),
         ({"bim": {"iterations": 2.5}}, SpecError, "iterations must be an integer"),
         ({"master_seed": 1.0}, ConfigError, "master_seed must be an integer, got 1.0"),
@@ -109,7 +107,6 @@ class TestConfig:
         ({"bim": {"epsilon": np.inf}}, SpecError, "epsilon must be a finite number, got inf"),
         ({"bim": {"epsilon": True}}, SpecError, "epsilon must be a finite number, got True"),
         ({"bim": {"epsilon": "0.3"}}, SpecError, "epsilon must be a finite number, got '0.3'"),
-        ({"distill_temperature": np.inf}, ConfigError, "distill_temperature must be a finite number"),
         ({"learning_rate": np.inf}, ConfigError, "learning_rate must be a finite number, got inf"),
         ({"learning_rate": True}, ConfigError, "learning_rate must be a finite number, got True"),
         ({"gen": {"spread": np.nan}}, SpecError, "spread must be a finite number, got nan"),
@@ -117,19 +114,29 @@ class TestConfig:
         ({"query_budget_fraction": True}, ConfigError, "query_budget_fraction must be a finite"),
         ({"test_fraction": "0.5"}, ConfigError, "test_fraction must be a finite number"),
         ({"prune_sparsity": "0.5"}, ConfigError, "prune_sparsity must be a finite number"),
-    ], ids=["keyset-size", "epochs", "quantize-bits", "frozen-layers", "gen-dims",
+    ], ids=["keyset-size", "epochs", "quantize-bits", "gen-dims",
             "bim-iterations", "master-seed", "repetitions", "families-string",
             "attacks-string", "bim-epsilon-nan", "bim-epsilon-inf", "bim-epsilon-bool",
-            "bim-epsilon-string", "distill-temperature-inf", "learning-rate-inf",
+            "bim-epsilon-string", "learning-rate-inf",
             "learning-rate-bool", "gen-spread-nan", "gen-spread-inf", "query-budget-bool",
             "test-fraction-string", "prune-sparsity-string"])
     def test_wrong_type_fails_at_construction(self, doc, error, message):
         with pytest.raises(error, match=message):
             eval_config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"gen": {"kind": "gaussian_blobs"}}, "kind"),
+        ({"distill_temperature": 2.0}, "distill_temperature"),
+        ({"frozen_layers": 1}, "frozen_layers"),
+    ], ids=["gen-kind", "distill-temperature", "frozen-layers"])
+    def test_removed_key_fails_as_unknown(self, doc, key):
+        # one generator, and DIS's temperature and TRL's frozen layers are fixed
+        with pytest.raises(ConfigError, match=f"unexpected keyword argument '{key}'"):
+            eval_config_from_dict(doc)
+
     def test_default_digest_golden_value(self):
         # The digest names every `evaluate` output file: changing it must be deliberate.
-        assert EvaluationConfig().digest() == "9e186097163d"
+        assert EvaluationConfig().digest() == "ded26d7b7314"
 
     def test_digest_sensitivity(self):
         a = tiny_config()
@@ -164,6 +171,15 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(asdict(cfg)))
         assert load_eval_config(path) == cfg
+
+
+def read_report_csv(path):
+    """Return (points, auc recomputed from the points)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    points = [tuple(float(c) for c in line.split(",")) for line in lines[2:] if line]
+    pts = np.array(points)
+    return points, float(np.trapezoid(pts[:, 1], pts[:, 0]))
 
 
 @pytest.fixture(scope="module")
@@ -250,13 +266,13 @@ class TestAttackedModels:
             queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
                                           seed=derive_seed(seed, "probes"))
         if token == "DIS":
-            kwargs["temperature"] = cfg.distill_temperature
+            kwargs["temperature"] = DISTILL_TEMPERATURE
         if token == "TRL":
             pre_data = generate(replace(cfg.gen, dims=data.dims, classes=data.class_count),
                                 derive_seed(seed, "pretrain-data"))
             surrogate = train_fresh(cfg, pre_data, cfg.protected_family,
                                     derive_seed(seed, "pretrain"))
-            kwargs["frozen_dense"] = cfg.frozen_layers
+            kwargs["frozen_dense"] = FROZEN_LAYERS
         train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                                 learning_rate=cfg.learning_rate, seed=seed)
         expected = extract(victim, queries, surrogate, train_cfg, token, **kwargs)

@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seedmark.bim import BimConfig, bim_batch
+from seedmark.boundary import PopulationPredictions
 from seedmark.datasets import GenSpec, generate
 from seedmark.errors import DivergenceError, InputError, SpecError
+from seedmark.harness import EvaluationReport
+from seedmark.metrics import roc_auc
 from seedmark.nnet import (
     Model,
     ModelSpec,
     Provenance,
     TrainConfig,
-    accuracy,
     family_spec,
     forward,
     init_model,
@@ -21,8 +23,9 @@ from seedmark.nnet import (
     train,
 )
 from seedmark.rng import stream
+from seedmark.watermark import KeySet
 
-from conftest import flat_params, random_small_model
+from conftest import accuracy, flat_params, random_small_model
 
 
 def bias_only_model(biases):
@@ -330,8 +333,9 @@ class TestTrain:
             input_gradient(m, np.zeros((3, 2)), labels)
         with pytest.raises(InputError, match="whole numbers"):
             input_gradient(m, np.zeros(2), bad)
-        with pytest.raises(InputError, match="whole numbers"):
-            bim_batch(m, np.zeros((3, 2)), labels, BimConfig())
+        for cfg in (BimConfig(), BimConfig(epsilon=0.0)):  # every budget runs the one loop
+            with pytest.raises(InputError, match="whole numbers"):
+                bim_batch(m, np.zeros((3, 2)), labels, cfg)
 
     def test_whole_float_labels_train_like_integers(self):
         m = init_model(ModelSpec((2, 4, 2)), 0)
@@ -499,3 +503,24 @@ def test_train_bit_identical_to_per_layer_loop(loss, hidden, frozen_dense, activ
         assert np.array_equal(w, ew) and np.array_equal(b, eb)
     for (w, b), (w0, b0) in zip(model.weights, before):
         assert np.array_equal(w, w0) and np.array_equal(b, b0)
+
+
+# each frozen dataclass that holds arrays, built anew on each call
+ARRAY_HOLDERS = {
+    "Model": lambda: init_model(ModelSpec((3, 4, 2)), 0),
+    "Dataset": lambda: generate(GenSpec(classes=2, dims=2, samples_per_class=3), 0),
+    "KeySet": lambda: KeySet(np.zeros((2, 3)), np.array([0, 1]), {"dataset": "d"}),
+    "PopulationPredictions": lambda: PopulationPredictions(
+        np.zeros((2, 3), dtype=int), np.zeros((2, 3, 2)), np.zeros(3, dtype=int)),
+    "EvaluationReport": lambda: EvaluationReport(
+        (1.0,), (0.0,), roc_auc((1.0,), (0.0,)), "0" * 12, (((1.0,), (0.0,)),),
+        ((np.zeros((1, 2)), np.zeros((1, 2))),)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

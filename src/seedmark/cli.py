@@ -206,27 +206,49 @@ def cmd_dump_confidences(args):
     print(args.out)
 
 
+# Every subcommand: its entry point and its one-line help in `seedmark -h`.
+COMMANDS = {
+    "train-population": (cmd_train_population, "train fresh seeded models"),
+    "extract": (cmd_extract, "run an extraction attack against a victim model"),
+    "blur": (cmd_blur, "prune or quantize a model's weights"),
+    "analyze": (cmd_analyze, "population disagreement/strategy analysis"),
+    "keygen": (cmd_keygen, "generate a watermark key-set"),
+    "build-verifier": (cmd_build_verifier, "fit per-watermark classifiers"),
+    "verify": (cmd_verify, "score one or more suspect models against a verifier"),
+    "evaluate": (cmd_evaluate, "run the full end-to-end evaluation"),
+    "dump-confidences": (cmd_dump_confidences, "per-watermark confidence CSV"),
+}
+
+
 def build_parser(command=None):
-    """The argparse tree. Every subcommand is listed with its help; with
-    `command` given, only that one gets its arguments. A process runs one
-    command, and building the other eight's arguments takes about as long
-    as `verify` takes to read its files and score a suspect."""
+    """The argparse tree. With `command` None it holds every subcommand;
+    with one of `COMMANDS` it holds only that one's parser, and the root
+    usage still names all nine, so its usage and errors read the same. A
+    process runs one command, and building the other eight's parsers takes
+    about as long as `verify` takes to read its files and score a suspect."""
     parser = argparse.ArgumentParser(prog="seedmark")
     parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the metavar argparse derives from all nine choices, so a one-command
+    # tree's usage reads as the full tree's; only the full tree can print an
+    # error about the command itself, which would name the metavar
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name):
+        if command not in (None, name):
+            return None
+        fn, text = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn)
-        return p if command in (None, name) else None
+        return p
 
-    if p := add("train-population", cmd_train_population, help="train fresh seeded models"):
+    if p := add("train-population"):
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
         p.add_argument("--count", type=int, default=10)
         p.add_argument("--out", required=True)
 
-    if p := add("extract", cmd_extract, help="run an extraction attack against a victim model"):
+    if p := add("extract"):
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
         p.add_argument("--victim", required=True)
@@ -234,18 +256,18 @@ def build_parser(command=None):
         p.add_argument("--attack", required=True, help="RET|DIS|TRL|CAR|CC or WP(...)/WQ(...)")
         p.add_argument("--out", required=True)
 
-    if p := add("blur", cmd_blur, help="prune or quantize a model's weights"):
+    if p := add("blur"):
         p.add_argument("--config")
         p.add_argument("--model", required=True)
         p.add_argument("--method", choices=BLUR_METHODS, required=True)
         p.add_argument("--out", required=True)
 
-    if p := add("analyze", cmd_analyze, help="population disagreement/strategy analysis"):
+    if p := add("analyze"):
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True)
 
-    if p := add("keygen", cmd_keygen, help="generate a watermark key-set"):
+    if p := add("keygen"):
         p.add_argument("--config")
         p.add_argument("--protected", required=True)
         p.add_argument("--extracted", nargs="+", required=True)
@@ -253,28 +275,28 @@ def build_parser(command=None):
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
 
-    if p := add("build-verifier", cmd_build_verifier, help="fit per-watermark classifiers"):
+    if p := add("build-verifier"):
         p.add_argument("--config")
         p.add_argument("--keyset", required=True)
         p.add_argument("--extracted", nargs="+", required=True)
         p.add_argument("--nonextracted", nargs="+", required=True)
         p.add_argument("--out", required=True)
 
-    if p := add("verify", cmd_verify, help="score one or more suspect models against a verifier"):
+    if p := add("verify"):
         p.add_argument("--suspect", action="extend", nargs="+", required=True)
         p.add_argument("--verifier", required=True)
         p.add_argument("--keyset", required=True)
         p.add_argument("--threshold", type=float, default=None,
                        help="optionally print a binary verdict at this score threshold")
 
-    if p := add("evaluate", cmd_evaluate, help="run the full end-to-end evaluation"):
+    if p := add("evaluate"):
         p.add_argument("--config")
         p.add_argument("--preset", choices=tuple(PRESETS),
                        help="set the seen/unseen attacks to one of the paper's scenarios")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True)
 
-    if p := add("dump-confidences", cmd_dump_confidences, help="per-watermark confidence CSV"):
+    if p := add("dump-confidences"):
         p.add_argument("--keyset", required=True)
         p.add_argument("--extracted", nargs="+", required=True)
         p.add_argument("--nonextracted", nargs="+", required=True)
@@ -285,9 +307,11 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # the only top-level option is a flag, so the first bare word names the command
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    # a known command after nothing but the root's -v flag gets a one-command
+    # tree; root help, a bad root option and a missing or unknown command get
+    # all nine, whose help and errors list every command
+    command = next((a for a in argv if a not in ("-v", "--verbose")), None)
+    args = build_parser(command if command in COMMANDS else None).parse_args(argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     # basicConfig leaves the level alone once the root logger has a handler
     logging.getLogger().setLevel(logging.INFO if args.verbose else logging.WARNING)

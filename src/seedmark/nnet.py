@@ -99,6 +99,7 @@ class Provenance:
     seed: int
     kind: str = "initialized"  # initialized | trained-fresh | extracted | blurred
     history: tuple = ()
+    __hash__ = None  # the history's records are dicts; == still compares by value
 
     def extended(self, kind, **record):
         return Provenance(self.seed, kind, self.history + (dict(record, stage=kind),))

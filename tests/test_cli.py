@@ -1,3 +1,4 @@
+import argparse
 import glob
 import json
 import logging
@@ -220,6 +221,59 @@ def test_usage_errors_read_as_the_full_parser_writes_them(argv, capsys):
         main(argv)
     assert exc.value.code == full.value.code == 2
     assert capsys.readouterr().err == expected
+
+
+VERIFY_ARGV = ["verify", "--suspect", "a", "--verifier", "v", "--keyset", "k"]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [
+    ["-h", "verify"], ["--help"], ["-v", "-h"], ["verify", "-h"], ["--bogus", *VERIFY_ARGV],
+    [*VERIFY_ARGV, "--bogus"], ["-v", "bogus"], ["-vh", "verify"], ["--he", "verify"],
+], ids="_".join)
+def test_help_and_root_errors_read_as_the_full_parser_writes_them(argv, columns, capsys,
+                                                                   monkeypatch):
+    """Root help lists all nine commands, and the root usage in an error
+    names them all, however much of the tree `main` builds; argparse wraps
+    both to the terminal width."""
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
+def count_parsers(monkeypatch):
+    """Count every `argparse.ArgumentParser` built from here on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_PER_COMMAND, ids=lambda argv: argv[argv[0] == "-v"])
+def test_main_builds_the_root_parser_and_only_the_named_commands(argv, monkeypatch, capsys):
+    """A trailing -h prints the command's help and exits once its tree is built."""
+    built = count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: seedmark ")
+    assert len(built) == 2
+
+
+def test_main_builds_every_parser_for_an_unknown_command(monkeypatch, capsys):
+    built = count_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert len(built) == 10
 
 
 @pytest.mark.parametrize("count", [0, -1])

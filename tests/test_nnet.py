@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -524,3 +526,12 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+def test_provenance_compares_by_value_and_is_unhashable():
+    a = Provenance(0).extended("extracted", victim="x")
+    assert a == Provenance(0).extended("extracted", victim="x") != Provenance(0)
+    with pytest.raises(TypeError, match="unhashable type: 'Provenance'"):
+        hash(a)
+    assert asdict(a) == {"seed": 0, "kind": "extracted",
+                         "history": ({"victim": "x", "stage": "extracted"},)}

@@ -52,8 +52,8 @@ def extract(victim: Model, queries, surrogate: Model, train_cfg: TrainConfig, at
         targets = forward(victim, queries)
         train_cfg = replace(train_cfg, loss="soft", temperature=temperature)
     trained = train(surrogate, queries, targets, train_cfg, frozen_dense=frozen_dense)
-    prov = trained.provenance.extended("extracted", attack=attack, victim=model_digest(victim))
-    return Model(trained.spec, trained.params, prov)
+    record = dict(attack=attack, victim=model_digest(victim), stage="extracted")
+    return Model(trained.spec, trained.params, trained.provenance + (record,))
 
 
 def blur_prune(model: Model, sparsity: float) -> Model:
@@ -68,10 +68,8 @@ def blur_prune(model: Model, sparsity: float) -> Model:
     k = int(np.floor(sparsity * pos.size))
     order = np.lexsort((pos, np.abs(params[pos])))
     params[pos[order[:k]]] = 0.0
-    prov = model.provenance.extended(
-        "blurred", method="WP", sparsity=sparsity, parent=model_digest(model)
-    )
-    return Model(model.spec, params, prov)
+    record = dict(method="WP", sparsity=sparsity, parent=model_digest(model), stage="blurred")
+    return Model(model.spec, params, model.provenance + (record,))
 
 
 def blur_quantize(model: Model, bits: int) -> Model:
@@ -90,8 +88,6 @@ def blur_quantize(model: Model, bits: int) -> Model:
         step = (hi - lo) / levels
         for a in (w, b):
             a[...] = lo + np.rint((a - lo) / step) * step
-    prov = model.provenance.extended(
-        "blurred", method="WQ", bits=bits, parent=model_digest(model)
-    )
-    return Model(model.spec, params, prov)
+    record = dict(method="WQ", bits=bits, parent=model_digest(model), stage="blurred")
+    return Model(model.spec, params, model.provenance + (record,))
 

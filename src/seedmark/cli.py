@@ -124,8 +124,8 @@ def _check_victims(paths, models, protected_digest):
     """Raise a WatermarkError unless every extraction record of each
     `--extracted` model names the protected model as its victim."""
     for path, model in zip(paths, models):
-        for record in model.provenance.history:
-            if record.get("stage") == "extracted" and record.get("victim") != protected_digest:
+        for record in model.provenance:
+            if record["stage"] == "extracted" and record.get("victim") != protected_digest:
                 raise WatermarkError(f"{path} was extracted from model {record.get('victim')}, "
                                      f"not from the protected model {protected_digest}")
 

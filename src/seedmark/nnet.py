@@ -92,19 +92,6 @@ def family_spec(name, in_dim, classes) -> ModelSpec:
     return ModelSpec((in_dim, *family["hidden"], classes), family["activation"])
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a model came from: master seed plus an append-only stage history."""
-
-    seed: int
-    kind: str = "initialized"  # initialized | trained-fresh | extracted | blurred
-    history: tuple = ()
-    __hash__ = None  # the history's records are dicts; == still compares by value
-
-    def extended(self, kind, **record):
-        return Provenance(self.seed, kind, self.history + (dict(record, stage=kind),))
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class Model:
     """A network whose parameters are one vector in `ModelSpec.layer_views`' layout:
@@ -112,7 +99,7 @@ class Model:
 
     spec: ModelSpec
     params: np.ndarray  # C-contiguous float64, spec.param_count values
-    provenance: Provenance
+    provenance: tuple  # stage records, oldest first: dicts, each with a string "stage"
 
     def __post_init__(self):
         p, count = self.params, self.spec.param_count
@@ -159,7 +146,7 @@ def init_model(spec: ModelSpec, seed: int) -> Model:
     for w, _ in spec.layer_views(params):
         bound = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return Model(spec, params, Provenance(seed, "initialized", ({"stage": "init", "seed": seed},)))
+    return Model(spec, params, ({"stage": "init", "seed": seed},))
 
 
 def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
@@ -348,12 +335,6 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
                 tmp2 += ADAM_EPS
                 tmp1 /= tmp2
                 p -= tmp1
-    kind = "trained-fresh" if model.provenance.kind == "initialized" else model.provenance.kind
-    prov = model.provenance.extended(
-        kind,
-        seed=cfg.seed,
-        epochs=cfg.epochs,
-        optimizer="adam",
-        loss=cfg.loss,
-    )
-    return Model(model.spec, params, prov)
+    record = dict(seed=cfg.seed, epochs=cfg.epochs, optimizer="adam", loss=cfg.loss,
+                  stage="trained-fresh")
+    return Model(model.spec, params, model.provenance + (record,))

@@ -11,10 +11,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import FormatError, SpecError
-from .nnet import Model, ModelSpec, Provenance
+from .nnet import Model, ModelSpec
 
 MODEL_FORMAT = "seedmark-model"
-VERSION = 4
+VERSION = 5
 
 
 def _encode_array(a) -> str:
@@ -85,7 +85,7 @@ def _check_fields(obj, what, checks, optional=()) -> dict:
 
 def dump_model(model: Model) -> str:
     return _write_artifact(MODEL_FORMAT, spec=asdict(model.spec),
-                           provenance=asdict(model.provenance),
+                           provenance=model.provenance,
                            weights=_encode_array(model.params))
 
 
@@ -99,13 +99,13 @@ def parse_model(text: str) -> Model:
     except (TypeError, SpecError) as exc:
         raise FormatError(f"malformed model spec: {exc}") from exc
     params = _decode_array(doc.get("weights"), (spec.param_count,))
-    history = (lambda v: type(v) is list and all(type(h) is dict for h in v),
-               "a list of JSON objects")
-    prov = _check_fields(doc.get("provenance"), "provenance",
-                         {"seed": _INT, "kind": _STR, "history": history}, optional=("history",))
+    prov = doc.get("provenance")
+    if type(prov) is not list or not all(type(r) is dict and type(r.get("stage")) is str
+                                         for r in prov):
+        raise FormatError(f"provenance must be a list of JSON objects, each with a string "
+                          f"stage, got {prov!r}")
     try:
-        return Model(spec, params,
-                     Provenance(prov["seed"], prov["kind"], tuple(prov.get("history", ()))))
+        return Model(spec, params, tuple(prov))
     except SpecError as exc:
         raise FormatError(f"inconsistent model artifact: {exc}") from exc
 

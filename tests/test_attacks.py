@@ -12,7 +12,6 @@ from seedmark.harness import EvaluationConfig, build_attacked_model, parse_attac
 from seedmark.nnet import (
     Model,
     ModelSpec,
-    Provenance,
     TrainConfig,
     family_spec,
     forward,
@@ -106,8 +105,8 @@ class TestRetraining:
     def test_provenance_records_attack(self, trained_model, blob_data, surrogate_spec):
         train_set, _ = blob_data
         m = fresh_extract(trained_model, train_set.features, surrogate_spec, 0)
-        assert m.provenance.kind == "extracted"
-        last = m.provenance.history[-1]
+        last = m.provenance[-1]
+        assert last["stage"] == "extracted"
         assert last["attack"] == "RET" and "victim" in last
 
     def test_query_budget_too_small(self):
@@ -231,7 +230,7 @@ def tiny_model(w_flat, in_dim=2, out_dim=2, bias=None):
     spec = ModelSpec((in_dim, out_dim))
     w = np.array(w_flat, dtype=float).reshape(in_dim, out_dim)
     b = np.zeros(out_dim) if bias is None else np.array(bias, dtype=float)
-    return Model(spec, flat_params(((w, b),)), Provenance(0))
+    return Model(spec, flat_params(((w, b),)), ())
 
 
 @pytest.mark.parametrize("blur", [lambda m: blur_prune(m, 0.5), lambda m: blur_quantize(m, 2)],
@@ -268,8 +267,8 @@ class TestPrune:
 
     def test_provenance(self, trained_model):
         pruned = blur_prune(trained_model, 0.5)
-        assert pruned.provenance.kind == "blurred"
-        assert pruned.provenance.history[-1]["method"] == "WP"
+        assert pruned.provenance[-1]["stage"] == "blurred"
+        assert pruned.provenance[-1]["method"] == "WP"
 
 
 class TestQuantize:
@@ -317,8 +316,8 @@ def test_blur_dispatch(trained_model, blob_data):
     cfg = EvaluationConfig(prune_sparsity=0.25, quantize_bits=6, epochs=2)
     p = build_attacked_model(cfg, trained_model, "WP(RET)", train_set, 3)
     q = build_attacked_model(cfg, trained_model, "WQ(RET)", train_set, 3)
-    assert p.provenance.history[-1]["method"] == "WP"
-    assert q.provenance.history[-1]["method"] == "WQ"
-    assert p.provenance.history[-1]["sparsity"] == 0.25
-    assert q.provenance.history[-1]["bits"] == 6
+    assert p.provenance[-1]["method"] == "WP"
+    assert q.provenance[-1]["method"] == "WQ"
+    assert p.provenance[-1]["sparsity"] == 0.25
+    assert q.provenance[-1]["bits"] == 6
 

@@ -365,7 +365,7 @@ def test_stage_commands_read_the_config(workspace, config_path, tmp_path):
                  "--out", outs["blurred"]]) == 0
     assert main([*extract, "--attack", "WP(RET)", "--out", outs["wp"]]) == 0
     assert Path(outs["blurred"]).read_bytes() == Path(outs["wp"]).read_bytes()
-    assert serialize.load_model(outs["wp"]).provenance.history[-1]["sparsity"] == 0.9
+    assert serialize.load_model(outs["wp"]).provenance[-1]["sparsity"] == 0.9
 
 
 def readme_cli_commands():

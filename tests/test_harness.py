@@ -242,7 +242,7 @@ class TestAttackedModels:
         model = build_attacked_model(cfg, victim, "WP(RET)", train_set, 5)
         flat = np.concatenate([w.ravel() for w, _ in model.weights])
         assert np.count_nonzero(flat == 0.0) == int(cfg.prune_sparsity * flat.size)
-        stages = [h["stage"] for h in model.provenance.history]
+        stages = [h["stage"] for h in model.provenance]
         assert stages[-2:] == ["extracted", "blurred"]
 
     def test_cross_arch_uses_other_family(self, victim_and_data):
@@ -250,7 +250,7 @@ class TestAttackedModels:
         model = build_attacked_model(cfg, victim, "CAR", train_set, 6)
         expected = family_spec(cfg.cross_arch_family, train_set.dims, train_set.class_count)
         assert model.spec == expected
-        assert model.provenance.history[-1]["attack"] == "CAR"
+        assert model.provenance[-1]["attack"] == "CAR"
 
     @pytest.mark.parametrize("token", ["RET", "DIS", "TRL", "CAR", "CC"])
     def test_token_picks_the_inputs_of_extract(self, victim_and_data, token):
@@ -292,9 +292,9 @@ class TestAttackedModels:
     def test_informed_pipeline_records_both_stages(self, victim_and_data):
         cfg, victim, train_set = victim_and_data
         model = build_attacked_model(replace(cfg, quantize_bits=6), victim, "WQ(RET)", train_set, 8)
-        stages = [h["stage"] for h in model.provenance.history]
+        stages = [h["stage"] for h in model.provenance]
         assert "extracted" in stages and "blurred" in stages
-        blurred = [h for h in model.provenance.history if h["stage"] == "blurred"][0]
+        blurred = [h for h in model.provenance if h["stage"] == "blurred"][0]
         assert blurred["method"] == "WQ" and blurred["bits"] == 6
 
     def test_blurred_accuracy_close(self, victim_and_data):

@@ -1,4 +1,3 @@
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from seedmark.metrics import roc_auc
 from seedmark.nnet import (
     Model,
     ModelSpec,
-    Provenance,
     TrainConfig,
     family_spec,
     forward,
@@ -34,7 +32,7 @@ def bias_only_model(biases):
     """One dense layer with zero weights: logits == biases for any input."""
     k = len(biases)
     spec = ModelSpec((2, k))
-    return Model(spec, flat_params(((np.zeros((2, k)), biases),)), Provenance(0))
+    return Model(spec, flat_params(((np.zeros((2, k)), biases),)), ())
 
 
 class TestSpec:
@@ -52,19 +50,19 @@ class TestSpec:
     def test_params_must_be_one_float64_vector(self, params, got):
         with pytest.raises(SpecError, match="params must be a C-contiguous float64 vector of "
                                             f"23 values, got {got}"):
-            Model(ModelSpec((4, 3, 2)), params, Provenance(0))
+            Model(ModelSpec((4, 3, 2)), params, ())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_params_must_be_finite(self, bad):
         params = np.zeros(23)
         params[7] = bad
         with pytest.raises(SpecError, match="params hold non-finite values"):
-            Model(ModelSpec((4, 3, 2)), params, Provenance(0))
+            Model(ModelSpec((4, 3, 2)), params, ())
 
     def test_weights_are_views_into_params(self):
         spec = ModelSpec((4, 3, 2))
         params = np.arange(23.0)
-        model = Model(spec, params, Provenance(0))
+        model = Model(spec, params, ())
         assert spec.param_count == 23
         (w0, b0), (w1, b1) = model.weights
         assert all(a.base is params for a in (w0, b0, w1, b1))
@@ -251,7 +249,7 @@ class TestGradients:
         spec = ModelSpec((d, k))
         w = rng.standard_normal((d, k))
         b = rng.standard_normal(k)
-        m = Model(spec, flat_params(((w, b),)), Provenance(0))
+        m = Model(spec, flat_params(((w, b),)), ())
         x = rng.uniform(-1, 1, size=d)
         y = 2
         p = forward(m, x)[0]
@@ -366,8 +364,7 @@ class TestTrain:
             TrainConfig(**{field: value})
 
     def test_provenance_updated(self, trained_model):
-        assert trained_model.provenance.kind == "trained-fresh"
-        assert trained_model.provenance.history[-1]["stage"] == "trained-fresh"
+        assert trained_model.provenance[-1]["stage"] == "trained-fresh"
 
 
 def _reference_forward(model, x):
@@ -526,12 +523,3 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
-
-
-def test_provenance_compares_by_value_and_is_unhashable():
-    a = Provenance(0).extended("extracted", victim="x")
-    assert a == Provenance(0).extended("extracted", victim="x") != Provenance(0)
-    with pytest.raises(TypeError, match="unhashable type: 'Provenance'"):
-        hash(a)
-    assert asdict(a) == {"seed": 0, "kind": "extracted",
-                         "history": ({"victim": "x", "stage": "extracted"},)}

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from seedmark.attacks import blur_prune, blur_quantize, extract
 from seedmark.datasets import GenSpec, dump_dataset, generate, parse_dataset
 from seedmark.errors import FormatError, SpecError
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
@@ -49,8 +50,25 @@ def test_round_trip_bit_exact(model):
 def test_round_trip_trained(trained_model):
     back = parse_model(dump_model(trained_model))
     assert model_digest(back) == model_digest(trained_model)
-    assert back.provenance.kind == trained_model.provenance.kind
-    assert back.provenance.history == trained_model.provenance.history
+    assert back.provenance == trained_model.provenance
+
+
+def test_round_trip_keeps_every_stage_record(trained_model, blob_data):
+    train_set, _ = blob_data
+    surrogate = init_model(trained_model.spec, 3)
+    extracted = extract(trained_model, train_set.features[:40], surrogate,
+                        TrainConfig(epochs=1), "RET")
+    model = blur_quantize(blur_prune(extracted, 0.5), 6)
+    back = parse_model(dump_model(model))
+    assert back.provenance == model.provenance
+    assert [list(record) for record in back.provenance] == [
+        ["stage", "seed"],
+        ["seed", "epochs", "optimizer", "loss", "stage"],
+        ["attack", "victim", "stage"],
+        ["method", "sparsity", "parent", "stage"],
+        ["method", "bits", "parent", "stage"],
+    ]
+    assert back.provenance[2]["victim"] == model_digest(trained_model)
 
 
 def test_file_round_trip(model, tmp_path):
@@ -126,6 +144,15 @@ def _v3_model_text():
     return json.dumps(doc)
 
 
+def test_version_4_model_file_raises_format_error():
+    # version 4 stored provenance as an object: seed, kind and a stage history
+    doc = json.loads(_model_text())
+    doc.update(version=4, provenance={"seed": 0, "kind": "initialized",
+                                      "history": doc["provenance"]})
+    with pytest.raises(FormatError, match="unsupported seedmark-model version 4 "):
+        parse_model(json.dumps(doc))
+
+
 @pytest.mark.parametrize("make_text, parse", [
     (_v3_model_text, parse_model),
     (lambda: _keyset_text().replace(f'"version": {VERSION}', '"version": 3'), parse_keyset),
@@ -171,16 +198,22 @@ def test_spec_round_trip_keeps_widths_and_activation(widths, activation):
     assert back.params.tobytes() == model.params.tobytes()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("seed", "abc"), ("seed", 1.5), ("seed", True), ("kind", 5), ("history", "xy"),
-    ("history", [1, 2]),
-], ids=["seed-string", "seed-float", "seed-bool", "kind-number", "history-string",
-        "history-of-numbers"])
-def test_provenance_field_of_the_wrong_type_raises_format_error(model, field, value):
+@pytest.mark.parametrize("value", [
+    "xy", [1, 2], {"seed": 0, "kind": "initialized", "history": []}, [{"seed": 0}],
+    [{"stage": 5}], [{"stage": "init"}, None],
+], ids=["history-string", "history-of-numbers", "object", "record-without-stage",
+        "stage-number", "null-record"])
+def test_provenance_field_of_the_wrong_type_raises_format_error(model, value):
     doc = json.loads(dump_model(model))
-    doc["provenance"][field] = value
-    with pytest.raises(FormatError, match=f"provenance {field} must be"):
+    doc["provenance"] = value
+    with pytest.raises(FormatError, match="provenance must be a list of JSON objects, each "
+                                          "with a string stage"):
         parse_model(json.dumps(doc))
+
+
+def test_empty_provenance_round_trips(model):
+    bare = Model(model.spec, model.params, ())
+    assert parse_model(dump_model(bare)).provenance == ()
 
 
 @pytest.mark.parametrize("spec", [
@@ -243,9 +276,9 @@ def test_digest_golden_value():
 
 
 @pytest.mark.parametrize("family, sha256", [
-    ("A", "ce6c458f51067a2be94987a6b0320c710c33371c623e58d5be0519ee92370ce0"),
-    ("B", "32518ce6532270aacaa98344303d72820114b4561871c40fcba1c8571d725464"),
-    ("C", "acddd51855d57bcb98ed04e3160f6a7074fa35ebe085a32fe94d544c6fd07cde"),
+    ("A", "0112d4c06e960d6762a4e245109a22fdc09404304b8e1d602793a7477eb89e4a"),
+    ("B", "163af0d58d544c60e780dbb23ea82ec8b41116df14ec492831d4a72abbbaa560"),
+    ("C", "72f821332679962d05a0de949a2a98d979440191a2fc2273b73021e82811d526"),
 ], ids=["A", "B", "C"])
 def test_family_model_file_golden_value(family, sha256):
     # Pins the model file bytes of each family (spec JSON, init draw order,

@@ -75,7 +75,9 @@ def blur_prune(model: Model, sparsity: float) -> Model:
 def blur_quantize(model: Model, bits: int) -> Model:
     """Snap each layer's weights and biases to 2**bits levels spanning [min, max].
 
-    Layers whose values are all equal pass through unchanged."""
+    Level k of L is lo*(1 - k/L) + hi*(k/L), so the end levels are exactly lo
+    and hi, and quantizing again at the same bits changes nothing. Layers
+    whose values are all equal pass through unchanged."""
     if not 1 <= bits <= 16:
         raise ConfigError("bits must be in [1, 16]")
     levels = (1 << bits) - 1
@@ -87,7 +89,8 @@ def blur_quantize(model: Model, bits: int) -> Model:
             continue
         step = (hi - lo) / levels
         for a in (w, b):
-            a[...] = lo + np.rint((a - lo) / step) * step
+            t = np.rint((a - lo) / step) / levels  # level k as k/L
+            a[...] = lo * (1 - t) + hi * t
     record = dict(method="WQ", bits=bits, parent=model_digest(model), stage="blurred")
     return Model(model.spec, params, model.provenance + (record,))
 

@@ -297,18 +297,28 @@ class TestQuantize:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16))
     @settings(max_examples=100, deadline=None)
     def test_requantize_keeps_levels(self, seed, bits):
-        """Quantizing again at the same bit count keeps every value on its
-        level. The step is recomputed from the quantized range, which can
-        differ from the original in its last bits, so a value may move by a
-        few ulps of the layer's largest magnitude: the map is not bit-idempotent."""
+        """Quantizing again at the same bit count changes no bit: the end
+        levels are exactly the layer's min and max, so the grid is rebuilt
+        from the same lo and hi."""
         q = blur_quantize(random_small_model(np.random.default_rng(seed)), bits)
         qq = blur_quantize(q, bits)
-        for (w, b), (w2, b2) in zip(q.weights, qq.weights, strict=True):
-            x, y = np.concatenate([w.ravel(), b]), np.concatenate([w2.ravel(), b2])
-            lo, hi = x.min(), x.max()
-            step = (hi - lo) / ((1 << bits) - 1)
-            assert np.array_equal(np.rint((x - lo) / step), np.rint((y - lo) / step))
-            assert np.abs(y - x).max() <= 4 * np.spacing(max(abs(lo), abs(hi)))
+        assert qq.params.tobytes() == q.params.tobytes()
+        for w, b in q.weights:
+            assert len(np.unique(np.concatenate([w.ravel(), b]))) <= 1 << bits
+
+    def test_requantize_is_bit_identical_on_a_probe(self):
+        # 600 random small models at 8 bit counts: the grid lo + k*step, with
+        # the step recomputed from the snapped maximum, moved 18 of these
+        # 4,800 quantized models in their last bits
+        rng = np.random.default_rng(0)
+        moved = []
+        for i in range(600):
+            m = random_small_model(rng)
+            for bits in (1, 2, 3, 4, 5, 8, 12, 16):
+                q = blur_quantize(m, bits)
+                if blur_quantize(q, bits).params.tobytes() != q.params.tobytes():
+                    moved.append((i, bits))
+        assert moved == []
 
 
 def test_blur_dispatch(trained_model, blob_data):

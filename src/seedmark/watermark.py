@@ -78,8 +78,10 @@ def generate_keyset(
     """Select the n strengthened misclassifications with the largest
     extracted/non-extracted mean-confidence gap.
 
-    candidate_source="disagreements" does not widen the pool: a disputed row the
-    protected model gets right stays right after BIM, so the filter drops it.
+    Each candidate is BIM-perturbed toward the protected model's label and
+    kept only if the model still predicts that label.
+    candidate_source="disagreements" narrows the pool to the misclassified
+    rows that some non-extracted model labels otherwise.
     """
     if n < 1:
         raise WatermarkError("key-set size must be positive")
@@ -91,20 +93,21 @@ def generate_keyset(
     features = np.asarray(data.features, dtype=np.float64)
     truth = np.asarray(data.labels)
     preds = predict(protected, features)
-    if candidate_source == "misclassifications":
-        candidates = np.flatnonzero(preds != truth)
-    else:
+    wrong = preds != truth
+    if candidate_source == "disagreements":
         others = np.stack([predict(m, features) for m in nonextracted_pop])
-        candidates = np.flatnonzero((others != preds).any(axis=0))
+        wrong &= (others != preds).any(axis=0)
+    candidates = np.flatnonzero(wrong)
     if len(candidates) == 0:
         raise WatermarkError("no watermark material: protected model has no candidate inputs")
 
     perturbed = bim_batch(protected, features[candidates], preds[candidates], bim_cfg)
     post_preds = predict(protected, perturbed)
-    keep = post_preds != truth[candidates]  # drop inputs BIM made correct
+    keep = post_preds == preds[candidates]  # drop inputs BIM carried off its target label
     candidates, perturbed, post_preds = candidates[keep], perturbed[keep], post_preds[keep]
     if len(candidates) == 0:
-        raise WatermarkError("no watermark material: all candidates became correctly classified")
+        raise WatermarkError("no watermark material: BIM carried every candidate off the "
+                             "protected model's label")
     if n > len(candidates):
         raise WatermarkError(
             f"requested key-set size {n} exceeds {len(candidates)} available candidates"

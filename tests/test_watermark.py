@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from seedmark.bim import BimConfig, bim_batch
+from seedmark.datasets import Dataset
 from seedmark.errors import FormatError, InputError, WatermarkError
 from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, forward, init_model, predict, train
@@ -126,6 +127,27 @@ class TestKeysetGeneration:
                                   "relabelled", train_set.seed)
         with pytest.raises(WatermarkError):
             generate_keyset(trained_model, extracted, controls, perfect, 4)
+
+    def test_drops_rows_that_bim_carries_to_a_third_class(self):
+        """A linear model on which one targeted BIM step carries row 0
+        (truth 0, predicted 1) past class 1 into class 2, while row 1
+        (truth 2, predicted 0) keeps its predicted label. Row 0 is still
+        misclassified, but the model no longer predicts the label BIM aimed
+        for, so it is no watermark."""
+        w = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        model = Model(ModelSpec((2, 3)), flat_params(((w, np.array([0.0, 0.0, -0.3])),)), ())
+        data = Dataset(np.array([[0.1, 0.0], [-0.5, 0.0]]), np.array([0, 2]), 3, "two-rows", 0)
+        cfg = BimConfig(iterations=1, epsilon=0.5)
+        assert predict(model, data.features).tolist() == [1, 0]
+        assert predict(model, bim_batch(model, data.features, [1, 0], cfg)).tolist() == [2, 0]
+        for source in ("misclassifications", "disagreements"):
+            keyset = generate_keyset(model, [model], [init_model(model.spec, 0)], data, 1, cfg,
+                                     candidate_source=source)
+            assert keyset.labels.tolist() == [0]
+            assert keyset.watermarks.tolist() == [[-1.0, 0.0]]
+            with pytest.raises(WatermarkError, match="size 2 exceeds 1 available"):
+                generate_keyset(model, [model], [init_model(model.spec, 0)], data, 2, cfg,
+                                candidate_source=source)
 
     def test_n_too_large(self, blob_data, trained_model, populations):
         train_set, _ = blob_data

@@ -21,7 +21,7 @@ class BimConfig:
     epsilon: float = 0.3
 
     def __post_init__(self):
-        check_field_types(self, SpecError, ints=("iterations",), floats=("epsilon",))
+        check_field_types(self, SpecError)
         if self.iterations < 1:
             raise SpecError("iterations must be positive")
         if self.epsilon < 0:

@@ -31,8 +31,7 @@ class GenSpec:
     spread: float = DEFAULT_SPREAD
 
     def __post_init__(self):
-        check_field_types(self, SpecError, ints=("classes", "dims", "samples_per_class"),
-                          floats=("spread",))
+        check_field_types(self, SpecError)
         if self.classes < 2 or self.dims < 2:
             raise SpecError("need classes >= 2 and dims >= 2")
         if self.samples_per_class < 1:

@@ -2,6 +2,7 @@
 of the config dataclasses."""
 
 import math
+from dataclasses import fields
 from numbers import Real
 
 
@@ -38,21 +39,28 @@ class ConfigError(SeedmarkError):
     """Invalid harness/attack configuration."""
 
 
-def check_field_types(obj, error, ints=(), floats=(), lists=()):
-    """Raise `error` naming the first field of `obj` in `ints` that is not an
-    int (a bool is not), in `floats` that is not a finite real number (a bool
-    is not) or in `lists` that is not a list or tuple; then store each `lists`
-    field as a tuple (`obj` may be a frozen dataclass)."""
-    for name in ints:
-        value = getattr(obj, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise error(f"{name} must be an integer, got {value!r}")
-    for name in floats:
-        value = getattr(obj, name)
-        if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
-            raise error(f"{name} must be a finite number, got {value!r}")
-    for name in lists:
-        value = getattr(obj, name)
-        if not isinstance(value, (list, tuple)):
-            raise error(f"{name} must be a list, got {value!r}")
-        object.__setattr__(obj, name, tuple(value))
+# what a field of each declared type takes; a bool is neither an int nor a number
+_TAKES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
+            "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(obj, error):
+    """Raise `error` naming the first field of dataclass `obj` whose value does
+    not fit the field's declared type: an int for `int`, a finite real number
+    for `float`, a string for `str`, and a list or tuple of strings for
+    `tuple`, which is then stored as a tuple (`obj` may be frozen). Fields of
+    other types, such as a nested config, are checked by their own class."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise error(f"{f.name} must be a list, got {value!r}")
+            if not all(isinstance(v, str) for v in value):
+                raise error(f"{f.name} must be a list of strings, got {value!r}")
+            object.__setattr__(obj, f.name, tuple(value))
+        elif f.type in _TAKES and not _TAKES[f.type][0](value):
+            raise error(f"{f.name} must be {_TAKES[f.type][1]}, got {value!r}")

@@ -82,14 +82,7 @@ class EvaluationConfig:
     bim: BimConfig = field(default_factory=BimConfig)
 
     def __post_init__(self):
-        check_field_types(
-            self, ConfigError,
-            ints=("master_seed", "repetitions", "n_extracted_train", "n_nonextracted_train",
-                  "n_extracted_test", "n_nonextracted_test", "keyset_size", "epochs",
-                  "batch_size", "copycat_probe_factor", "quantize_bits"),
-            floats=("learning_rate", "test_fraction", "query_budget_fraction", "prune_sparsity"),
-            lists=("seen_attacks", "unseen_attacks", "nonextracted_families"),
-        )
+        check_field_types(self, ConfigError)
         for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",
                      "n_extracted_test", "n_nonextracted_test", "keyset_size",
                      "copycat_probe_factor", "epochs", "batch_size"):

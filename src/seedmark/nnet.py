@@ -127,8 +127,7 @@ class TrainConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        check_field_types(self, SpecError, ints=("epochs", "batch_size", "seed"),
-                          floats=("learning_rate", "temperature"))
+        check_field_types(self, SpecError)
         if self.epochs < 1 or self.batch_size < 1:
             raise SpecError("epochs and batch_size must be positive")
         if self.learning_rate < 0:

@@ -579,6 +579,21 @@ def test_bad_nested_config_fails_with_json_error(doc, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"seen_attacks": [5]}, "seen_attacks must be a list of strings, got [5]"),
+    ({"protected_family": ["A"]}, "protected_family must be a string, got ['A']"),
+    ({"nonextracted_families": [["A"]]},
+     "nonextracted_families must be a list of strings, got [['A']]"),
+], ids=["attack-number", "family-list", "families-nested"])
+def test_config_value_of_the_wrong_type_fails_with_json_error(doc, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 def test_keygen_on_data_outside_the_feature_range_fails_with_json_error(workspace, config_path,
                                                                         tmp_path, capsys):
     """BIM clips to the feature range, so rows outside it would put watermarks

@@ -114,12 +114,18 @@ class TestConfig:
         ({"query_budget_fraction": True}, ConfigError, "query_budget_fraction must be a finite"),
         ({"test_fraction": "0.5"}, ConfigError, "test_fraction must be a finite number"),
         ({"prune_sparsity": "0.5"}, ConfigError, "prune_sparsity must be a finite number"),
+        ({"protected_family": ["A"]}, ConfigError, "protected_family must be a string, got"),
+        ({"cross_arch_family": 3}, ConfigError, "cross_arch_family must be a string, got 3"),
+        ({"nonextracted_families": [["A"]]}, ConfigError,
+         "nonextracted_families must be a list of strings, got"),
+        ({"unseen_attacks": ["RET", 5]}, ConfigError, "unseen_attacks must be a list of strings"),
     ], ids=["keyset-size", "epochs", "quantize-bits", "gen-dims",
             "bim-iterations", "master-seed", "repetitions", "families-string",
             "attacks-string", "bim-epsilon-nan", "bim-epsilon-inf", "bim-epsilon-bool",
             "bim-epsilon-string", "learning-rate-inf",
             "learning-rate-bool", "gen-spread-nan", "gen-spread-inf", "query-budget-bool",
-            "test-fraction-string", "prune-sparsity-string"])
+            "test-fraction-string", "prune-sparsity-string", "family-list", "family-number",
+            "families-nested", "attack-number"])
     def test_wrong_type_fails_at_construction(self, doc, error, message):
         with pytest.raises(error, match=message):
             eval_config_from_dict(doc)

@@ -7,10 +7,14 @@ import ast
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import pytest
+
 from seedmark import cli
 from seedmark.bim import BimConfig
 from seedmark.datasets import GenSpec
+from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import EvaluationConfig
+from seedmark.nnet import TrainConfig
 
 
 def settable_values(cls) -> int:
@@ -29,3 +33,20 @@ def test_cli_options():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"]
     assert len(calls) == 41
+
+
+# a value of the wrong type for each leaf field type; a nested config is not a leaf
+WRONG_TYPE = {int: 1.5, float: "0.5", str: 5, tuple: [5]}
+LEAF_FIELDS = [(cls, f.name, error) for cls, error in (
+    (EvaluationConfig, ConfigError), (GenSpec, SpecError), (BimConfig, SpecError),
+    (TrainConfig, SpecError)) for f in fields(cls) if not is_dataclass(f.type)]
+
+
+@pytest.mark.parametrize("cls, name, error", LEAF_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in LEAF_FIELDS])
+def test_every_leaf_field_rejects_a_value_of_the_wrong_type(cls, name, error):
+    # the wrong value follows the default's type, so the check is on the
+    # declared types even if they were ever stored as strings
+    wrong = WRONG_TYPE[type(getattr(cls(), name))]
+    with pytest.raises(error, match=f"^{name} must be "):
+        cls(**{name: wrong})

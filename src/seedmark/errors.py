@@ -2,7 +2,7 @@
 of the config dataclasses."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from numbers import Real
 
 
@@ -52,8 +52,8 @@ def check_field_types(obj, error):
     """Raise `error` naming the first field of dataclass `obj` whose value does
     not fit the field's declared type: an int for `int`, a finite real number
     for `float`, a string for `str`, and a list or tuple of strings for
-    `tuple`, which is then stored as a tuple (`obj` may be frozen). Fields of
-    other types, such as a nested config, are checked by their own class."""
+    `tuple`, which is then stored as a tuple (`obj` may be frozen), and an
+    instance of a nested config's class, which checks its own fields."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type is tuple:
@@ -64,3 +64,5 @@ def check_field_types(obj, error):
             object.__setattr__(obj, f.name, tuple(value))
         elif f.type in _TAKES and not _TAKES[f.type][0](value):
             raise error(f"{f.name} must be {_TAKES[f.type][1]}, got {value!r}")
+        elif is_dataclass(f.type) and not isinstance(value, f.type):
+            raise error(f"{f.name} must be a {f.type.__name__}, got {value!r}")

@@ -111,6 +111,10 @@ class Model:
                             f"got {got}")
         if not np.isfinite(p).all():
             raise SpecError("params hold non-finite values")
+        if type(self.provenance) is not tuple or not all(
+                type(r) is dict and type(r.get("stage")) is str for r in self.provenance):
+            raise SpecError(f"provenance must be a tuple of dicts, each with a string stage, "
+                            f"got {self.provenance!r}")
 
     @cached_property
     def weights(self) -> tuple:  # one (W, b) pair of views into params per dense layer

@@ -100,12 +100,8 @@ def parse_model(text: str) -> Model:
         raise FormatError(f"malformed model spec: {exc}") from exc
     params = _decode_array(doc.get("weights"), (spec.param_count,))
     prov = doc.get("provenance")
-    if type(prov) is not list or not all(type(r) is dict and type(r.get("stage")) is str
-                                         for r in prov):
-        raise FormatError(f"provenance must be a list of JSON objects, each with a string "
-                          f"stage, got {prov!r}")
     try:
-        return Model(spec, params, tuple(prov))
+        return Model(spec, params, tuple(prov) if type(prov) is list else prov)
     except SpecError as exc:
         raise FormatError(f"inconsistent model artifact: {exc}") from exc
 

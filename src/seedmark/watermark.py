@@ -156,54 +156,57 @@ def keyset_digest(keyset: KeySet) -> str:
 
 
 def fit_lr(samples, labels) -> tuple:
-    """L2-regularized 1-D logistic regression, Newton-iterated to convergence.
+    """L2-regularized 1-D logistic regressions, Newton-iterated to convergence.
 
-    labels: 1 = extracted, 0 = not. The bias is unregularized. Returns the
-    weight and bias; the classifier reads "extracted" where w * s + b >= 0."""
-    s = np.asarray(samples, dtype=np.float64)
+    Each row along the last axis of `samples` is one classifier's samples,
+    and each row stops at its own tolerance. labels: 1 = extracted, 0 = not.
+    The bias is unregularized. Returns the weights and biases, one per row;
+    a classifier reads "extracted" where w * s + b >= 0."""
+    # C-contiguous rows, whatever the caller's layout, so that each row's sums
+    # run as a 1-D fit's do and match it bit for bit
+    s = np.ascontiguousarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if len(s) != len(y) or len(s) == 0:
+    if s.shape[-1:] != y.shape or len(y) == 0:
         raise InputError("samples/labels mismatch or empty")
     if len(np.unique(y)) < 2:
         raise InputError("logistic fit requires both classes present")
-    w, b = 0.0, 0.0
+    w, b = np.zeros(s.shape[:-1]), np.zeros(s.shape[:-1])
+    active = np.ones(s.shape[:-1], dtype=bool)
     for _ in range(LR_MAX_ITER):
-        z = w * s + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        gw = np.mean((p - y) * s) + LR_LAMBDA * w
-        gb = np.mean(p - y)
-        if np.hypot(gw, gb) <= LR_TOL:
+        p = 1.0 / (1.0 + np.exp(-(w[..., None] * s + b[..., None])))
+        gw = np.mean((p - y) * s, axis=-1) + LR_LAMBDA * w
+        gb = np.mean(p - y, axis=-1)
+        active &= np.hypot(gw, gb) > LR_TOL
+        if not active.any():
             break
         r = p * (1 - p)
-        hww = np.mean(r * s * s) + LR_LAMBDA
-        hwb = np.mean(r * s)
-        hbb = np.mean(r)
+        hww = np.mean(r * s * s, axis=-1) + LR_LAMBDA
+        hwb = np.mean(r * s, axis=-1)
+        hbb = np.mean(r, axis=-1)
         det = hww * hbb - hwb * hwb
-        if det <= 1e-300:
-            w -= gw
-            b -= gb
-            continue
-        w -= (hbb * gw - hwb * gb) / det
-        b -= (hww * gb - hwb * gw) / det
-    return float(w), float(b)
+        newton = det > 1e-300  # else a plain gradient step
+        safe = np.where(newton, det, 1.0)
+        w -= np.where(active, np.where(newton, (hbb * gw - hwb * gb) / safe, gw), 0.0)
+        b -= np.where(active, np.where(newton, (hww * gb - hwb * gw) / safe, gb), 0.0)
+    return w, b
 
 
 def fit_gnb(samples, labels) -> tuple:
-    """Per-class Gaussian with floored variance and empirical priors: returns
-    (means, variances, priors), each ordered (non-extracted, extracted)."""
+    """Per-class Gaussians with floored variance and empirical priors, one
+    classifier per row along the last axis of `samples`: returns (means,
+    variances, priors), each with a last axis (non-extracted, extracted)."""
     s = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=int)
-    if len(s) != len(y) or len(s) == 0:
+    if s.shape[-1:] != y.shape or len(y) == 0:
         raise InputError("samples/labels mismatch or empty")
-    means, variances, priors = [], [], []
-    for cls in (0, 1):
-        vals = s[y == cls]
-        if len(vals) == 0:
-            raise InputError("gaussian fit requires both classes present")
-        means.append(float(vals.mean()))
-        variances.append(float(max(vals.var(), GNB_VAR_FLOOR)))
-        priors.append(len(vals) / len(s))
-    return tuple(means), tuple(variances), tuple(priors)
+    # C-contiguous per-class blocks: a masked view's sums differ in the last bit
+    blocks = [np.ascontiguousarray(s[..., y == cls]) for cls in (0, 1)]
+    if any(v.shape[-1] == 0 for v in blocks):
+        raise InputError("gaussian fit requires both classes present")
+    means = np.stack([v.mean(axis=-1) for v in blocks], axis=-1)
+    variances = np.maximum(np.stack([v.var(axis=-1) for v in blocks], axis=-1), GNB_VAR_FLOOR)
+    priors = np.broadcast_to([v.shape[-1] / len(y) for v in blocks], means.shape).copy()
+    return means, variances, priors
 
 
 def gnb_log_posteriors(means, variances, priors, s) -> np.ndarray:
@@ -216,23 +219,16 @@ def gnb_log_posteriors(means, variances, priors, s) -> np.ndarray:
 
 
 def build_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str = "lr") -> VerificationModel:
-    """One classifier per watermark, fitted on the two populations' confidences."""
+    """One classifier per watermark, all fitted in one call on the (watermarks,
+    models) table of the two populations' confidences."""
     if kind not in VERIFIER_FIELDS:
         raise InputError(f"unknown classifier kind {kind!r}")
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise InputError("both model populations must be non-empty")
-    prof_e, prof_ne = (confidence_table(pop, keyset) for pop in (extracted_pop, nonextracted_pop))
-    fit = fit_lr if kind == "lr" else fit_gnb
-    fits = []
+    table = np.concatenate([confidence_table(p, keyset) for p in (extracted_pop, nonextracted_pop)])
     labels = np.concatenate([np.ones(len(extracted_pop)), np.zeros(len(nonextracted_pop))])
-    for i in range(len(keyset)):
-        samples = np.concatenate([prof_e[:, i], prof_ne[:, i]])
-        try:
-            fits.append(fit(samples, labels))
-        except Exception as exc:
-            raise WatermarkError(f"classifier fit failed for watermark {i}: {exc}") from exc
-    params = {n: np.array(c, dtype=np.float64) for n, c in zip(VERIFIER_FIELDS[kind], zip(*fits))}
-    return VerificationModel(kind, params, keyset_digest(keyset))
+    fitted = (fit_lr if kind == "lr" else fit_gnb)(table.T, labels)
+    return VerificationModel(kind, dict(zip(VERIFIER_FIELDS[kind], fitted)), keyset_digest(keyset))
 
 
 def decide(verifier: VerificationModel, s) -> np.ndarray:

@@ -59,6 +59,16 @@ class TestSpec:
         with pytest.raises(SpecError, match="params hold non-finite values"):
             Model(ModelSpec((4, 3, 2)), params, ())
 
+    @pytest.mark.parametrize("provenance", [
+        [{"stage": "init", "seed": 0}], None, ({"seed": 0},), ({"stage": 5},),
+        ({"stage": "init", "seed": 0}, "trained-fresh"),
+    ], ids=["list", "none", "record-without-stage", "stage-number", "string-record"])
+    def test_provenance_must_be_a_tuple_of_stage_records(self, provenance):
+        # a list used to build, then fail `train` with a bare TypeError after every step
+        with pytest.raises(SpecError, match="provenance must be a tuple of dicts, each with "
+                                            "a string stage"):
+            Model(ModelSpec((4, 3, 2)), np.zeros(23), provenance)
+
     def test_weights_are_views_into_params(self):
         spec = ModelSpec((4, 3, 2))
         params = np.arange(23.0)

@@ -206,7 +206,7 @@ def test_spec_round_trip_keeps_widths_and_activation(widths, activation):
 def test_provenance_field_of_the_wrong_type_raises_format_error(model, value):
     doc = json.loads(dump_model(model))
     doc["provenance"] = value
-    with pytest.raises(FormatError, match="provenance must be a list of JSON objects, each "
+    with pytest.raises(FormatError, match="provenance must be a tuple of dicts, each "
                                           "with a string stage"):
         parse_model(json.dumps(doc))
 

@@ -37,9 +37,12 @@ def test_cli_options():
 
 # a value of the wrong type for each leaf field type; a nested config is not a leaf
 WRONG_TYPE = {int: 1.5, float: "0.5", str: 5, tuple: [5]}
-LEAF_FIELDS = [(cls, f.name, error) for cls, error in (
-    (EvaluationConfig, ConfigError), (GenSpec, SpecError), (BimConfig, SpecError),
-    (TrainConfig, SpecError)) for f in fields(cls) if not is_dataclass(f.type)]
+CONFIGS = ((EvaluationConfig, ConfigError), (GenSpec, SpecError), (BimConfig, SpecError),
+           (TrainConfig, SpecError))
+LEAF_FIELDS = [(cls, f.name, error) for cls, error in CONFIGS
+               for f in fields(cls) if not is_dataclass(f.type)]
+NESTED_FIELDS = [(cls, f, error) for cls, error in CONFIGS
+                 for f in fields(cls) if is_dataclass(f.type)]
 
 
 @pytest.mark.parametrize("cls, name, error", LEAF_FIELDS,
@@ -50,3 +53,12 @@ def test_every_leaf_field_rejects_a_value_of_the_wrong_type(cls, name, error):
     wrong = WRONG_TYPE[type(getattr(cls(), name))]
     with pytest.raises(error, match=f"^{name} must be "):
         cls(**{name: wrong})
+
+
+@pytest.mark.parametrize("cls, field, error", NESTED_FIELDS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f, _ in NESTED_FIELDS])
+@pytest.mark.parametrize("wrong", [{"classes": 3}, None, TrainConfig()],
+                         ids=["dict", "none", "other-config"])
+def test_every_nested_config_field_rejects_a_value_of_another_class(cls, field, error, wrong):
+    with pytest.raises(error, match=f"^{field.name} must be a {field.type.__name__}, got "):
+        cls(**{field.name: wrong})

@@ -17,6 +17,8 @@ from seedmark.watermark import (
     GNB_VAR_FLOOR,
     KeySet,
     LR_LAMBDA,
+    LR_MAX_ITER,
+    LR_TOL,
     VERIFIER_FIELDS,
     VerificationModel,
     build_verifier,
@@ -266,7 +268,7 @@ class TestGaussianFit:
 
     def test_variance_floor(self):
         clf = fit_gnb([0.5, 0.5, 0.9, 0.9], [0, 0, 1, 1])
-        assert clf[1] == (GNB_VAR_FLOOR, GNB_VAR_FLOOR)
+        assert clf[1].tolist() == [GNB_VAR_FLOOR, GNB_VAR_FLOOR]
         assert decides("gnb", clf, 0.89)
         assert not decides("gnb", clf, 0.51)
 
@@ -278,6 +280,90 @@ class TestGaussianFit:
     def test_requires_both_classes(self):
         with pytest.raises(InputError):
             fit_gnb([0.1, 0.2], [0, 0])
+
+
+def scalar_lr(s, y):
+    """The one-row Newton fit, with Python-float state and a scalar branch per
+    step: the reference that `fit_lr`'s rows must equal. Also returns the
+    number of gradient evaluations the row took."""
+    w, b = 0.0, 0.0
+    for it in range(LR_MAX_ITER):
+        p = 1.0 / (1.0 + np.exp(-(w * s + b)))
+        gw = np.mean((p - y) * s) + LR_LAMBDA * w
+        gb = np.mean(p - y)
+        if np.hypot(gw, gb) <= LR_TOL:
+            break
+        r = p * (1 - p)
+        hww = np.mean(r * s * s) + LR_LAMBDA
+        hwb = np.mean(r * s)
+        hbb = np.mean(r)
+        det = hww * hbb - hwb * hwb
+        if det <= 1e-300:
+            w, b = w - gw, b - gb
+            continue
+        w -= (hbb * gw - hwb * gb) / det
+        b -= (hww * gb - hwb * gw) / det
+    return (float(w), float(b)), it
+
+
+def scalar_gnb(s, y):
+    """The one-row Gaussian fit, one class at a time: the reference for `fit_gnb`."""
+    fits = [(float(v.mean()), float(max(v.var(), GNB_VAR_FLOOR)), len(v) / len(s))
+            for v in (s[y == 0], s[y == 1])]
+    return tuple(zip(*fits))
+
+
+def random_table(rng, watermarks, models):
+    """A (watermarks, models) confidence table and its labels with a random
+    class split; half the rows separate the classes and half overlap."""
+    extracted = int(rng.integers(1, models))
+    labels = rng.permutation(np.r_[np.ones(extracted), np.zeros(models - extracted)])
+    table = rng.uniform(0.0, 1.0, (watermarks, models))
+    separable = rng.random(watermarks) < 0.5
+    table[separable] = np.where(labels == 1, 0.6 + 0.4 * table[separable],
+                                0.4 * table[separable])
+    return table, labels
+
+
+class TestArrayFitsMatchScalarFits:
+    """Each row of an array fit equals the scalar fit of that row, bit for bit."""
+
+    TABLES = [(1, 2), (7, 3), (16, 20), (32, 20), (40, 9), (5, 41)]
+
+    @staticmethod
+    def hexes(values):
+        return [float(v).hex() for v in np.ravel(values)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_logistic_rows(self, order):
+        rng = np.random.default_rng(21)
+        iterations = set()
+        for shape in self.TABLES:
+            table, labels = random_table(rng, *shape)
+            w, b = fit_lr(np.asarray(table, order=order), labels)
+            assert w.shape == b.shape == (shape[0],)
+            for row, s in enumerate(table):
+                (w_ref, b_ref), it = scalar_lr(s, labels)
+                iterations.add(it)
+                assert self.hexes([w[row], b[row]]) == self.hexes([w_ref, b_ref])
+        assert len(iterations) > 2  # rows stopped at different steps
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gaussian_rows(self, order):
+        rng = np.random.default_rng(22)
+        for shape in self.TABLES:
+            table, labels = random_table(rng, *shape)
+            fitted = fit_gnb(np.asarray(table, order=order), labels)
+            assert [a.shape for a in fitted] == [(shape[0], 2)] * 3
+            for row, s in enumerate(table):
+                ref = scalar_gnb(s, labels.astype(int))
+                assert [self.hexes(a[row]) for a in fitted] == [self.hexes(r) for r in ref]
+
+    @pytest.mark.parametrize("fit", [fit_lr, fit_gnb])
+    def test_one_row_is_one_classifier(self, fit):
+        table, labels = random_table(np.random.default_rng(23), 1, 12)
+        assert ([self.hexes(a) for a in fit(table[0], labels)]
+                == [self.hexes(a) for a in fit(table, labels)])
 
 
 class TestVerifier:

@@ -41,16 +41,16 @@ def extract(victim: Model, queries, surrogate: Model, train_cfg: TrainConfig, at
     """Train `surrogate` on the victim's answers to `queries`.
 
     The answers are hard labels, or with `temperature` the full confidence
-    vectors, trained with the soft loss at that temperature. The first
-    `frozen_dense` dense layers keep their weights. `attack` is recorded as
-    the attack id in provenance."""
+    vectors, trained at that temperature (their shape picks the loss). The
+    first `frozen_dense` dense layers keep their weights. `attack` is
+    recorded as the attack id in provenance."""
     if len(queries) == 0:
         raise InputError("extraction requires at least one query")
     if temperature is None:
         targets = predict(victim, queries)
     else:
         targets = forward(victim, queries)
-        train_cfg = replace(train_cfg, loss="soft", temperature=temperature)
+        train_cfg = replace(train_cfg, temperature=temperature)
     trained = train(surrogate, queries, targets, train_cfg, frozen_dense=frozen_dense)
     record = dict(attack=attack, victim=model_digest(victim), stage="extracted")
     return Model(trained.spec, trained.params, trained.provenance + (record,))

@@ -22,6 +22,7 @@ from .errors import InputError, SeedmarkError, WatermarkError
 from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
+    _control_population,
     blur_model,
     build_attacked_model,
     dump_confidences,
@@ -65,10 +66,9 @@ def cmd_train_population(args):
     os.makedirs(args.out, exist_ok=True)
     digest = cfg.digest()
     save_dataset(train_set, os.path.join(args.out, f"data-{digest}.json"))
-    for i in range(args.count):
+    models = _control_population(cfg, train_set, args.count, cfg.master_seed, "population")
+    for i, model in enumerate(models):
         family = cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
-        seed = derive_seed(cfg.master_seed, f"population/{i}")
-        model = train_fresh(cfg, train_set, family, seed)
         path = os.path.join(args.out, f"model-{family}-{i:03d}-{digest}.json")
         serialize.save_model(model, path)
         print(path)

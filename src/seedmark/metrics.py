@@ -26,6 +26,8 @@ def roc_auc(pos_scores, neg_scores) -> RocCurve:
     neg = np.asarray(neg_scores, dtype=np.float64)
     if len(pos) == 0 or len(neg) == 0:
         raise InputError("both score lists must be non-empty")
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise InputError("scores must be finite")
     thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
     points = [(0.0, 0.0)]
     for t in thresholds:

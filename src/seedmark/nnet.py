@@ -127,8 +127,7 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-2
     seed: int = 0
-    loss: str = "hard"  # hard | soft
-    temperature: float = 1.0
+    temperature: float = 1.0  # divides the logits before the softmax
 
     def __post_init__(self):
         check_field_types(self, SpecError)
@@ -136,8 +135,6 @@ class TrainConfig:
             raise SpecError("epochs and batch_size must be positive")
         if self.learning_rate < 0:
             raise SpecError("learning_rate must be non-negative")
-        if self.loss not in ("hard", "soft"):
-            raise SpecError(f"unknown loss {self.loss!r}")
         if self.temperature <= 0:
             raise SpecError("temperature must be positive")
 
@@ -192,24 +189,27 @@ def predict(model: Model, inputs) -> np.ndarray:
     return np.argmax(forward(model, inputs), axis=-1)
 
 
-def _target_matrix(model, targets, loss):
+def _target_matrix(model, targets, rows):
+    """The (rows, k) target matrix. A 1-D vector is hard labels, each a whole
+    number in [0, k); an (N, k) matrix is soft confidences, each in [0, 1]."""
     k = model.spec.output_classes
     targets = np.asarray(targets)
-    if loss == "hard":
-        if targets.ndim != 1:
-            raise InputError("hard-label loss expects a 1-D label vector")
+    if targets.ndim == 1:
         # isin also rejects fractions, NaN and inf, which astype(int) would truncate
         if not np.isin(targets, np.arange(k)).all():
             raise InputError(f"hard labels must be whole numbers in [0, {k})")
         t = np.zeros((len(targets), k))
         t[np.arange(len(targets)), targets.astype(int)] = 1.0
-        return t
-    if targets.ndim != 2 or targets.shape[1] != k:
-        raise InputError(f"soft-label loss expects an (N, {k}) target matrix")
-    t = targets.astype(np.float64)
-    # bounded targets keep the loss finite whenever the softmax is (see `train`)
-    if not ((t >= 0.0) & (t <= 1.0)).all():
-        raise InputError("soft-label targets must lie in [0, 1]")
+    elif targets.ndim == 2 and targets.shape[1] == k:
+        t = targets.astype(np.float64)
+        # bounded targets keep the loss finite whenever the softmax is (see `train`)
+        if not ((t >= 0.0) & (t <= 1.0)).all():
+            raise InputError("soft-label targets must lie in [0, 1]")
+    else:
+        raise InputError(f"targets must be a label vector or an (N, {k}) confidence matrix, "
+                         f"got shape {targets.shape}")
+    if len(t) != rows:
+        raise InputError(f"{len(t)} targets for {rows} inputs")
     return t
 
 
@@ -234,19 +234,16 @@ def _backprop(spec: ModelSpec, weights, inputs, delta, out=None, stop=0):
     return delta
 
 
-def loss_and_param_grads(model: Model, inputs, targets, loss="hard", temperature=1.0):
+def loss_and_param_grads(model: Model, inputs, targets, temperature=1.0):
     """Mean cross-entropy and exact analytic gradients for every weight tensor.
 
-    Soft-label mode divides the model's logits by `temperature` before the
-    softmax (the target distribution is used as given).
+    The targets' shape picks the loss (see `_target_matrix`); the model's
+    logits are divided by `temperature` before the softmax.
     """
     x = _check_inputs(model, inputs)
-    t = _target_matrix(model, targets, loss)
-    if len(t) != len(x):
-        raise InputError("input/target batch size mismatch")
+    t = _target_matrix(model, targets, len(x))
     grads = tuple((np.empty(w.shape), np.empty(b.shape)) for w, b in model.weights)
-    scale = temperature if loss == "soft" else 1.0
-    p = _softmax_and_grads(model.spec, model.weights, x, t, scale, grads)
+    p = _softmax_and_grads(model.spec, model.weights, x, t, temperature, grads)
     return -(t * np.log(np.maximum(p, 1e-300))).sum() / len(x), grads
 
 
@@ -264,9 +261,9 @@ def input_gradient(model: Model, inputs, target_label) -> np.ndarray:
     single = np.asarray(inputs).ndim == 1
     x = _check_inputs(model, inputs)
     labels = np.atleast_1d(np.asarray(target_label))
-    t = _target_matrix(model, labels, "hard")
-    if len(t) != len(x):
-        raise InputError("input/label batch size mismatch")
+    if labels.ndim != 1:
+        raise InputError(f"input_gradient expects class labels, got shape {labels.shape}")
+    t = _target_matrix(model, labels, len(x))
     z, layer_inputs = _forward_trace(model.spec, model.weights, x)
     delta = softmax(z) - t  # per-sample loss, no batch averaging
     dx = _backprop(model.spec, model.weights, layer_inputs, delta)
@@ -297,11 +294,8 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     first = sum(w.size + b.size for w, b in weights[:frozen_dense])
     p, g = params[first:], grad[first:]
     shuffler = stream(cfg.seed, "shuffle")
-    t = _target_matrix(model, targets, cfg.loss)
-    if len(t) != len(x):
-        raise InputError("input/target batch size mismatch")
+    t = _target_matrix(model, targets, len(x))
     n = len(x)
-    scale = cfg.temperature if cfg.loss == "soft" else 1.0
     top_bias_grad = grads[-1][1]
     lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
     m, v = np.zeros_like(p), np.zeros_like(p)
@@ -313,8 +307,8 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
             xs, ts = x[order], t[order]
             for bi, start in enumerate(range(0, n, cfg.batch_size)):
                 end = start + cfg.batch_size
-                _softmax_and_grads(model.spec, weights, xs[start:end], ts[start:end], scale,
-                                   grads, frozen_dense)
+                _softmax_and_grads(model.spec, weights, xs[start:end], ts[start:end],
+                                   cfg.temperature, grads, frozen_dense)
                 # the top bias gradient sums softmax - targets over the batch, so
                 # it is NaN exactly when the softmax, and so the loss, is; a
                 # Python loop over its few entries is cheaper than a ufunc call
@@ -338,6 +332,6 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
                 tmp2 += ADAM_EPS
                 tmp1 /= tmp2
                 p -= tmp1
-    record = dict(seed=cfg.seed, epochs=cfg.epochs, optimizer="adam", loss=cfg.loss,
-                  stage="trained-fresh")
+    record = dict(seed=cfg.seed, epochs=cfg.epochs, optimizer="adam",
+                  loss="soft" if np.ndim(targets) == 2 else "hard", stage="trained-fresh")
     return Model(model.spec, params, model.provenance + (record,))

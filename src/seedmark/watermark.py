@@ -155,6 +155,21 @@ def keyset_digest(keyset: KeySet) -> str:
     return h.hexdigest()[:12]
 
 
+def _fit_labels(s, labels) -> np.ndarray:
+    """A verifier fit's labels as floats, checked: each 0 or 1, both classes
+    present, one per sample along the last axis of the finite samples `s`."""
+    y = np.asarray(labels)
+    if y.ndim != 1 or s.shape[-1:] != y.shape or len(y) == 0:
+        raise InputError("samples/labels mismatch or empty")
+    if not np.isin(y, (0, 1)).all():
+        raise InputError("labels must each be 0 (not extracted) or 1 (extracted)")
+    if len(np.unique(y)) < 2:
+        raise InputError("a verifier fit requires both classes present")
+    if not np.isfinite(s).all():
+        raise InputError("samples must be finite")
+    return y.astype(np.float64)
+
+
 def fit_lr(samples, labels) -> tuple:
     """L2-regularized 1-D logistic regressions, Newton-iterated to convergence.
 
@@ -165,11 +180,7 @@ def fit_lr(samples, labels) -> tuple:
     # C-contiguous rows, whatever the caller's layout, so that each row's sums
     # run as a 1-D fit's do and match it bit for bit
     s = np.ascontiguousarray(samples, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.shape[-1:] != y.shape or len(y) == 0:
-        raise InputError("samples/labels mismatch or empty")
-    if len(np.unique(y)) < 2:
-        raise InputError("logistic fit requires both classes present")
+    y = _fit_labels(s, labels)
     w, b = np.zeros(s.shape[:-1]), np.zeros(s.shape[:-1])
     active = np.ones(s.shape[:-1], dtype=bool)
     for _ in range(LR_MAX_ITER):
@@ -196,13 +207,9 @@ def fit_gnb(samples, labels) -> tuple:
     classifier per row along the last axis of `samples`: returns (means,
     variances, priors), each with a last axis (non-extracted, extracted)."""
     s = np.asarray(samples, dtype=np.float64)
-    y = np.asarray(labels, dtype=int)
-    if s.shape[-1:] != y.shape or len(y) == 0:
-        raise InputError("samples/labels mismatch or empty")
+    y = _fit_labels(s, labels)
     # C-contiguous per-class blocks: a masked view's sums differ in the last bit
     blocks = [np.ascontiguousarray(s[..., y == cls]) for cls in (0, 1)]
-    if any(v.shape[-1] == 0 for v in blocks):
-        raise InputError("gaussian fit requires both classes present")
     means = np.stack([v.mean(axis=-1) for v in blocks], axis=-1)
     variances = np.maximum(np.stack([v.var(axis=-1) for v in blocks], axis=-1), GNB_VAR_FLOOR)
     priors = np.broadcast_to([v.shape[-1] / len(y) for v in blocks], means.shape).copy()

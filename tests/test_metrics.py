@@ -41,6 +41,13 @@ def test_empty_rejected():
         roc_auc([0.1], [])
 
 
+@pytest.mark.parametrize("pos, neg", [([np.nan], [0.1]), ([0.9], [np.inf]),
+                                      ([0.9, -np.inf], [0.1])], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_scores_rejected(pos, neg):
+    with pytest.raises(InputError, match="scores must be finite"):
+        roc_auc(pos, neg)
+
+
 def test_matches_mann_whitney_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -181,7 +181,7 @@ class TestPredict:
         assert np.array_equal(predict(m, x), np.argmax(forward(m, x), axis=1))
 
 
-def finite_difference_param_grads(model, x, targets, loss="hard", temperature=1.0, h=1e-4):
+def finite_difference_param_grads(model, x, targets, temperature=1.0, h=1e-4):
     """Central finite differences over every weight entry."""
     grads = []
     for li, (w, b) in enumerate(model.weights):
@@ -192,9 +192,9 @@ def finite_difference_param_grads(model, x, targets, loss="hard", temperature=1.
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = loss_and_param_grads(model, x, targets, loss, temperature)
+                lp, _ = loss_and_param_grads(model, x, targets, temperature)
                 arr[idx] = orig - h
-                lm, _ = loss_and_param_grads(model, x, targets, loss, temperature)
+                lm, _ = loss_and_param_grads(model, x, targets, temperature)
                 arr[idx] = orig
                 g[idx] = (lp - lm) / (2 * h)
         grads.append((gw, gb))
@@ -214,7 +214,7 @@ class TestGradients:
         m = random_small_model(rng, in_dim=3, classes=3)
         x = rng.uniform(-1, 1, size=(4, 3))
         t = np.full((4, 3), 1 / 3)
-        loss, _ = loss_and_param_grads(m, x, t, loss="soft", temperature=1e6)
+        loss, _ = loss_and_param_grads(m, x, t, temperature=1e6)
         # softened model distribution approaches uniform: CE -> log K
         assert abs(loss - np.log(3)) < 1e-3
 
@@ -229,8 +229,8 @@ class TestGradients:
         else:
             targets = rng.dirichlet(np.ones(3), size=6)
             kwargs = {"temperature": 2.5}
-        _, analytic = loss_and_param_grads(m, x, targets, loss_kind, **kwargs)
-        numeric = finite_difference_param_grads(m, x, targets, loss_kind, kwargs.get("temperature", 1.0))
+        _, analytic = loss_and_param_grads(m, x, targets, **kwargs)
+        numeric = finite_difference_param_grads(m, x, targets, kwargs.get("temperature", 1.0))
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.abs(nw).max(), np.abs(nb).max(), 1e-8)
             assert np.abs(aw - nw).max() / scale < 1e-4
@@ -327,9 +327,9 @@ class TestTrain:
         targets = np.full((2, 2), 0.5)
         targets[1, 0] = bad
         with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
-            loss_and_param_grads(m, np.zeros((2, 2)), targets, loss="soft")
+            loss_and_param_grads(m, np.zeros((2, 2)), targets)
         with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
-            train(m, np.zeros((2, 2)), targets, TrainConfig(loss="soft"))
+            train(m, np.zeros((2, 2)), targets, TrainConfig())
 
     @pytest.mark.parametrize("bad", [0.7, 1.2, np.nan, np.inf, -np.inf, -1.0, 2.0])
     def test_hard_labels_must_be_whole_class_indices(self, bad):
@@ -346,6 +346,42 @@ class TestTrain:
         for cfg in (BimConfig(), BimConfig(epsilon=0.0)):  # every budget runs the one loop
             with pytest.raises(InputError, match="whole numbers"):
                 bim_batch(m, np.zeros((3, 2)), labels, cfg)
+
+    @pytest.mark.parametrize("entry", ["train", "loss_and_param_grads", "input_gradient"])
+    @pytest.mark.parametrize("targets", [
+        np.array(1), np.full((3, 2, 1), 0.5), np.full((3, 3), 0.3), np.array([0, 1]),
+        np.full((2, 2), 0.5),
+    ], ids=["0-d", "3-d", "k-plus-one-columns", "labels-one-row-short",
+            "confidences-one-row-short"])
+    def test_targets_of_another_shape_or_length_rejected(self, entry, targets):
+        m = bias_only_model([0.0, 0.0])
+        call = {"train": lambda *a: train(*a, TrainConfig()),
+                "loss_and_param_grads": loss_and_param_grads,
+                "input_gradient": input_gradient}[entry]
+        with pytest.raises(InputError):
+            call(m, np.zeros((3, 2)), targets)
+
+    def test_input_gradient_takes_labels_only(self):
+        m = bias_only_model([0.0, 0.0])
+        with pytest.raises(InputError, match="expects class labels"):
+            input_gradient(m, np.zeros((3, 2)), np.full((3, 2), 0.5))
+
+    def test_labels_equal_their_one_hot_confidences_at_any_temperature(self):
+        # the targets' shape picks the loss, and temperature divides the logits for both
+        rng = np.random.default_rng(2)
+        m = random_small_model(rng, in_dim=4, classes=3)
+        x = rng.uniform(-1, 1, size=(6, 4))
+        labels = rng.integers(0, 3, size=6)
+        for temperature in (1.0, 2.5):
+            loss, grads = loss_and_param_grads(m, x, labels, temperature)
+            loss_oh, grads_oh = loss_and_param_grads(m, x, np.eye(3)[labels], temperature)
+            assert loss == loss_oh
+            for (gw, gb), (ow, ob) in zip(grads, grads_oh, strict=True):
+                assert np.array_equal(gw, ow) and np.array_equal(gb, ob)
+        cfg = TrainConfig(epochs=2, batch_size=4, temperature=2.5)
+        hard, soft = (train(m, x, t, cfg) for t in (labels, np.eye(3)[labels]))
+        assert hard.params.tobytes() == soft.params.tobytes()
+        assert (hard.provenance[-1]["loss"], soft.provenance[-1]["loss"]) == ("hard", "soft")
 
     def test_whole_float_labels_train_like_integers(self):
         m = init_model(ModelSpec((2, 4, 2)), 0)
@@ -414,15 +450,15 @@ def _reference_softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _reference_loss_and_grads(model, x, targets, loss="hard", temperature=1.0):
-    """Mean cross-entropy and param grads: the oracle for `loss_and_param_grads`."""
-    t = np.eye(model.spec.output_classes)[targets] if loss == "hard" else targets
+def _reference_loss_and_grads(model, x, targets, temperature=1.0):
+    """Mean cross-entropy and param grads: the oracle for `loss_and_param_grads`.
+    A label vector is one-hot encoded; a confidence matrix is used as given."""
+    t = np.eye(model.spec.output_classes)[targets] if np.ndim(targets) == 1 else targets
     z, traces = _reference_forward(model, x)
-    scale = temperature if loss == "soft" else 1.0
-    p = _reference_softmax(z / scale)
+    p = _reference_softmax(z / temperature)
     n = len(x)
     loss_value = -(t * np.log(np.clip(p, 1e-300, None))).sum() / n
-    grads, _ = _reference_backprop(model, traces, (p - t) / (n * scale))
+    grads, _ = _reference_backprop(model, traces, (p - t) / (n * temperature))
     return loss_value, grads
 
 
@@ -440,10 +476,10 @@ def test_gradients_bit_identical_to_reference_backprop(activation):
     x = rng.uniform(-1, 1, size=(n, dims))
     labels = rng.integers(0, classes, size=n)
     model = init_model(ModelSpec((dims, 7, 6, 5, classes), activation), 4)
-    cases = (("hard", labels, 1.0), ("soft", rng.dirichlet(np.ones(classes), size=n), 2.0))
-    for loss, targets, temperature in cases:
-        loss_value, grads = loss_and_param_grads(model, x, targets, loss, temperature)
-        ref_loss, ref_grads = _reference_loss_and_grads(model, x, targets, loss, temperature)
+    cases = ((labels, 1.0), (rng.dirichlet(np.ones(classes), size=n), 2.0))
+    for targets, temperature in cases:
+        loss_value, grads = loss_and_param_grads(model, x, targets, temperature)
+        ref_loss, ref_grads = _reference_loss_and_grads(model, x, targets, temperature)
         assert loss_value == ref_loss
         for (gw, gb), (rw, rb) in zip(grads, ref_grads, strict=True):
             assert np.array_equal(gw, rw) and np.array_equal(gb, rb)
@@ -466,8 +502,7 @@ def _reference_train(model, features, targets, cfg, frozen_dense=0):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             current = Model(model.spec, flat_params(weights), model.provenance)
-            _, grads = _reference_loss_and_grads(current, x[idx], targets[idx], cfg.loss,
-                                                 cfg.temperature)
+            _, grads = _reference_loss_and_grads(current, x[idx], targets[idx], cfg.temperature)
             step += 1
             for li in range(frozen_dense, len(weights)):
                 w, b = weights[li]
@@ -503,8 +538,7 @@ def test_train_bit_identical_to_per_layer_loop(loss, hidden, frozen_dense, activ
     spec = ModelSpec((dims, *hidden, classes), activation)
     model = init_model(spec, 4)
     before = [(w.copy(), b.copy()) for w, b in model.weights]
-    cfg = TrainConfig(epochs=3, batch_size=8, loss=loss,
-                      temperature=2.0 if loss == "soft" else 1.0, seed=9)
+    cfg = TrainConfig(epochs=3, batch_size=8, temperature=2.0 if loss == "soft" else 1.0, seed=9)
     assert n % cfg.batch_size != 0
     trained = train(model, x, targets, cfg, frozen_dense=frozen_dense)
     expected = _reference_train(model, x, targets, cfg, frozen_dense=frozen_dense)

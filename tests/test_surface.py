@@ -4,6 +4,7 @@ Each number here is counted in ROADMAP's North star 2, so a new setting or
 option has to change it on purpose."""
 
 import ast
+import inspect
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from seedmark.bim import BimConfig
 from seedmark.datasets import GenSpec
 from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import EvaluationConfig
-from seedmark.nnet import TrainConfig
+from seedmark.nnet import TrainConfig, loss_and_param_grads
 
 
 def settable_values(cls) -> int:
@@ -26,6 +27,16 @@ def test_settable_config_values():
     # EvaluationConfig's `gen` and `bim` hold a GenSpec and a BimConfig
     assert [settable_values(cls) for cls in (GenSpec, BimConfig)] == [4, 2]
     assert settable_values(EvaluationConfig) == 22 + 4 + 2
+
+
+def test_train_config_fields():
+    # the targets' shape picks the loss, so no field and no keyword states it
+    assert [f.name for f in fields(TrainConfig)] == [
+        "epochs", "batch_size", "learning_rate", "seed", "temperature"]
+    assert list(inspect.signature(loss_and_param_grads).parameters) == [
+        "model", "inputs", "targets", "temperature"]
+    with pytest.raises(TypeError):
+        TrainConfig(loss="soft")
 
 
 def test_cli_options():

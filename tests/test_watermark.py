@@ -282,6 +282,21 @@ class TestGaussianFit:
             fit_gnb([0.1, 0.2], [0, 0])
 
 
+@pytest.mark.parametrize("fit", [fit_lr, fit_gnb])
+@pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0, 2, 2, 0], [0, 1, 0.5, 1], [-1, 1, 0, 1]],
+                         ids=["two", "two-for-one", "half", "minus-one"])
+def test_fits_take_labels_0_and_1_only(fit, labels):
+    with pytest.raises(InputError, match=r"labels must each be 0 \(not extracted\) or 1"):
+        fit([0.1, 0.2, 0.3, 0.9], labels)
+
+
+@pytest.mark.parametrize("fit", [fit_lr, fit_gnb])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_take_finite_samples_only(fit, bad):
+    with pytest.raises(InputError, match="samples must be finite"):
+        fit([[bad, 0.2, 0.3, 0.9], [0.1, 0.2, 0.3, 0.9]], [0, 1, 0, 1])
+
+
 def scalar_lr(s, y):
     """The one-row Newton fit, with Python-float state and a scalar branch per
     step: the reference that `fit_lr`'s rows must equal. Also returns the

@@ -20,26 +20,9 @@ from .nnet import forward, predict
 STRATEGIES = ("none", "unique", "disagreements", "entire_set")
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no single == truth value
-class PopulationPredictions:
-    preds: np.ndarray  # (M, N) int labels, one row per model
-    confs: np.ndarray  # (M, N, K) confidence vectors
-    truth: np.ndarray  # (N,) ground-truth labels
-
-    def __post_init__(self):
-        if self.preds.ndim != 2 or self.preds.shape[1] != len(self.truth):
-            raise InputError("prediction table shape mismatch")
-        if self.confs.shape[:2] != self.preds.shape:
-            raise InputError("confidence table shape mismatch")
-
-    @property
-    def model_count(self):
-        return self.preds.shape[0]
-
-
-def predictions_for(models, features, truth) -> PopulationPredictions:
-    confs = np.stack([forward(m, features) for m in models])
-    return PopulationPredictions(np.argmax(confs, axis=2), confs, np.asarray(truth))
+def population_labels(models, features) -> np.ndarray:
+    """(models, rows) array of each model's predicted labels on `features`."""
+    return np.stack([predict(m, features) for m in models])
 
 
 @dataclass(frozen=True)
@@ -51,19 +34,26 @@ class SubsetReport:
     mean_transferable_confidence: float
 
 
-def find_disagreements(pop: PopulationPredictions) -> np.ndarray:
-    """Indices where not all models predict the same class."""
-    if pop.model_count < 2:
+def _check_labels(labels, truth=None) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or (truth is not None and np.shape(truth) != labels.shape[1:]):
+        raise InputError("label table shape mismatch")
+    if len(labels) < 2:
         raise InputError("need at least two models")
-    return np.flatnonzero((pop.preds != pop.preds[0]).any(axis=0))
+    return labels
 
 
-def find_unique_disagreements(pop: PopulationPredictions, model_index: int) -> np.ndarray:
+def find_disagreements(labels) -> np.ndarray:
+    """Indices where not all models predict the same class."""
+    labels = _check_labels(labels)
+    return np.flatnonzero((labels != labels[0]).any(axis=0))
+
+
+def find_unique_disagreements(labels, truth, model_index: int) -> np.ndarray:
     """Indices this model misclassifies while every other model is correct."""
-    mine_wrong = pop.preds[model_index] != pop.truth
-    others = np.delete(pop.preds, model_index, axis=0)
-    others_right = (others == pop.truth).all(axis=0)
-    return np.flatnonzero(mine_wrong & others_right)
+    labels = _check_labels(labels, truth)
+    others_right = (np.delete(labels, model_index, axis=0) == truth).all(axis=0)
+    return np.flatnonzero((labels[model_index] != truth) & others_right)
 
 
 def find_transferable(unique_set, protected_preds, extracted_preds, truth) -> np.ndarray:
@@ -79,15 +69,14 @@ def find_transferable(unique_set, protected_preds, extracted_preds, truth) -> np
     return unique_set[keep]
 
 
-def _strategy_subset(pop, model_index, strategy):
-    n = len(pop.truth)
+def _strategy_subset(labels, truth, model_index, strategy):
     if strategy == "none":
         return np.array([], dtype=int)
     if strategy == "unique":
-        return find_unique_disagreements(pop, model_index)
+        return find_unique_disagreements(labels, truth, model_index)
     if strategy == "disagreements":
-        return find_disagreements(pop)
-    return np.arange(n)
+        return find_disagreements(labels)
+    return np.arange(len(truth))
 
 
 def run_strategy_analysis(protected_models, extracted_models, eval_set, strategy, bim_cfg=None) -> SubsetReport:
@@ -107,25 +96,23 @@ def run_strategy_analysis(protected_models, extracted_models, eval_set, strategy
     features = np.asarray(eval_set.features, dtype=np.float64)
     truth = np.asarray(eval_set.labels)
     n = len(truth)
-    clean = predictions_for(protected_models, features, truth)
+    clean = population_labels(protected_models, features)
 
     dis_shares, uniq_shares, trans_shares, trans_confs = [], [], [], []
     for mi, (protected, extracted) in enumerate(zip(protected_models, extracted_models)):
-        subset = _strategy_subset(clean, mi, strategy)
-        perturbed = features
+        subset = _strategy_subset(clean, truth, mi, strategy)
+        perturbed, labels = features, clean
         if len(subset):
-            targets = clean.preds[mi, subset]
             perturbed = features.copy()
-            perturbed[subset] = bim_batch(protected, features[subset], targets, bim_cfg)
-        pop = predictions_for(protected_models, perturbed, truth)
-        dis_shares.append(len(find_disagreements(pop)) / n)
-        uniq = find_unique_disagreements(pop, mi)
+            perturbed[subset] = bim_batch(protected, features[subset], clean[mi, subset], bim_cfg)
+            labels = population_labels(protected_models, perturbed)
+        dis_shares.append(len(find_disagreements(labels)) / n)
+        uniq = find_unique_disagreements(labels, truth, mi)
         uniq_shares.append(len(uniq) / n)
-        extracted_preds = predict(extracted, perturbed)
-        trans = find_transferable(uniq, pop.preds[mi], extracted_preds, truth)
+        trans = find_transferable(uniq, labels[mi], predict(extracted, perturbed), truth)
         trans_shares.append(len(trans) / n)
         if len(trans):
-            trans_confs.extend(pop.confs[mi, trans, pop.preds[mi, trans]])
+            trans_confs.extend(forward(protected, perturbed)[trans, labels[mi, trans]])
     return SubsetReport(
         strategy,
         float(np.mean(dis_shares)),

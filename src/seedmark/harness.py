@@ -24,16 +24,17 @@ from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
 from .serialize import model_digest
-from .watermark import CANDIDATE_SOURCES, build_verifier, confidence_table
+from .watermark import CANDIDATE_SOURCES, VERIFIER_FIELDS, build_verifier, confidence_table
 from .watermark import generate_keyset, verify
 
 log = logging.getLogger(__name__)
 
 BLUR_METHODS = ("WP", "WQ")
 
-# DIS trains on the victim's confidences with the soft loss at this
-# temperature; TRL keeps this many of the pretrained network's first dense
-# layers frozen (every family has at least three).
+# CAR trains a surrogate of this family, DIS trains on the victim's confidences
+# at this soft-label temperature, and TRL keeps this many of the pretrained
+# network's first dense layers frozen (every family has at least three).
+CROSS_ARCH_FAMILY = "C"
 DISTILL_TEMPERATURE = 2.0
 FROZEN_LAYERS = 1
 
@@ -61,7 +62,6 @@ class EvaluationConfig:
     gen: GenSpec = GenSpec()
     test_fraction: float = 0.5
     protected_family: str = "A"
-    cross_arch_family: str = "C"
     nonextracted_families: tuple = ("A", "B", "C")
     n_extracted_train: int = 10
     n_nonextracted_train: int = 10
@@ -74,7 +74,6 @@ class EvaluationConfig:
     candidate_source: str = "misclassifications"
     epochs: int = 10
     batch_size: int = 32
-    learning_rate: float = 1e-2
     query_budget_fraction: float = 0.5
     copycat_probe_factor: int = 20
     prune_sparsity: float = 0.5
@@ -88,7 +87,7 @@ class EvaluationConfig:
                      "copycat_probe_factor", "epochs", "batch_size"):
             if getattr(self, attr) < 1:
                 raise ConfigError(f"{attr} must be positive")
-        if self.classifier_kind not in ("lr", "gnb"):
+        if self.classifier_kind not in VERIFIER_FIELDS:
             raise ConfigError("classifier_kind must be 'lr' or 'gnb'")
         if self.candidate_source not in CANDIDATE_SOURCES:
             raise ConfigError(f"candidate_source must be one of {CANDIDATE_SOURCES}")
@@ -96,14 +95,13 @@ class EvaluationConfig:
         for attr in ("seen_attacks", "unseen_attacks", "nonextracted_families"):
             if not getattr(self, attr):
                 raise ConfigError(f"{attr} must be non-empty")
-        for family in (self.protected_family, self.cross_arch_family, *self.nonextracted_families):
+        for family in (self.protected_family, *self.nonextracted_families):
             if family not in FAMILY_DEFAULTS:
                 raise ConfigError(f"unknown family {family!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
         for token in self.seen_attacks + self.unseen_attacks:
             parse_attack_token(token)
         for attr, ok, expected in (
             ("query_budget_fraction", 0 < self.query_budget_fraction <= 1, "in (0, 1]"),
-            ("learning_rate", self.learning_rate >= 0, "non-negative"),
             ("prune_sparsity", 0 <= self.prune_sparsity < 1, "in [0, 1)"),
             ("quantize_bits", 1 <= self.quantize_bits <= 16, "in [1, 16]"),
             ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
@@ -153,12 +151,7 @@ class EvaluationReport:
 
 
 def _train_cfg(cfg: EvaluationConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        seed=seed,
-    )
+    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
 
 
 def train_fresh(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> Model:
@@ -193,7 +186,7 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
         pre_data = generate(pre_gen, derive_seed(seed, "pretrain-data"))
         surrogate = train_fresh(cfg, pre_data, cfg.protected_family, derive_seed(seed, "pretrain"))
     else:
-        family = cfg.cross_arch_family if base == "CAR" else cfg.protected_family
+        family = CROSS_ARCH_FAMILY if base == "CAR" else cfg.protected_family
         spec = family_spec(family, data.dims, data.class_count)
         surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
     model = extract(victim, queries, surrogate, _train_cfg(cfg, seed), base,

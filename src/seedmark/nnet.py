@@ -10,6 +10,7 @@ so identical (spec, seed) always reproduces bit-identical weights.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -240,6 +241,9 @@ def loss_and_param_grads(model: Model, inputs, targets, temperature=1.0):
     The targets' shape picks the loss (see `_target_matrix`); the model's
     logits are divided by `temperature` before the softmax.
     """
+    if isinstance(temperature, bool) or not (
+            isinstance(temperature, Real) and math.isfinite(temperature) and temperature > 0):
+        raise SpecError(f"temperature must be positive, got {temperature!r}")
     x = _check_inputs(model, inputs)
     t = _target_matrix(model, targets, len(x))
     grads = tuple((np.empty(w.shape), np.empty(b.shape)) for w, b in model.weights)
@@ -283,10 +287,10 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     the same order as a per-tensor loop, so the weights are bit-identical to it.
     """
     x = _check_inputs(model, features)
-    if frozen_dense >= model.spec.dense_count:
-        raise SpecError(
-            f"frozen_dense={frozen_dense} would freeze all {model.spec.dense_count} dense layers"
-        )
+    dense = model.spec.dense_count
+    if isinstance(frozen_dense, bool) or not (
+            isinstance(frozen_dense, int) and 0 <= frozen_dense < dense):
+        raise SpecError(f"frozen_dense must be an integer in [0, {dense}), got {frozen_dense!r}")
     params = model.params.copy()
     weights = model.spec.layer_views(params)
     grad = np.empty_like(params)

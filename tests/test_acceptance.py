@@ -18,7 +18,7 @@ from seedmark.boundary import (
     find_disagreements,
     find_transferable,
     find_unique_disagreements,
-    predictions_for,
+    population_labels,
     run_strategy_analysis,
 )
 from seedmark.datasets import Dataset, GenSpec, generate, split
@@ -168,13 +168,13 @@ def boundary_population():
 def test_population_boundaries_are_seed_unique(check, boundary_population):
     protected, extracted, test_set = boundary_population
     report = run_strategy_analysis(protected, extracted, test_set, "none")
-    pop = predictions_for(protected, test_set.features, test_set.labels)
-    ext_preds = np.stack([predict(m, test_set.features) for m in extracted])
+    labels = population_labels(protected, test_set.features)
+    ext_labels = population_labels(extracted, test_set.features)
     relations_ok = True
     for mi in range(len(protected)):
-        dis = set(find_disagreements(pop))
-        uniq = find_unique_disagreements(pop, mi)
-        trans = find_transferable(uniq, pop.preds[mi], ext_preds[mi], pop.truth)
+        dis = set(find_disagreements(labels))
+        uniq = find_unique_disagreements(labels, test_set.labels, mi)
+        trans = find_transferable(uniq, labels[mi], ext_labels[mi], test_set.labels)
         relations_ok &= set(trans) <= set(uniq) <= dis
     shares_ok = (
         report.disagreement_share > 0
@@ -193,9 +193,9 @@ def test_population_boundaries_are_seed_unique(check, boundary_population):
 def test_targeted_perturbation_strengthens_disagreements(check, boundary_population):
     protected, _, test_set = boundary_population
     model = protected[0]
-    pop = predictions_for(protected, test_set.features, test_set.labels)
-    idx = find_disagreements(pop)
-    targets = pop.preds[0][idx]
+    labels = population_labels(protected, test_set.features)
+    idx = find_disagreements(labels)
+    targets = labels[0][idx]
     pre = forward(model, test_set.features[idx])[np.arange(len(idx)), targets].mean()
     adv = bim_batch(model, test_set.features[idx], targets, BimConfig(iterations=20))
     post = forward(model, adv)[np.arange(len(idx)), targets].mean()

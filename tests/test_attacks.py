@@ -200,6 +200,13 @@ class TestTransfer:
         with pytest.raises(SpecError):
             transfer(trained_model, train_set.features, pretrained, surrogate_spec.dense_count)
 
+    @pytest.mark.parametrize("frozen", [-1, True, 1.5], ids=["negative", "bool", "fraction"])
+    def test_frozen_count_must_be_a_whole_layer_count(self, trained_model, blob_data, pretrained,
+                                                      frozen):
+        train_set, _ = blob_data
+        with pytest.raises(SpecError, match="frozen_dense must be an integer in"):
+            transfer(trained_model, train_set.features, pretrained, frozen)
+
 
 def copycat(victim, probes, spec, seed=0):
     return extract(victim, probes, init_model(spec, derive_seed(seed, "surrogate-init")),

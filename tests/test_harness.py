@@ -7,6 +7,7 @@ from seedmark.attacks import extract, sample_queries
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import (
+    CROSS_ARCH_FAMILY,
     DISTILL_TEMPERATURE,
     FROZEN_LAYERS,
     EvaluationConfig,
@@ -74,21 +75,20 @@ class TestConfig:
         ({"nonextracted_families": ()}, "nonextracted_families must be non-empty"),
         ({"candidate_source": "bogus"}, "candidate_source must be one of"),
         ({"nonextracted_families": ("A", "Z")}, "unknown family 'Z'"),
-        ({"cross_arch_family": "Z"}, "unknown family 'Z'"),
         ({"protected_family": "Z"}, "unknown family 'Z'"),
         ({"query_budget_fraction": 0.0}, "query_budget_fraction must be in"),
         ({"query_budget_fraction": 2.0}, "query_budget_fraction must be in"),
         ({"copycat_probe_factor": 0}, "copycat_probe_factor must be positive"),
         ({"epochs": 0}, "epochs must be positive"),
         ({"batch_size": 0}, "batch_size must be positive"),
-        ({"learning_rate": -0.01}, "learning_rate must be non-negative"),
         ({"prune_sparsity": 1.0}, "prune_sparsity must be in"),
         ({"quantize_bits": 0}, "quantize_bits must be in"),
         ({"test_fraction": 1.0}, "test_fraction must be in"),
+        ({"classifier_kind": "forest"}, "classifier_kind must be 'lr' or 'gnb'"),
     ], ids=["seen", "unseen", "families", "source", "nonextracted-family",
-            "cross-arch-family", "protected-family", "query-budget-zero",
+            "protected-family", "query-budget-zero",
             "query-budget-above-one", "copycat-probe-factor", "epochs", "batch-size",
-            "learning-rate", "prune-sparsity", "quantize-bits", "test-fraction"])
+            "prune-sparsity", "quantize-bits", "test-fraction", "classifier-kind"])
     def test_bad_value_fails_at_construction(self, over, message):
         with pytest.raises(ConfigError, match=message):
             EvaluationConfig(**over)
@@ -107,24 +107,23 @@ class TestConfig:
         ({"bim": {"epsilon": np.inf}}, SpecError, "epsilon must be a finite number, got inf"),
         ({"bim": {"epsilon": True}}, SpecError, "epsilon must be a finite number, got True"),
         ({"bim": {"epsilon": "0.3"}}, SpecError, "epsilon must be a finite number, got '0.3'"),
-        ({"learning_rate": np.inf}, ConfigError, "learning_rate must be a finite number, got inf"),
-        ({"learning_rate": True}, ConfigError, "learning_rate must be a finite number, got True"),
         ({"gen": {"spread": np.nan}}, SpecError, "spread must be a finite number, got nan"),
         ({"gen": {"spread": np.inf}}, SpecError, "spread must be a finite number, got inf"),
         ({"query_budget_fraction": True}, ConfigError, "query_budget_fraction must be a finite"),
+        ({"query_budget_fraction": np.inf}, ConfigError,
+         "query_budget_fraction must be a finite number, got inf"),
         ({"test_fraction": "0.5"}, ConfigError, "test_fraction must be a finite number"),
         ({"prune_sparsity": "0.5"}, ConfigError, "prune_sparsity must be a finite number"),
         ({"protected_family": ["A"]}, ConfigError, "protected_family must be a string, got"),
-        ({"cross_arch_family": 3}, ConfigError, "cross_arch_family must be a string, got 3"),
+        ({"protected_family": 3}, ConfigError, "protected_family must be a string, got 3"),
         ({"nonextracted_families": [["A"]]}, ConfigError,
          "nonextracted_families must be a list of strings, got"),
         ({"unseen_attacks": ["RET", 5]}, ConfigError, "unseen_attacks must be a list of strings"),
     ], ids=["keyset-size", "epochs", "quantize-bits", "gen-dims",
             "bim-iterations", "master-seed", "repetitions", "families-string",
             "attacks-string", "bim-epsilon-nan", "bim-epsilon-inf", "bim-epsilon-bool",
-            "bim-epsilon-string", "learning-rate-inf",
-            "learning-rate-bool", "gen-spread-nan", "gen-spread-inf", "query-budget-bool",
-            "test-fraction-string", "prune-sparsity-string", "family-list", "family-number",
+            "bim-epsilon-string", "gen-spread-nan", "gen-spread-inf", "query-budget-bool",
+            "query-budget-inf", "test-fraction-string", "prune-sparsity-string", "family-list", "family-number",
             "families-nested", "attack-number"])
     def test_wrong_type_fails_at_construction(self, doc, error, message):
         with pytest.raises(error, match=message):
@@ -134,15 +133,19 @@ class TestConfig:
         ({"gen": {"kind": "gaussian_blobs"}}, "kind"),
         ({"distill_temperature": 2.0}, "distill_temperature"),
         ({"frozen_layers": 1}, "frozen_layers"),
-    ], ids=["gen-kind", "distill-temperature", "frozen-layers"])
+        ({"learning_rate": 1e-2}, "learning_rate"),
+        ({"cross_arch_family": "C"}, "cross_arch_family"),
+    ], ids=["gen-kind", "distill-temperature", "frozen-layers", "learning-rate",
+            "cross-arch-family"])
     def test_removed_key_fails_as_unknown(self, doc, key):
-        # one generator, and DIS's temperature and TRL's frozen layers are fixed
+        # one generator; DIS's temperature, TRL's frozen layers, CAR's family and
+        # the learning rate are fixed
         with pytest.raises(ConfigError, match=f"unexpected keyword argument '{key}'"):
             eval_config_from_dict(doc)
 
     def test_default_digest_golden_value(self):
         # The digest names every `evaluate` output file: changing it must be deliberate.
-        assert EvaluationConfig().digest() == "ded26d7b7314"
+        assert EvaluationConfig().digest() == "ab805af64ddb"
 
     def test_digest_sensitivity(self):
         a = tiny_config()
@@ -254,7 +257,7 @@ class TestAttackedModels:
     def test_cross_arch_uses_other_family(self, victim_and_data):
         cfg, victim, train_set = victim_and_data
         model = build_attacked_model(cfg, victim, "CAR", train_set, 6)
-        expected = family_spec(cfg.cross_arch_family, train_set.dims, train_set.class_count)
+        expected = family_spec(CROSS_ARCH_FAMILY, train_set.dims, train_set.class_count)
         assert model.spec == expected
         assert model.provenance[-1]["attack"] == "CAR"
 
@@ -264,7 +267,7 @@ class TestAttackedModels:
         cfg, victim, data = victim_and_data
         seed = 9
         queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
-        family = cfg.cross_arch_family if token == "CAR" else cfg.protected_family
+        family = CROSS_ARCH_FAMILY if token == "CAR" else cfg.protected_family
         surrogate = init_model(family_spec(family, data.dims, data.class_count),
                                derive_seed(seed, "surrogate-init"))
         kwargs = {}
@@ -279,8 +282,7 @@ class TestAttackedModels:
             surrogate = train_fresh(cfg, pre_data, cfg.protected_family,
                                     derive_seed(seed, "pretrain"))
             kwargs["frozen_dense"] = FROZEN_LAYERS
-        train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                learning_rate=cfg.learning_rate, seed=seed)
+        train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
         expected = extract(victim, queries, surrogate, train_cfg, token, **kwargs)
         model = build_attacked_model(cfg, victim, token, data, seed)
         assert model.spec == expected.spec and model.provenance == expected.provenance

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seedmark.bim import BimConfig, bim_batch
-from seedmark.boundary import PopulationPredictions
 from seedmark.datasets import GenSpec, generate
 from seedmark.errors import DivergenceError, InputError, SpecError
 from seedmark.harness import EvaluationReport
@@ -366,6 +365,22 @@ class TestTrain:
         with pytest.raises(InputError, match="expects class labels"):
             input_gradient(m, np.zeros((3, 2)), np.full((3, 2), 0.5))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, True, "2.0"],
+                             ids=["zero", "negative", "inf", "nan", "bool", "string"])
+    def test_loss_temperature_must_be_a_finite_positive_number(self, bad):
+        # as TrainConfig requires of its own temperature
+        m = bias_only_model([0.0, 0.0])
+        with pytest.raises(SpecError, match="temperature must be positive"):
+            loss_and_param_grads(m, np.zeros((2, 2)), np.array([0, 1]), bad)
+
+    @pytest.mark.parametrize("bad", [-1, -3, True, 1.5, 3],
+                             ids=["minus-one", "minus-three", "bool", "fraction", "every-layer"])
+    def test_frozen_dense_must_count_fewer_layers_than_the_model_has(self, bad):
+        m = init_model(ModelSpec((2, 4, 4, 2)), 0)  # three dense layers
+        with pytest.raises(SpecError, match=r"frozen_dense must be an integer in \[0, 3\), got "):
+            train(m, np.zeros((4, 2)), np.array([0, 1, 0, 1]), TrainConfig(epochs=1),
+                  frozen_dense=bad)
+
     def test_labels_equal_their_one_hot_confidences_at_any_temperature(self):
         # the targets' shape picks the loss, and temperature divides the logits for both
         rng = np.random.default_rng(2)
@@ -553,8 +568,6 @@ ARRAY_HOLDERS = {
     "Model": lambda: init_model(ModelSpec((3, 4, 2)), 0),
     "Dataset": lambda: generate(GenSpec(classes=2, dims=2, samples_per_class=3), 0),
     "KeySet": lambda: KeySet(np.zeros((2, 3)), np.array([0, 1]), {"dataset": "d"}),
-    "PopulationPredictions": lambda: PopulationPredictions(
-        np.zeros((2, 3), dtype=int), np.zeros((2, 3, 2)), np.zeros(3, dtype=int)),
     "EvaluationReport": lambda: EvaluationReport(
         (1.0,), (0.0,), roc_auc((1.0,), (0.0,)), "0" * 12, (((1.0,), (0.0,)),),
         ((np.zeros((1, 2)), np.zeros((1, 2))),)),

@@ -26,7 +26,7 @@ def settable_values(cls) -> int:
 def test_settable_config_values():
     # EvaluationConfig's `gen` and `bim` hold a GenSpec and a BimConfig
     assert [settable_values(cls) for cls in (GenSpec, BimConfig)] == [4, 2]
-    assert settable_values(EvaluationConfig) == 22 + 4 + 2
+    assert settable_values(EvaluationConfig) == 20 + 4 + 2
 
 
 def test_train_config_fields():

@@ -104,10 +104,7 @@ def cmd_analyze(args):
                              derive_seed(cfg.master_seed, f"analysis/extracted/{i}"))
         for i, m in enumerate(protected)
     ]
-    reports = [
-        boundary.run_strategy_analysis(protected, extracted, test_set, strategy, analysis_bim)
-        for strategy in boundary.STRATEGIES
-    ]
+    reports = boundary.run_strategy_analysis(protected, extracted, test_set, analysis_bim)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"boundary-{cfg.digest()}.csv")
     boundary.write_strategy_table(reports, path)

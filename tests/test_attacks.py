@@ -59,6 +59,19 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             blur_quantize(trained_model, 0)
 
+    @pytest.mark.parametrize("bits", [2.5, True, np.int64(3), 17, "4"],
+                             ids=["fraction", "bool", "numpy-int", "too-many", "string"])
+    def test_quantize_bits_must_be_a_whole_number_in_range(self, trained_model, bits):
+        with pytest.raises(ConfigError, match=r"bits must be an integer in \[1, 16\], "
+                                              f"got {re.escape(repr(bits))}"):
+            blur_quantize(trained_model, bits)
+
+    @pytest.mark.parametrize("sparsity", [False, True, "0.5", np.nan])
+    def test_prune_sparsity_must_be_a_number_in_range(self, trained_model, sparsity):
+        with pytest.raises(ConfigError, match=r"sparsity must be a number in \[0, 1\), "
+                                              f"got {re.escape(repr(sparsity))}"):
+            blur_prune(trained_model, sparsity)
+
 
 class TestSampleQueries:
     def test_full_budget_is_shuffled_copy(self):
@@ -115,7 +128,7 @@ class TestRetraining:
         with pytest.raises(InputError):
             sample_queries(np.zeros((3, 8)), 0.1, 0)
         # a fraction outside (0, 1] names itself instead of clamping or failing bare
-        for fraction in (1.5, 0.0, -0.5, np.nan, np.inf, "0.5", None):
+        for fraction in (1.5, 0.0, -0.5, np.nan, np.inf, "0.5", None, True):
             with pytest.raises(InputError, match=r"fraction must be a number in \(0, 1\], "
                                                  f"got {re.escape(repr(fraction))}"):
                 sample_queries(np.zeros((10, 3)), fraction, 0)

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from seedmark import boundary
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.boundary import (
     STRATEGIES,
@@ -73,6 +76,38 @@ class TestSubsets:
         unique = np.array([0, 1, 2])
         assert list(find_transferable(unique, protected, extracted, truth)) == [0]
 
+    @pytest.mark.parametrize("model_index", [2, 5, -1, 1.5, True, "0", None],
+                             ids=["models", "past-the-end", "negative", "fraction", "bool",
+                                  "string", "none"])
+    def test_model_index_must_name_a_model(self, model_index):
+        with pytest.raises(InputError, match=r"model_index must be an integer in \[0, 2\), "
+                                             f"got {re.escape(repr(model_index))}"):
+            find_unique_disagreements(np.array([[1, 2], [2, 2]]), np.array([2, 2]), model_index)
+
+    @pytest.mark.parametrize("unique_set", [[-1], [3], [0, 3]],
+                             ids=["negative", "rows", "one-of-two"])
+    def test_transferable_rows_must_be_in_range(self, unique_set):
+        labels = np.array([1, 1, 1])
+        with pytest.raises(InputError, match=r"row index -?\d+ is outside \[0, 3\)"):
+            find_transferable(unique_set, labels, labels, np.array([2, 2, 2]))
+
+    @pytest.mark.parametrize("unique_set", [[1.5], [True], [0, 1.0]],
+                             ids=["fraction", "bool", "float-list"])
+    def test_transferable_rows_must_be_integers(self, unique_set):
+        labels = np.array([1, 1, 1])
+        with pytest.raises(InputError, match="row indices must be integers"):
+            find_transferable(unique_set, labels, labels, np.array([2, 2, 2]))
+
+    @pytest.mark.parametrize("protected, extracted, truth", [
+        ([1, 1], [1, 1, 1], [2, 2, 2]),
+        ([1, 1, 1], [1, 1], [2, 2, 2]),
+        ([1, 1, 1], [1, 1, 1], [2, 2]),
+        ([[1, 1, 1]], [[1, 1, 1]], [[2, 2, 2]]),
+    ], ids=["short-protected", "short-extracted", "short-truth", "2-d"])
+    def test_transferable_label_vectors_must_be_one_length(self, protected, extracted, truth):
+        with pytest.raises(InputError, match="label vectors must be 1-d and of one length"):
+            find_transferable([0], np.array(protected), np.array(extracted), np.array(truth))
+
 
 @pytest.fixture(scope="module")
 def small_population(blob_data):
@@ -129,17 +164,50 @@ def reference_analysis(protected_models, extracted_models, eval_set, strategy, b
                         float(np.mean(trans_confs)) if trans_confs else 0.0)
 
 
+def by_strategy(reports):
+    assert [r.strategy for r in reports] == list(STRATEGIES)
+    return {r.strategy: r for r in reports}
+
+
+@pytest.fixture(scope="module")
+def analysis(small_population):
+    """The one-call analysis of `small_population` under a BIM config, by strategy."""
+    runs = {}
+
+    def reports(bim_cfg):
+        if bim_cfg not in runs:
+            runs[bim_cfg] = by_strategy(run_strategy_analysis(*small_population, bim_cfg))
+        return runs[bim_cfg]
+    return reports
+
+
 @pytest.mark.parametrize("bim_cfg", [BimConfig(), BimConfig(epsilon=0.05)],
                          ids=["default-bim", "epsilon-0.05"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_analysis_bit_identical_to_the_confidence_table(small_population, strategy, bim_cfg):
-    protected, extracted, test_set = small_population
-    report = run_strategy_analysis(protected, extracted, test_set, strategy, bim_cfg)
-    expected = reference_analysis(protected, extracted, test_set, strategy, bim_cfg)
+def test_analysis_bit_identical_to_the_confidence_table(small_population, analysis, strategy,
+                                                        bim_cfg):
+    report = analysis(bim_cfg)[strategy]
+    expected = reference_analysis(*small_population, strategy, bim_cfg)
     assert report.strategy == expected.strategy
     for name in ("disagreement_share", "unique_share", "transferable_share",
                  "mean_transferable_confidence"):
         assert getattr(report, name).hex() == getattr(expected, name).hex(), name
+
+
+def test_analysis_strengthens_every_row_once_per_model(small_population, monkeypatch):
+    protected, extracted, test_set = small_population
+    calls = []
+
+    def recording_bim_batch(model, inputs, labels, cfg):
+        calls.append((model, np.array(inputs), np.array(labels)))
+        return bim_batch(model, inputs, labels, cfg)
+
+    monkeypatch.setattr(boundary, "bim_batch", recording_bim_batch)
+    run_strategy_analysis(protected, extracted, test_set, BimConfig(iterations=2))
+    assert [model for model, _, _ in calls] == protected
+    for model, inputs, labels in calls:
+        assert np.array_equal(inputs, test_set.features)
+        assert np.array_equal(labels, predict(model, test_set.features))
 
 
 class TestStrategyAnalysis:
@@ -147,40 +215,34 @@ class TestStrategyAnalysis:
         train_set, test_set = blob_data
         spec = family_spec("A", train_set.dims, train_set.class_count)
         m = train(init_model(spec, 1), train_set.features, train_set.labels, TrainConfig(seed=1))
-        report = run_strategy_analysis([m, m], [m, m], test_set, "none")
-        assert report.disagreement_share == 0.0
-        assert report.unique_share == 0.0
-        assert report.transferable_share == 0.0
+        for report in run_strategy_analysis([m, m], [m, m], test_set, BimConfig(iterations=3)):
+            assert report.disagreement_share == 0.0
+            assert report.unique_share == 0.0
+            assert report.transferable_share == 0.0
 
     def test_set_relations_and_shares(self, small_population):
         protected, extracted, test_set = small_population
-        report = run_strategy_analysis(protected, extracted, test_set, "none")
-        assert 0 < report.disagreement_share <= 1
-        assert report.unique_share <= report.disagreement_share
-        assert report.transferable_share <= report.unique_share
+        reports = by_strategy(run_strategy_analysis(protected, extracted, test_set))
+        assert 0 < reports["none"].disagreement_share <= 1
+        for report in reports.values():
+            assert report.unique_share <= report.disagreement_share
+            assert report.transferable_share <= report.unique_share
 
     def test_bim_strategy_raises_confidence(self, small_population):
         protected, extracted, test_set = small_population
-        base = run_strategy_analysis(protected, extracted, test_set, "none")
         # a gentle budget strengthens a model's own misclassifications without
         # dragging every other model's prediction along with it
-        strengthened = run_strategy_analysis(protected, extracted, test_set,
-                                             "disagreements", BimConfig(epsilon=0.05))
-        assert strengthened.mean_transferable_confidence >= base.mean_transferable_confidence
-
-    def test_unknown_strategy(self, small_population):
-        protected, extracted, test_set = small_population
-        with pytest.raises(InputError):
-            run_strategy_analysis(protected, extracted, test_set, "everything")
+        reports = by_strategy(run_strategy_analysis(protected, extracted, test_set,
+                                                    BimConfig(epsilon=0.05)))
+        assert (reports["disagreements"].mean_transferable_confidence
+                >= reports["none"].mean_transferable_confidence)
 
     def test_table_csv(self, small_population, tmp_path):
         protected, extracted, test_set = small_population
-        reports = [run_strategy_analysis(protected, extracted, test_set, s,
-                                         BimConfig(iterations=3))
-                   for s in ("none", "unique")]
+        reports = run_strategy_analysis(protected, extracted, test_set, BimConfig(iterations=3))
         path = tmp_path / "table.csv"
         write_strategy_table(reports, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "strategy,disagreements,unique,transferable,confidence"
-        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == list(STRATEGIES)
         assert float(lines[1].split(",")[1]) == reports[0].disagreement_share

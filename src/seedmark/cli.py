@@ -203,17 +203,51 @@ def cmd_dump_confidences(args):
     print(args.out)
 
 
-# Every subcommand: its entry point and its one-line help in `seedmark -h`.
+# Every option of every subcommand: its `add_argument` keywords. An option
+# means the same in each command that takes it.
+OPTIONS = {
+    "--config": {},
+    "--seed": {"type": int},
+    "--count": {"type": int, "default": 10},
+    "--out": {"required": True},
+    "--victim": {"required": True},
+    "--data": {"required": True},
+    "--attack": {"required": True, "help": "RET|DIS|TRL|CAR|CC or WP(...)/WQ(...)"},
+    "--model": {"required": True},
+    "--method": {"choices": BLUR_METHODS, "required": True},
+    "--protected": {"required": True},
+    "--extracted": {"nargs": "+", "required": True},
+    "--nonextracted": {"nargs": "+", "required": True},
+    "--keyset": {"required": True},
+    "--suspect": {"action": "extend", "nargs": "+", "required": True},
+    "--verifier": {"required": True},
+    "--threshold": {"type": float, "default": None,
+                    "help": "optionally print a binary verdict at this score threshold"},
+    "--preset": {"choices": tuple(PRESETS),
+                 "help": "set the seen/unseen attacks to one of the paper's scenarios"},
+}
+
+# Every subcommand: its entry point, its one-line help in `seedmark -h` and
+# its options, in the order its usage lists them.
 COMMANDS = {
-    "train-population": (cmd_train_population, "train fresh seeded models"),
-    "extract": (cmd_extract, "run an extraction attack against a victim model"),
-    "blur": (cmd_blur, "prune or quantize a model's weights"),
-    "analyze": (cmd_analyze, "population disagreement/strategy analysis"),
-    "keygen": (cmd_keygen, "generate a watermark key-set"),
-    "build-verifier": (cmd_build_verifier, "fit per-watermark classifiers"),
-    "verify": (cmd_verify, "score one or more suspect models against a verifier"),
-    "evaluate": (cmd_evaluate, "run the full end-to-end evaluation"),
-    "dump-confidences": (cmd_dump_confidences, "per-watermark confidence CSV"),
+    "train-population": (cmd_train_population, "train fresh seeded models",
+                         ("--config", "--seed", "--count", "--out")),
+    "extract": (cmd_extract, "run an extraction attack against a victim model",
+                ("--config", "--seed", "--victim", "--data", "--attack", "--out")),
+    "blur": (cmd_blur, "prune or quantize a model's weights",
+             ("--config", "--model", "--method", "--out")),
+    "analyze": (cmd_analyze, "population disagreement/strategy analysis",
+                ("--config", "--seed", "--out")),
+    "keygen": (cmd_keygen, "generate a watermark key-set",
+               ("--config", "--protected", "--extracted", "--nonextracted", "--data", "--out")),
+    "build-verifier": (cmd_build_verifier, "fit per-watermark classifiers",
+                       ("--config", "--keyset", "--extracted", "--nonextracted", "--out")),
+    "verify": (cmd_verify, "score one or more suspect models against a verifier",
+               ("--suspect", "--verifier", "--keyset", "--threshold")),
+    "evaluate": (cmd_evaluate, "run the full end-to-end evaluation",
+                 ("--config", "--preset", "--seed", "--out")),
+    "dump-confidences": (cmd_dump_confidences, "per-watermark confidence CSV",
+                         ("--keyset", "--extracted", "--nonextracted", "--out")),
 }
 
 
@@ -230,75 +264,12 @@ def build_parser(command=None):
     # error about the command itself, which would name the metavar
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name):
-        if command not in (None, name):
-            return None
-        fn, text = COMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(fn=fn)
-        return p
-
-    if p := add("train-population"):
-        p.add_argument("--config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--count", type=int, default=10)
-        p.add_argument("--out", required=True)
-
-    if p := add("extract"):
-        p.add_argument("--config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--victim", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--attack", required=True, help="RET|DIS|TRL|CAR|CC or WP(...)/WQ(...)")
-        p.add_argument("--out", required=True)
-
-    if p := add("blur"):
-        p.add_argument("--config")
-        p.add_argument("--model", required=True)
-        p.add_argument("--method", choices=BLUR_METHODS, required=True)
-        p.add_argument("--out", required=True)
-
-    if p := add("analyze"):
-        p.add_argument("--config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", required=True)
-
-    if p := add("keygen"):
-        p.add_argument("--config")
-        p.add_argument("--protected", required=True)
-        p.add_argument("--extracted", nargs="+", required=True)
-        p.add_argument("--nonextracted", nargs="+", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--out", required=True)
-
-    if p := add("build-verifier"):
-        p.add_argument("--config")
-        p.add_argument("--keyset", required=True)
-        p.add_argument("--extracted", nargs="+", required=True)
-        p.add_argument("--nonextracted", nargs="+", required=True)
-        p.add_argument("--out", required=True)
-
-    if p := add("verify"):
-        p.add_argument("--suspect", action="extend", nargs="+", required=True)
-        p.add_argument("--verifier", required=True)
-        p.add_argument("--keyset", required=True)
-        p.add_argument("--threshold", type=float, default=None,
-                       help="optionally print a binary verdict at this score threshold")
-
-    if p := add("evaluate"):
-        p.add_argument("--config")
-        p.add_argument("--preset", choices=tuple(PRESETS),
-                       help="set the seen/unseen attacks to one of the paper's scenarios")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", required=True)
-
-    if p := add("dump-confidences"):
-        p.add_argument("--keyset", required=True)
-        p.add_argument("--extracted", nargs="+", required=True)
-        p.add_argument("--nonextracted", nargs="+", required=True)
-        p.add_argument("--out", required=True)
-
+    for name, (fn, text, options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(fn=fn)
+            for option in options:
+                p.add_argument(option, **OPTIONS[option])
     return parser
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, SpecError, check_field_types
+from .errors import FormatError, InputError, SpecError, check_field_types
 from .rng import stream
 from .serialize import (_INT, _LABELS, _STR, _check_fields, _decode_array, _encode_array,
                         _read_artifact, _write_artifact)
@@ -49,6 +49,16 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        check_field_types(self, SpecError)
+        if np.ndim(self.features) != 2:
+            raise SpecError(f"features must be a 2-d (rows, dims) array, got shape "
+                            f"{np.shape(self.features)}")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise SpecError(f"labels must be a 1-d integer vector, got {labels.dtype} "
+                            f"of shape {labels.shape}")
+        if self.class_count < 2:
+            raise SpecError(f"class_count must be at least 2, got {self.class_count}")
         if len(self.features) == 0 or len(self.features) != len(self.labels):
             raise SpecError("features/labels size mismatch or empty dataset")
         if not np.isfinite(self.features).all():
@@ -67,6 +77,16 @@ class Dataset:
     @property
     def dims(self):
         return self.features.shape[1]
+
+
+def check_fits(data: Dataset, model, role: str):
+    """Raise an InputError unless `data` has `model`'s input and class
+    counts; `role` names the model in the message."""
+    if (data.dims, data.class_count) != (model.spec.input_dim, model.spec.output_classes):
+        raise InputError(
+            f"dataset of {data.dims} features and {data.class_count} classes does not fit "
+            f"a {role} of {model.spec.input_dim} inputs and {model.spec.output_classes} classes"
+        )
 
 
 def generate(spec: GenSpec, seed: int) -> Dataset:

@@ -17,9 +17,9 @@ import numpy as np
 
 from .attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
 from .bim import BimConfig
-from .datasets import Dataset, GenSpec, generate, split
+from .datasets import Dataset, GenSpec, check_fits, generate, split
 from .datasets import random_probe_inputs
-from .errors import ConfigError, InputError, check_field_types
+from .errors import ConfigError, check_field_types
 from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
@@ -170,11 +170,7 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
     is sized from `data`, so `data` must have the victim's input and class
     counts."""
     base, blur_name = parse_attack_token(token)
-    if (data.dims, data.class_count) != (victim.spec.input_dim, victim.spec.output_classes):
-        raise InputError(
-            f"dataset of {data.dims} features and {data.class_count} classes does not fit "
-            f"a victim of {victim.spec.input_dim} inputs and {victim.spec.output_classes} classes"
-        )
+    check_fits(data, victim, "victim")
     if base == "CC":
         queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
                                       seed=derive_seed(seed, "probes"))

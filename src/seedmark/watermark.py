@@ -9,12 +9,14 @@ of key-set inputs on which its confidence is classified "extracted".
 
 import hashlib
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bim import BimConfig, bim_batch
+from .datasets import check_fits
 from .errors import FormatError, InputError, WatermarkError
 from .nnet import Model, forward, predict
 from .serialize import (_LABELS, _STR, _check_fields, _decode_array, _encode_array,
@@ -79,16 +81,18 @@ def generate_keyset(
     extracted/non-extracted mean-confidence gap.
 
     Each candidate is BIM-perturbed toward the protected model's label and
-    kept only if the model still predicts that label.
+    kept only if the model still predicts that label. `data` must have the
+    protected model's input and class counts, and `n` is a whole number.
     candidate_source="disagreements" narrows the pool to the misclassified
     rows that some non-extracted model labels otherwise.
     """
-    if n < 1:
-        raise WatermarkError("key-set size must be positive")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise WatermarkError(f"key-set size must be a whole number >= 1, got {n!r}")
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise WatermarkError("both model populations must be non-empty")
     if candidate_source not in CANDIDATE_SOURCES:
         raise WatermarkError(f"unknown candidate source {candidate_source!r}")
+    check_fits(data, protected, "protected model")
     bim_cfg = bim_cfg or BimConfig()
     features = np.asarray(data.features, dtype=np.float64)
     truth = np.asarray(data.labels)
@@ -127,7 +131,7 @@ def generate_keyset(
             "epsilon": bim_cfg.epsilon,
             "step_size": bim_cfg.step_size,
         },
-        "dataset": getattr(data, "name", "unknown"),
+        "dataset": data.name,
     }
     return KeySet(perturbed[chosen], post_preds[chosen], prov)
 

@@ -290,13 +290,8 @@ def test_train_population_count_below_one_fails_before_writing(config_path, tmp_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("attack", ["RET", "DIS", "TRL", "CC"])
-@pytest.mark.parametrize("edit", ["classes", "dims"])
-def test_extract_with_data_of_another_shape_fails_with_json_error(workspace, config_path,
-                                                                  tmp_path, capsys, edit, attack):
-    """The surrogate is sized from the data file, so data that does not fit
-    the victim would give a surrogate of another shape (RET) or a
-    misleading training error (DIS)."""
+def data_of_another_shape(workspace, tmp_path, edit) -> str:
+    """The workspace's data file with 5 classes, or with one feature fewer."""
     doc = json.loads(Path(workspace["data"]).read_text())
     if edit == "classes":
         doc["classes"] = 5
@@ -305,16 +300,45 @@ def test_extract_with_data_of_another_shape_fails_with_json_error(workspace, con
         doc["features"] = features.reshape(len(doc["labels"]), -1)[:, :-1].tobytes().hex()
     data = tmp_path / "data.json"
     data.write_text(json.dumps(doc))
-    out = tmp_path / "ext.json"
-    capsys.readouterr()
-    assert main(["extract", "--config", config_path, "--victim", workspace["models"][0],
-                 "--data", str(data), "--attack", attack, "--out", str(out)]) == 1
+    return str(data)
+
+
+def assert_shape_mismatch(capsys, out, role):
     captured = capsys.readouterr()
     assert captured.out == ""
     doc = json.loads(captured.err)
     assert doc["error"] == "InputError"
-    assert "a victim of 4 inputs and 3 classes" in doc["message"]
+    assert f"a {role} of 4 inputs and 3 classes" in doc["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("attack", ["RET", "DIS", "TRL", "CC"])
+@pytest.mark.parametrize("edit", ["classes", "dims"])
+def test_extract_with_data_of_another_shape_fails_with_json_error(workspace, config_path,
+                                                                  tmp_path, capsys, edit, attack):
+    """The surrogate is sized from the data file, so data that does not fit
+    the victim would give a surrogate of another shape (RET) or a
+    misleading training error (DIS)."""
+    data = data_of_another_shape(workspace, tmp_path, edit)
+    out = tmp_path / "ext.json"
+    capsys.readouterr()
+    assert main(["extract", "--config", config_path, "--victim", workspace["models"][0],
+                 "--data", data, "--attack", attack, "--out", str(out)]) == 1
+    assert_shape_mismatch(capsys, out, "victim")
+
+
+@pytest.mark.parametrize("edit", ["classes", "dims"])
+def test_keygen_with_data_of_another_shape_fails_with_json_error(workspace, config_path,
+                                                                 tmp_path, capsys, edit):
+    """Rows of another task are misclassified, or unreadable, by the protected model."""
+    data = data_of_another_shape(workspace, tmp_path, edit)
+    out = tmp_path / "keyset.json"
+    capsys.readouterr()
+    assert main(["keygen", "--config", config_path, "--protected", workspace["models"][0],
+                 "--extracted", *workspace["extracted"],
+                 "--nonextracted", *workspace["models"][1:],
+                 "--data", data, "--out", str(out)]) == 1
+    assert_shape_mismatch(capsys, out, "protected model")
 
 
 def test_blur_command(workspace, capsys):

@@ -89,6 +89,42 @@ class TestProbes:
         assert abs(p.mean()) < 0.01
 
 
+class TestDatasetShapes:
+    @pytest.mark.parametrize("features, labels, classes, message", [
+        (np.zeros(5), np.zeros(5, int), 2, r"features must be a 2-d \(rows, dims\) array, "
+                                           r"got shape \(5,\)"),
+        (np.zeros((2, 2, 2)), np.zeros(2, int), 2,
+         r"features must be a 2-d .* got shape \(2, 2, 2\)"),
+        (np.zeros((2, 2)), np.array([0, 0.5]), 2, r"labels must be a 1-d integer vector, "
+                                                  r"got float64 of shape \(2,\)"),
+        (np.zeros((2, 2)), np.array([0.0, 1.0]), 2, "labels must be a 1-d integer vector"),
+        (np.zeros((2, 2)), np.array([True, False]), 2, "labels must be a 1-d integer vector"),
+        (np.zeros((2, 2)), np.zeros((2, 1), int), 2, r"labels must be .* of shape \(2, 1\)"),
+        (np.zeros((2, 2)), np.zeros(2, int), 2.5, r"class_count must be an integer, got 2.5"),
+        (np.zeros((2, 2)), np.zeros(2, int), True, "class_count must be an integer, got True"),
+        (np.zeros((2, 2)), np.zeros(2, int), np.int64(2), "class_count must be an integer"),
+        (np.zeros((2, 2)), np.zeros(2, int), 1, "class_count must be at least 2, got 1"),
+    ], ids=["1-d-features", "3-d-features", "fractional-labels", "float-labels", "bool-labels",
+            "2-d-labels", "fractional-classes", "bool-classes", "numpy-classes", "one-class"])
+    def test_bad_shape_raises_spec_error(self, features, labels, classes, message):
+        with pytest.raises(SpecError, match=f"^{message}"):
+            Dataset(features, labels, classes, "x", 0)
+
+    @pytest.mark.parametrize("name, seed, message", [
+        (5, 0, "name must be a string, got 5"),
+        ("x", 1.5, r"seed must be an integer, got 1.5"),
+    ], ids=["name-number", "seed-fraction"])
+    def test_field_of_the_wrong_type_raises_spec_error(self, name, seed, message):
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            Dataset(np.zeros((2, 2)), np.zeros(2, int), 2, name, seed)
+
+    def test_one_class_file_raises_format_error(self):
+        doc = _dataset_doc([[0.0, 0.0]], [0])
+        doc["classes"] = 1
+        with pytest.raises(FormatError, match="bad dataset: class_count must be at least 2"):
+            parse_dataset(json.dumps(doc))
+
+
 def _dataset_doc(features, labels, classes=2):
     """A dataset artifact holding `features` and `labels`, as JSON."""
     data = Dataset(np.zeros((len(labels), 2)), np.zeros(len(labels), dtype=int), classes, "x", 0)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from seedmark import watermark
 from seedmark.bim import BimConfig, bim_batch
-from seedmark.datasets import Dataset
+from seedmark.datasets import Dataset, GenSpec, generate
 from seedmark.errors import FormatError, InputError, WatermarkError
 from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, forward, init_model, predict, train
@@ -51,6 +52,10 @@ def populations(blob_data, trained_model):
         for i in range(4)
     ]
     return extracted, controls
+
+
+def no_call(*args, **kwargs):
+    raise AssertionError("called after a failed input check")
 
 
 def one_classifier(kind, fitted):
@@ -164,6 +169,41 @@ class TestKeysetGeneration:
             generate_keyset(trained_model, extracted, controls, train_set, 0)
         with pytest.raises(WatermarkError):
             generate_keyset(trained_model, [], controls, train_set, 4)
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", 2.0, None],
+                             ids=["fraction", "bool", "string", "float", "none"])
+    def test_size_must_be_a_whole_number(self, blob_data, trained_model, populations,
+                                         monkeypatch, n):
+        """Checked before BIM runs: a fraction used to die slicing the chosen
+        rows after BIM, and True returned a one-row key-set."""
+        train_set, _ = blob_data
+        extracted, controls = populations
+        monkeypatch.setattr(watermark, "bim_batch", no_call)
+        with pytest.raises(WatermarkError,
+                           match=rf"^key-set size must be a whole number >= 1, got {n!r}$"):
+            generate_keyset(trained_model, extracted, controls, train_set, n)
+
+    def test_numpy_integer_size(self, blob_data, trained_model, populations):
+        train_set, _ = blob_data
+        extracted, controls = populations
+        keyset = generate_keyset(trained_model, extracted, controls, train_set, np.int64(2))
+        assert len(keyset) == 2
+
+    @pytest.mark.parametrize("classes, dims", [(9, 8), (3, 8), (4, 6)],
+                             ids=["more-classes", "fewer-classes", "fewer-dims"])
+    def test_data_of_another_task_rejected(self, trained_model, populations, monkeypatch,
+                                           classes, dims):
+        """Rows of a 9-class task labelled 4-8 would always count as
+        misclassified by a 4-class protected model; the data is rejected
+        before any prediction or BIM."""
+        extracted, controls = populations
+        data = generate(GenSpec(classes=classes, dims=dims, samples_per_class=20), 5)
+        monkeypatch.setattr(watermark, "predict", no_call)
+        monkeypatch.setattr(watermark, "bim_batch", no_call)
+        with pytest.raises(InputError, match=(
+                rf"^dataset of {dims} features and {classes} classes does not fit "
+                r"a protected model of 8 inputs and 4 classes$")):
+            generate_keyset(trained_model, extracted, controls, data, 4)
 
     def test_determinism(self, blob_data, trained_model, populations):
         train_set, _ = blob_data

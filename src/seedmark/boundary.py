@@ -4,8 +4,7 @@ Given a population of independently seeded models (plus one extracted
 partner per model) evaluated on a common input set, computes the nested
 subsets that make seed-induced behavior visible: disagreements, per-model
 unique disagreements, and disagreements that transfer to the extracted
-partner. Also measures how iterative adversarial strengthening of those
-subsets changes their size and confidence.
+partner.
 """
 
 import csv
@@ -13,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bim import BimConfig, bim_batch
 from .errors import InputError
 from .nnet import forward, predict
-
-STRATEGIES = ("none", "unique", "disagreements", "entire_set")
 
 
 def population_labels(models, features) -> np.ndarray:
@@ -27,7 +23,6 @@ def population_labels(models, features) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubsetReport:
-    strategy: str
     disagreement_share: float
     unique_share: float
     transferable_share: float
@@ -81,67 +76,38 @@ def find_transferable(unique_set, protected_preds, extracted_preds, truth) -> np
     return unique_set[keep]
 
 
-def run_strategy_analysis(protected_models, extracted_models, eval_set, bim_cfg=None) -> list:
-    """Per-model perturb-and-recount analysis, averaged over the population:
-    one SubsetReport per strategy, in STRATEGIES order.
+def run_analysis(protected_models, extracted_models, eval_set) -> SubsetReport:
+    """The population's subset shares on the clean `eval_set`.
 
-    Each protected model strengthens every row once toward its own clean
-    prediction. Each strategy swaps in the strengthened rows of its subset,
-    found on the clean set: none, the model's unique disagreements, the
-    disagreements, or every row (`bim_batch` never mixes rows, so this equals
-    strengthening that subset alone). Subsets are then recounted on the
-    perturbed set. Shares are means over models; the confidence of a
-    transferable point is the model's probability for its own (wrong)
-    predicted class there.
+    The disagreement share is the population's; the unique and transferable
+    shares are means over models of each model's own subsets. The confidence
+    of a transferable point is the model's probability for its own (wrong)
+    predicted class there, averaged over every model's transferable points.
     """
     if len(protected_models) == 0 or len(protected_models) != len(extracted_models):
         raise InputError("need equal non-empty protected/extracted populations")
-    bim_cfg = bim_cfg or BimConfig()
     features = np.asarray(eval_set.features, dtype=np.float64)
     truth = np.asarray(eval_set.labels)
     n = len(truth)
-    clean = population_labels(protected_models, features)
-    clean_dis = find_disagreements(clean)
-
-    tallies = {s: ([], [], [], []) for s in STRATEGIES}
+    labels = population_labels(protected_models, features)
+    uniq_shares, trans_shares, trans_confs = [], [], []
     for mi, (protected, extracted) in enumerate(zip(protected_models, extracted_models)):
-        strengthened = bim_batch(protected, features, clean[mi], bim_cfg)
-        subsets = ([], find_unique_disagreements(clean, truth, mi), clean_dis, np.arange(n))
-        for subset, (dis_shares, uniq_shares, trans_shares, trans_confs) in zip(
-                subsets, tallies.values()):
-            perturbed, labels = features, clean
-            if len(subset):
-                perturbed = features.copy()
-                perturbed[subset] = strengthened[subset]
-                labels = population_labels(protected_models, perturbed)
-            dis_shares.append(len(find_disagreements(labels)) / n)
-            uniq = find_unique_disagreements(labels, truth, mi)
-            uniq_shares.append(len(uniq) / n)
-            trans = find_transferable(uniq, labels[mi], predict(extracted, perturbed), truth)
-            trans_shares.append(len(trans) / n)
-            if len(trans):
-                trans_confs.extend(forward(protected, perturbed)[trans, labels[mi, trans]])
-    return [
-        SubsetReport(strategy, float(np.mean(dis)), float(np.mean(uniq)), float(np.mean(trans)),
-                     float(np.mean(confs)) if confs else 0.0)
-        for strategy, (dis, uniq, trans, confs) in tallies.items()
-    ]
+        uniq = find_unique_disagreements(labels, truth, mi)
+        uniq_shares.append(len(uniq) / n)
+        trans = find_transferable(uniq, labels[mi], predict(extracted, features), truth)
+        trans_shares.append(len(trans) / n)
+        if len(trans):
+            trans_confs.extend(forward(protected, features)[trans, labels[mi, trans]])
+    return SubsetReport(len(find_disagreements(labels)) / n, float(np.mean(uniq_shares)),
+                        float(np.mean(trans_shares)),
+                        float(np.mean(trans_confs)) if trans_confs else 0.0)
 
 
-def write_strategy_table(reports, path):
-    """CSV table: one row per strategy with subset shares and confidence."""
+def write_analysis_table(report, path):
+    """CSV table: a header and one row of the report's shares and confidence."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["strategy", "disagreements", "unique", "transferable", "confidence"]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    r.strategy,
-                    repr(r.disagreement_share),
-                    repr(r.unique_share),
-                    repr(r.transferable_share),
-                    repr(r.mean_transferable_confidence),
-                ]
-            )
+        writer.writerow(["disagreements", "unique", "transferable", "confidence"])
+        writer.writerow([repr(report.disagreement_share), repr(report.unique_share),
+                         repr(report.transferable_share),
+                         repr(report.mean_transferable_confidence)])

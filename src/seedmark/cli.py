@@ -42,12 +42,6 @@ PRESETS = {
     "cross-arch": {"seen_attacks": ("TRL",), "unseen_attacks": ("CAR",)},
 }
 
-# `analyze` uses a gentler budget than key-set generation: a large step
-# drags every population member onto the target class, emptying the
-# recounted subsets
-ANALYSIS_BIM_EPSILON = 0.05
-
-
 def _load_config(args) -> EvaluationConfig:
     """--config, then --preset's attack mix, then --seed."""
     cfg = load_eval_config(args.config) if args.config else EvaluationConfig()
@@ -93,7 +87,6 @@ def cmd_blur(args):
 def cmd_analyze(args):
     cfg = _load_config(args)
     train_set, test_set = prepare_data(cfg)
-    analysis_bim = replace(cfg.bim, epsilon=ANALYSIS_BIM_EPSILON)
     protected = [
         train_fresh(cfg, train_set, cfg.protected_family,
                     derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
@@ -104,16 +97,13 @@ def cmd_analyze(args):
                              derive_seed(cfg.master_seed, f"analysis/extracted/{i}"))
         for i, m in enumerate(protected)
     ]
-    reports = boundary.run_strategy_analysis(protected, extracted, test_set, analysis_bim)
+    report = boundary.run_analysis(protected, extracted, test_set)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"boundary-{cfg.digest()}.csv")
-    boundary.write_strategy_table(reports, path)
-    for r in reports:
-        print(
-            f"{r.strategy}: disagreements={r.disagreement_share:.4f} "
-            f"unique={r.unique_share:.4f} transferable={r.transferable_share:.4f} "
-            f"confidence={r.mean_transferable_confidence:.4f}"
-        )
+    boundary.write_analysis_table(report, path)
+    print(f"disagreements={report.disagreement_share:.4f} unique={report.unique_share:.4f} "
+          f"transferable={report.transferable_share:.4f} "
+          f"confidence={report.mean_transferable_confidence:.4f}")
     print(path)
 
 
@@ -236,7 +226,7 @@ COMMANDS = {
                 ("--config", "--seed", "--victim", "--data", "--attack", "--out")),
     "blur": (cmd_blur, "prune or quantize a model's weights",
              ("--config", "--model", "--method", "--out")),
-    "analyze": (cmd_analyze, "population disagreement/strategy analysis",
+    "analyze": (cmd_analyze, "population disagreement analysis",
                 ("--config", "--seed", "--out")),
     "keygen": (cmd_keygen, "generate a watermark key-set",
                ("--config", "--protected", "--extracted", "--nonextracted", "--data", "--out")),

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import FormatError, InputError, SpecError, check_field_types
 from .rng import stream
 from .serialize import (_INT, _LABELS, _STR, _check_fields, _decode_array, _encode_array,
-                        _read_artifact, _write_artifact)
+                        _read_artifact, _read_text, _write_artifact)
 
 FEATURE_RANGE = (-1.0, 1.0)
 
@@ -151,5 +151,4 @@ def save_dataset(dataset: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        return parse_dataset(fh.read())
+    return parse_dataset(_read_text(path))

@@ -23,7 +23,7 @@ from .errors import ConfigError, check_field_types
 from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
-from .serialize import model_digest
+from .serialize import _read_text, model_digest
 from .watermark import CANDIDATE_SOURCES, VERIFIER_FIELDS, build_verifier, confidence_table
 from .watermark import generate_keyset, verify
 
@@ -132,11 +132,10 @@ def eval_config_from_dict(doc: dict) -> EvaluationConfig:
 
 
 def load_eval_config(path) -> EvaluationConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(_read_text(path, ConfigError))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return eval_config_from_dict(doc)
 
 

@@ -1,7 +1,8 @@
-"""Versioned JSON artifacts: model files, and the envelope, float codec and
-field checks that every artifact shares. A float array is stored as one
-string, the hex of its little-endian float64 bytes, so round-trips are
-bit-exact; loaders reject any `format` name or `version` but their own."""
+"""Versioned JSON artifacts: model files, and the UTF-8 reader, envelope,
+float codec and field checks that every artifact shares. A float array is
+stored as one string, the hex of its little-endian float64 bytes, so
+round-trips are bit-exact; loaders reject any `format` name or `version`
+but their own."""
 
 import hashlib
 import json
@@ -46,6 +47,15 @@ def _decode_array(data, shape) -> np.ndarray:
     return np.frombuffer(raw, "<f8").astype(np.float64, copy=False).reshape(shape)
 
 
+def _read_text(path, error=FormatError) -> str:
+    """The text of the file at `path`, read as UTF-8; `error` if it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _write_artifact(fmt, /, **fields) -> str:
     """The JSON text of a `fmt` artifact of the current version holding `fields`."""
     return json.dumps({"format": fmt, "version": VERSION, **fields}, indent=1)
@@ -68,8 +78,9 @@ def _read_artifact(text, fmt) -> dict:
 # (check, what passes it) for `_check_fields`
 _INT = (lambda v: type(v) is int, "a JSON integer")
 _STR = (lambda v: type(v) is str, "a string")
-_LABELS = (lambda v: type(v) is list and v != [] and all(type(x) is int for x in v),
-           "a non-empty list of JSON integers")
+_LABELS = (lambda v: type(v) is list and v != []
+           and all(type(x) is int and -2**63 <= x < 2**63 for x in v),
+           "a non-empty list of JSON integers within int64")
 
 
 def _check_fields(obj, what, checks, optional=()) -> dict:
@@ -112,8 +123,7 @@ def save_model(model: Model, path):
 
 
 def load_model(path) -> Model:
-    with open(path) as fh:
-        return parse_model(fh.read())
+    return parse_model(_read_text(path))
 
 
 def model_digest(model: Model) -> str:

@@ -20,7 +20,7 @@ from .datasets import check_fits
 from .errors import FormatError, InputError, WatermarkError
 from .nnet import Model, forward, predict
 from .serialize import (_LABELS, _STR, _check_fields, _decode_array, _encode_array,
-                        _read_artifact, _write_artifact, model_digest)
+                        _read_artifact, _read_text, _write_artifact, model_digest)
 
 LR_LAMBDA = 1e-4
 LR_TOL = 1e-8
@@ -323,8 +323,7 @@ def save_keyset(keyset, path):
 
 
 def load_keyset(path) -> KeySet:
-    with open(path) as fh:
-        return parse_keyset(fh.read())
+    return parse_keyset(_read_text(path))
 
 
 def save_verifier(verifier, path):
@@ -333,5 +332,4 @@ def save_verifier(verifier, path):
 
 
 def load_verifier(path) -> VerificationModel:
-    with open(path) as fh:
-        return parse_verifier(fh.read())
+    return parse_verifier(_read_text(path))

@@ -15,12 +15,11 @@ from scipy.stats import binomtest
 from seedmark.attacks import blur_prune, blur_quantize
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.boundary import (
-    STRATEGIES,
     find_disagreements,
     find_transferable,
     find_unique_disagreements,
     population_labels,
-    run_strategy_analysis,
+    run_analysis,
 )
 from seedmark.datasets import Dataset, GenSpec, generate, split
 from seedmark.harness import EvaluationConfig, build_attacked_model, export_report, run_raw_evaluation
@@ -168,7 +167,7 @@ def boundary_population():
 
 def test_population_boundaries_are_seed_unique(check, boundary_population):
     protected, extracted, test_set = boundary_population
-    report = run_strategy_analysis(protected, extracted, test_set)[STRATEGIES.index("none")]
+    report = run_analysis(protected, extracted, test_set)
     labels = population_labels(protected, test_set.features)
     ext_labels = population_labels(extracted, test_set.features)
     relations_ok = True

@@ -3,16 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from seedmark import boundary
-from seedmark.bim import BimConfig, bim_batch
 from seedmark.boundary import (
-    STRATEGIES,
     SubsetReport,
     find_disagreements,
     find_transferable,
     find_unique_disagreements,
-    run_strategy_analysis,
-    write_strategy_table,
+    run_analysis,
+    write_analysis_table,
 )
 from seedmark.errors import InputError
 from seedmark.harness import EvaluationConfig, build_attacked_model
@@ -123,91 +120,39 @@ def small_population(blob_data):
     return protected, extracted, test_set
 
 
-def reference_analysis(protected_models, extracted_models, eval_set, strategy, bim_cfg):
-    """The analysis as first written: for each model, the whole population's
-    (models, rows, classes) confidence table on its perturbed set, with the
-    subset rules restated on its argmax."""
+def reference_analysis(protected_models, extracted_models, eval_set):
+    """The analysis as first written: the whole population's (models, rows,
+    classes) confidence table, with the subset rules restated on its argmax."""
     features = np.asarray(eval_set.features, dtype=np.float64)
     truth = np.asarray(eval_set.labels)
     n = len(truth)
-
-    def confidences(x):
-        return np.stack([forward(m, x) for m in protected_models])
-
-    def disagreements(preds):
-        return np.flatnonzero((preds != preds[0]).any(axis=0))
-
-    def unique(preds, mi):
+    confs = np.stack([forward(m, features) for m in protected_models])
+    preds = np.argmax(confs, axis=2)
+    uniq_shares, trans_shares, trans_confs = [], [], []
+    for mi, extracted in enumerate(extracted_models):
         others_right = (np.delete(preds, mi, axis=0) == truth).all(axis=0)
-        return np.flatnonzero((preds[mi] != truth) & others_right)
-
-    clean = np.argmax(confidences(features), axis=2)
-    dis_shares, uniq_shares, trans_shares, trans_confs = [], [], [], []
-    for mi, (protected, extracted) in enumerate(zip(protected_models, extracted_models)):
-        subset = {"none": np.array([], dtype=int), "unique": unique(clean, mi),
-                  "disagreements": disagreements(clean), "entire_set": np.arange(n)}[strategy]
-        perturbed = features
-        if len(subset):
-            perturbed = features.copy()
-            perturbed[subset] = bim_batch(protected, features[subset], clean[mi, subset], bim_cfg)
-        confs = confidences(perturbed)
-        preds = np.argmax(confs, axis=2)
-        dis_shares.append(len(disagreements(preds)) / n)
-        uniq = unique(preds, mi)
+        uniq = np.flatnonzero((preds[mi] != truth) & others_right)
         uniq_shares.append(len(uniq) / n)
-        ext = predict(extracted, perturbed)
+        ext = predict(extracted, features)
         trans = uniq[(ext[uniq] == preds[mi, uniq]) & (preds[mi, uniq] != truth[uniq])]
         trans_shares.append(len(trans) / n)
         trans_confs.extend(confs[mi, trans, preds[mi, trans]])
-    return SubsetReport(strategy, float(np.mean(dis_shares)), float(np.mean(uniq_shares)),
+    disagreements = np.flatnonzero((preds != preds[0]).any(axis=0))
+    return SubsetReport(len(disagreements) / n, float(np.mean(uniq_shares)),
                         float(np.mean(trans_shares)),
                         float(np.mean(trans_confs)) if trans_confs else 0.0)
 
 
-def by_strategy(reports):
-    assert [r.strategy for r in reports] == list(STRATEGIES)
-    return {r.strategy: r for r in reports}
-
-
 @pytest.fixture(scope="module")
 def analysis(small_population):
-    """The one-call analysis of `small_population` under a BIM config, by strategy."""
-    runs = {}
-
-    def reports(bim_cfg):
-        if bim_cfg not in runs:
-            runs[bim_cfg] = by_strategy(run_strategy_analysis(*small_population, bim_cfg))
-        return runs[bim_cfg]
-    return reports
+    return run_analysis(*small_population)
 
 
-@pytest.mark.parametrize("bim_cfg", [BimConfig(), BimConfig(epsilon=0.05)],
-                         ids=["default-bim", "epsilon-0.05"])
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_analysis_bit_identical_to_the_confidence_table(small_population, analysis, strategy,
-                                                        bim_cfg):
-    report = analysis(bim_cfg)[strategy]
-    expected = reference_analysis(*small_population, strategy, bim_cfg)
-    assert report.strategy == expected.strategy
-    for name in ("disagreement_share", "unique_share", "transferable_share",
-                 "mean_transferable_confidence"):
-        assert getattr(report, name).hex() == getattr(expected, name).hex(), name
-
-
-def test_analysis_strengthens_every_row_once_per_model(small_population, monkeypatch):
-    protected, extracted, test_set = small_population
-    calls = []
-
-    def recording_bim_batch(model, inputs, labels, cfg):
-        calls.append((model, np.array(inputs), np.array(labels)))
-        return bim_batch(model, inputs, labels, cfg)
-
-    monkeypatch.setattr(boundary, "bim_batch", recording_bim_batch)
-    run_strategy_analysis(protected, extracted, test_set, BimConfig(iterations=2))
-    assert [model for model, _, _ in calls] == protected
-    for model, inputs, labels in calls:
-        assert np.array_equal(inputs, test_set.features)
-        assert np.array_equal(labels, predict(model, test_set.features))
+def test_analysis_bit_identical_to_the_confidence_table(small_population, analysis):
+    expected = reference_analysis(*small_population)
+    assert analysis.disagreement_share == expected.disagreement_share
+    for name in ("unique_share", "transferable_share", "mean_transferable_confidence"):
+        assert getattr(analysis, name).hex() == getattr(expected, name).hex(), name
 
 
 class TestStrategyAnalysis:
@@ -215,34 +160,22 @@ class TestStrategyAnalysis:
         train_set, test_set = blob_data
         spec = family_spec("A", train_set.dims, train_set.class_count)
         m = train(init_model(spec, 1), train_set.features, train_set.labels, TrainConfig(seed=1))
-        for report in run_strategy_analysis([m, m], [m, m], test_set, BimConfig(iterations=3)):
-            assert report.disagreement_share == 0.0
-            assert report.unique_share == 0.0
-            assert report.transferable_share == 0.0
+        report = run_analysis([m, m], [m, m], test_set)
+        assert report.disagreement_share == 0.0
+        assert report.unique_share == 0.0
+        assert report.transferable_share == 0.0
 
-    def test_set_relations_and_shares(self, small_population):
-        protected, extracted, test_set = small_population
-        reports = by_strategy(run_strategy_analysis(protected, extracted, test_set))
-        assert 0 < reports["none"].disagreement_share <= 1
-        for report in reports.values():
-            assert report.unique_share <= report.disagreement_share
-            assert report.transferable_share <= report.unique_share
+    def test_set_relations_and_shares(self, analysis):
+        assert 0 < analysis.disagreement_share <= 1
+        assert analysis.unique_share <= analysis.disagreement_share
+        assert analysis.transferable_share <= analysis.unique_share
 
-    def test_bim_strategy_raises_confidence(self, small_population):
-        protected, extracted, test_set = small_population
-        # a gentle budget strengthens a model's own misclassifications without
-        # dragging every other model's prediction along with it
-        reports = by_strategy(run_strategy_analysis(protected, extracted, test_set,
-                                                    BimConfig(epsilon=0.05)))
-        assert (reports["disagreements"].mean_transferable_confidence
-                >= reports["none"].mean_transferable_confidence)
-
-    def test_table_csv(self, small_population, tmp_path):
-        protected, extracted, test_set = small_population
-        reports = run_strategy_analysis(protected, extracted, test_set, BimConfig(iterations=3))
+    def test_table_csv(self, analysis, tmp_path):
         path = tmp_path / "table.csv"
-        write_strategy_table(reports, path)
+        write_analysis_table(analysis, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "strategy,disagreements,unique,transferable,confidence"
-        assert [line.split(",")[0] for line in lines[1:]] == list(STRATEGIES)
-        assert float(lines[1].split(",")[1]) == reports[0].disagreement_share
+        assert lines[0] == "disagreements,unique,transferable,confidence"
+        assert len(lines) == 2
+        assert [float(v) for v in lines[1].split(",")] == [
+            analysis.disagreement_share, analysis.unique_share, analysis.transferable_share,
+            analysis.mean_transferable_confidence]

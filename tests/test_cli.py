@@ -477,10 +477,12 @@ def test_analyze_command(config_path, tmp_path, capsys):
     two.write_text(json.dumps({**doc, "n_nonextracted_train": 2}))
     out = tmp_path / "analysis"
     assert main(["analyze", "--config", str(two), "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "none:" in text and "entire_set:" in text
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("disagreements=")
     table = next(out.glob("boundary-*.csv"))
-    assert table.read_text().splitlines()[0] == "strategy,disagreements,unique,transferable,confidence"
+    assert lines[1] == str(table)
+    rows = table.read_text().splitlines()
+    assert rows[0] == "disagreements,unique,transferable,confidence" and len(rows) == 2
 
 
 def test_dump_confidences_command(workspace, capsys):
@@ -514,6 +516,20 @@ def test_keyset_label_outside_the_classes_fails_with_json_error(workspace, tmp_p
     assert captured.out == ""
     doc = json.loads(captured.err)
     assert doc["error"] == "InputError" and f"key-set label {label} " in doc["message"]
+
+
+@pytest.mark.parametrize("label", [2**63, 10**30], ids=["2^63", "10^30"])
+def test_keyset_label_outside_int64_fails_with_json_error(workspace, tmp_path, capsys, label):
+    doc = json.loads(Path(workspace["keyset"]).read_text())
+    doc["labels"][0] = label
+    path = tmp_path / "keyset.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(verify_argv(workspace, workspace["extracted"][0], keyset=str(path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "FormatError" and "within int64" in doc["message"]
 
 
 def test_verify_against_another_keyset_fails_with_json_error(workspace, config_path, tmp_path,
@@ -646,6 +662,24 @@ def test_missing_file_fails_with_json_error(workspace, capsys):
     err = capsys.readouterr().err.strip()
     doc = json.loads(err.splitlines()[-1])
     assert doc["error"] == "OSError"
+
+
+@pytest.mark.parametrize("flag", ["--suspect", "--verifier", "--keyset", "--config"])
+def test_file_that_is_not_utf8_fails_with_json_error(workspace, tmp_path, capsys, flag):
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(256)))
+    if flag == "--config":
+        argv = ["evaluate", "--config", str(binary), "--out", str(tmp_path / "out")]
+    else:
+        argv = verify_argv(workspace, workspace["extracted"][0])
+        argv[argv.index(flag) + 1] = str(binary)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == ("ConfigError" if flag == "--config" else "FormatError")
+    assert doc["message"].startswith(f"{binary} is not UTF-8 text")
 
 
 def test_domain_error_fails_with_json_error(workspace, capsys, tmp_path):

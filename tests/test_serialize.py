@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from functools import partial
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seedmark.attacks import blur_prune, blur_quantize, extract
-from seedmark.datasets import GenSpec, dump_dataset, generate, parse_dataset
-from seedmark.errors import FormatError, SpecError
+from seedmark.datasets import GenSpec, dump_dataset, generate, load_dataset, parse_dataset
+from seedmark.errors import ConfigError, FormatError, SpecError
+from seedmark.harness import load_eval_config
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
 from seedmark.serialize import (
     VERSION,
@@ -28,6 +30,8 @@ from seedmark.watermark import (
     VerificationModel,
     dump_keyset,
     dump_verifier,
+    load_keyset,
+    load_verifier,
     parse_keyset,
     parse_verifier,
 )
@@ -440,3 +444,14 @@ def test_malformed_array_raises_format_error(site, mutate):
     parent[path[-1]] = mutate(parent[path[-1]])
     with pytest.raises(FormatError):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("load, error", [
+    (load_model, FormatError), (load_dataset, FormatError), (load_keyset, FormatError),
+    (load_verifier, FormatError), (load_eval_config, ConfigError),
+], ids=["model", "dataset", "keyset", "verifier", "config"])
+def test_loader_rejects_a_file_that_is_not_utf8(tmp_path, load, error):
+    path = tmp_path / "binary"
+    path.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(error, match=f"^{re.escape(str(path))} is not UTF-8 text"):
+        load(path)

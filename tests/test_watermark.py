@@ -552,6 +552,14 @@ class TestPersistence:
         with pytest.raises(FormatError, match="labels must be a non-empty list of JSON integers"):
             parse_keyset(json.dumps(doc))
 
+    @pytest.mark.parametrize("label", [2**63, 10**30, -2**63 - 1],
+                             ids=["2^63", "10^30", "below-int64"])
+    def test_keyset_labels_must_fit_int64(self, keyset, label):
+        doc = json.loads(dump_keyset(keyset))
+        doc["labels"][0] = label
+        with pytest.raises(FormatError, match="labels must be .* JSON integers within int64"):
+            parse_keyset(json.dumps(doc))
+
     @pytest.mark.parametrize("provenance", [
         "xyz", [1, 2], {"protected": 5}, {"protected": "ABCDEF012345"},
         {"candidate_source": ["misclassifications"]}, {"dataset": 7}, {"bim": "x"},

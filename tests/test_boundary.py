@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from seedmark.bim import BimConfig
 from seedmark.boundary import (
     SubsetReport,
     find_disagreements,
@@ -148,11 +149,23 @@ def analysis(small_population):
     return run_analysis(*small_population)
 
 
-def test_analysis_bit_identical_to_the_confidence_table(small_population, analysis):
-    expected = reference_analysis(*small_population)
-    assert analysis.disagreement_share == expected.disagreement_share
+@pytest.mark.parametrize("bim_cfg", [BimConfig(), BimConfig(epsilon=0.05)],
+                         ids=["none-default-bim", "none-epsilon-0.05"])
+def test_analysis_bit_identical_to_the_confidence_table(blob_data, small_population, analysis,
+                                                        bim_cfg):
+    """The one clean ('none') report equals the reference bit for bit, and the
+    config's BIM settings, which only key-set generation reads, do not reach
+    it: partners extracted under a config carrying `bim_cfg` give the same report."""
+    train_set, _ = blob_data
+    protected, _, test_set = small_population
+    extracted = [build_attacked_model(EvaluationConfig(bim=bim_cfg), m, "RET", train_set, 500 + i)
+                 for i, m in enumerate(protected)]
+    report = run_analysis(protected, extracted, test_set)
+    assert report == analysis
+    expected = reference_analysis(protected, extracted, test_set)
+    assert report.disagreement_share == expected.disagreement_share
     for name in ("unique_share", "transferable_share", "mean_transferable_confidence"):
-        assert getattr(analysis, name).hex() == getattr(expected, name).hex(), name
+        assert getattr(report, name).hex() == getattr(expected, name).hex(), name
 
 
 class TestStrategyAnalysis:

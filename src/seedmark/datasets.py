@@ -13,7 +13,7 @@ import numpy as np
 from .errors import FormatError, InputError, SpecError, check_field_types
 from .rng import stream
 from .serialize import (_INT, _LABELS, _STR, _check_fields, _decode_array, _encode_array,
-                        _read_artifact, _read_text, _write_artifact)
+                        _read_artifact, _read_text, _write_artifact, _write_text)
 
 FEATURE_RANGE = (-1.0, 1.0)
 
@@ -146,8 +146,7 @@ def parse_dataset(text: str) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path):
-    with open(path, "w") as fh:
-        fh.write(dump_dataset(dataset))
+    _write_text(path, dump_dataset(dataset))
 
 
 def load_dataset(path) -> Dataset:

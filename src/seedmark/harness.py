@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field, asdict, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,8 +61,6 @@ class EvaluationConfig:
     master_seed: int = 0
     repetitions: int = 5
     gen: GenSpec = GenSpec()
-    test_fraction: float = 0.5
-    protected_family: str = "A"
     nonextracted_families: tuple = ("A", "B", "C")
     n_extracted_train: int = 10
     n_nonextracted_train: int = 10
@@ -75,16 +74,20 @@ class EvaluationConfig:
     epochs: int = 10
     batch_size: int = 32
     query_budget_fraction: float = 0.5
-    copycat_probe_factor: int = 20
     prune_sparsity: float = 0.5
     quantize_bits: int = 8
     bim: BimConfig = field(default_factory=BimConfig)
+    # not settable: the split's test share, the family of the protected model
+    # and of every surrogate but CAR's, and CC's random probes per data row
+    test_fraction: ClassVar[float] = 0.5
+    protected_family: ClassVar[str] = "A"
+    copycat_probe_factor: ClassVar[int] = 20
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
         for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",
                      "n_extracted_test", "n_nonextracted_test", "keyset_size",
-                     "copycat_probe_factor", "epochs", "batch_size"):
+                     "epochs", "batch_size"):
             if getattr(self, attr) < 1:
                 raise ConfigError(f"{attr} must be positive")
         if self.classifier_kind not in VERIFIER_FIELDS:
@@ -95,7 +98,7 @@ class EvaluationConfig:
         for attr in ("seen_attacks", "unseen_attacks", "nonextracted_families"):
             if not getattr(self, attr):
                 raise ConfigError(f"{attr} must be non-empty")
-        for family in (self.protected_family, *self.nonextracted_families):
+        for family in self.nonextracted_families:
             if family not in FAMILY_DEFAULTS:
                 raise ConfigError(f"unknown family {family!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
         for token in self.seen_attacks + self.unseen_attacks:
@@ -104,7 +107,6 @@ class EvaluationConfig:
             ("query_budget_fraction", 0 < self.query_budget_fraction <= 1, "in (0, 1]"),
             ("prune_sparsity", 0 <= self.prune_sparsity < 1, "in [0, 1)"),
             ("quantize_bits", 1 <= self.quantize_bits <= 16, "in [1, 16]"),
-            ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
         ):
             if not ok:
                 raise ConfigError(f"{attr} must be {expected}, got {getattr(self, attr)!r}")

@@ -1,12 +1,13 @@
-"""Versioned JSON artifacts: model files, and the UTF-8 reader, envelope,
-float codec and field checks that every artifact shares. A float array is
-stored as one string, the hex of its little-endian float64 bytes, so
-round-trips are bit-exact; loaders reject any `format` name or `version`
+"""Versioned JSON artifacts: model files, and the UTF-8 reader and writer,
+envelope, float codec and field checks that every artifact shares. A float
+array is stored as one string, the hex of its little-endian float64 bytes,
+so round-trips are bit-exact; loaders reject any `format` name or `version`
 but their own."""
 
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import asdict
 
 import numpy as np
@@ -56,6 +57,12 @@ def _read_text(path, error=FormatError) -> str:
             raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _write_text(path, text):
+    """Write `text` to the file at `path` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_artifact(fmt, /, **fields) -> str:
     """The JSON text of a `fmt` artifact of the current version holding `fields`."""
     return json.dumps({"format": fmt, "version": VERSION, **fields}, indent=1)
@@ -75,22 +82,32 @@ def _read_artifact(text, fmt) -> dict:
     return doc
 
 
-# (check, what passes it) for `_check_fields`
+def _int64(x) -> bool:
+    return type(x) is int and -2**63 <= x < 2**63
+
+
+# (check, what passes it[, check of each entry of a list]) for `_check_fields`
 _INT = (lambda v: type(v) is int, "a JSON integer")
 _STR = (lambda v: type(v) is str, "a string")
-_LABELS = (lambda v: type(v) is list and v != []
-           and all(type(x) is int and -2**63 <= x < 2**63 for x in v),
-           "a non-empty list of JSON integers within int64")
+_LABELS = (lambda v: type(v) is list and v != [] and all(map(_int64, v)),
+           "a non-empty list of JSON integers within int64", _int64)
 
 
 def _check_fields(obj, what, checks, optional=()) -> dict:
     """JSON object `obj`, once each field of `checks` (name: (check, what
-    passes it)) passes, or is missing and `optional`; else FormatError."""
+    passes it[, check of each entry of a list])) passes, or is missing and
+    `optional`; else FormatError. The error shows a shortened repr of the
+    value, or of a list's first failing entry and its index."""
     if type(obj) is not dict:
-        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
-    for name, (ok, expected) in checks.items():
+        raise FormatError(f"{what} must be a JSON object, got {reprlib.repr(obj)}")
+    for name, (ok, expected, *entry_ok) in checks.items():
         if not (ok(obj[name]) if name in obj else name in optional):
-            raise FormatError(f"{what} {name} must be {expected}, got {obj.get(name)!r}")
+            value = obj.get(name)
+            got = reprlib.repr(value)
+            if entry_ok and type(value) is list and value:
+                index = next(i for i, x in enumerate(value) if not entry_ok[0](x))
+                got = f"{reprlib.repr(value[index])} at index {index}"
+            raise FormatError(f"{what} {name} must be {expected}, got {got}")
     return obj
 
 
@@ -118,8 +135,7 @@ def parse_model(text: str) -> Model:
 
 
 def save_model(model: Model, path):
-    with open(path, "w") as fh:
-        fh.write(dump_model(model))
+    _write_text(path, dump_model(model))
 
 
 def load_model(path) -> Model:

@@ -20,7 +20,8 @@ from .datasets import check_fits
 from .errors import FormatError, InputError, WatermarkError
 from .nnet import Model, forward, predict
 from .serialize import (_LABELS, _STR, _check_fields, _decode_array, _encode_array,
-                        _read_artifact, _read_text, _write_artifact, model_digest)
+                        _read_artifact, _read_text, _write_artifact, _write_text,
+                        model_digest)
 
 LR_LAMBDA = 1e-4
 LR_TOL = 1e-8
@@ -318,8 +319,7 @@ def parse_verifier(text: str) -> VerificationModel:
 
 
 def save_keyset(keyset, path):
-    with open(path, "w") as fh:
-        fh.write(dump_keyset(keyset))
+    _write_text(path, dump_keyset(keyset))
 
 
 def load_keyset(path) -> KeySet:
@@ -327,8 +327,7 @@ def load_keyset(path) -> KeySet:
 
 
 def save_verifier(verifier, path):
-    with open(path, "w") as fh:
-        fh.write(dump_verifier(verifier))
+    _write_text(path, dump_verifier(verifier))
 
 
 def load_verifier(path) -> VerificationModel:

@@ -14,13 +14,7 @@ from scipy.stats import binomtest
 
 from seedmark.attacks import blur_prune, blur_quantize
 from seedmark.bim import BimConfig, bim_batch
-from seedmark.boundary import (
-    find_disagreements,
-    find_transferable,
-    find_unique_disagreements,
-    population_labels,
-    run_analysis,
-)
+from seedmark.boundary import population_labels, run_analysis, subset_masks
 from seedmark.datasets import Dataset, GenSpec, generate, split
 from seedmark.harness import EvaluationConfig, build_attacked_model, export_report, run_raw_evaluation
 from seedmark.metrics import roc_auc
@@ -170,12 +164,9 @@ def test_population_boundaries_are_seed_unique(check, boundary_population):
     report = run_analysis(protected, extracted, test_set)
     labels = population_labels(protected, test_set.features)
     ext_labels = population_labels(extracted, test_set.features)
-    relations_ok = True
-    for mi in range(len(protected)):
-        dis = set(find_disagreements(labels))
-        uniq = find_unique_disagreements(labels, test_set.labels, mi)
-        trans = find_transferable(uniq, labels[mi], ext_labels[mi], test_set.labels)
-        relations_ok &= set(trans) <= set(uniq) <= dis
+    dis, uniq, trans = subset_masks(labels, ext_labels, test_set.labels)
+    # per model, transferable rows are unique rows and unique rows disagreements
+    relations_ok = bool((trans <= uniq).all() and (uniq <= dis).all())
     shares_ok = (
         report.disagreement_share > 0
         and report.unique_share > 0
@@ -194,7 +185,8 @@ def test_targeted_perturbation_strengthens_disagreements(check, boundary_populat
     protected, _, test_set = boundary_population
     model = protected[0]
     labels = population_labels(protected, test_set.features)
-    idx = find_disagreements(labels)
+    # only the disagreement mask is read, so the partners are the models themselves
+    idx = np.flatnonzero(subset_masks(labels, labels, test_set.labels)[0])
     targets = labels[0][idx]
     pre = forward(model, test_set.features[idx])[np.arange(len(idx)), targets].mean()
     adv = bim_batch(model, test_set.features[idx], targets, BimConfig(iterations=20))

@@ -1,55 +1,56 @@
-import re
-
 import numpy as np
 import pytest
 
 from seedmark.bim import BimConfig
-from seedmark.boundary import (
-    SubsetReport,
-    find_disagreements,
-    find_transferable,
-    find_unique_disagreements,
-    run_analysis,
-    write_analysis_table,
-)
+from seedmark.boundary import SubsetReport, run_analysis, subset_masks, write_analysis_table
 from seedmark.errors import InputError
 from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import TrainConfig, family_spec, forward, init_model, predict, train
 
 
+def disagreements(labels):
+    """The disagreement mask of a label table whose truth and partners are unused."""
+    labels = np.asarray(labels)
+    return subset_masks(labels, labels, labels[0])[0]
+
+
 class TestSubsets:
     def test_all_agree_excluded(self):
         labels = np.array([[1, 2], [1, 2], [1, 2]])
-        assert len(find_disagreements(labels)) == 0
+        assert not disagreements(labels).any()
 
     def test_any_disagreement_included(self):
         labels = np.array([[1, 0], [2, 0], [1, 0]])
-        assert list(find_disagreements(labels)) == [0]
+        assert list(disagreements(labels)) == [True, False]
 
     def test_brute_force_recount(self):
         rng = np.random.default_rng(0)
         preds = rng.integers(0, 3, size=(5, 40))
         expected = [i for i in range(40) if len(set(preds[:, i])) > 1]
-        assert list(find_disagreements(preds)) == expected
+        assert list(np.flatnonzero(disagreements(preds))) == expected
 
     def test_unique_definition(self):
         # truth 2; model 0 misclassifies, others correct
         labels = np.array([[1], [2], [2]])
-        assert list(find_unique_disagreements(labels, np.array([2]), 0)) == [0]
-        assert list(find_unique_disagreements(labels, np.array([2]), 1)) == []
+        _, unique, _ = subset_masks(labels, labels, np.array([2]))
+        assert unique.tolist() == [[True], [False], [False]]
 
     def test_two_wrong_excluded(self):
         labels = np.array([[1], [1], [2]])
-        for mi in range(3):
-            assert list(find_unique_disagreements(labels, np.array([2]), mi)) == []
+        _, unique, _ = subset_masks(labels, labels, np.array([2]))
+        assert not unique.any()
 
     def test_unique_subset_of_disagreements(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, size=(6, 60))
         truth = rng.integers(0, 3, size=60)
-        dis = set(find_disagreements(labels))
+        dis, unique, _ = subset_masks(labels, labels, truth)
+        assert unique.any()
+        assert not (unique & ~dis).any()
+        # a unique row is one the model alone misclassifies, recounted per model
         for mi in range(6):
-            assert set(find_unique_disagreements(labels, truth, mi)) <= dis
+            others_right = (np.delete(labels, mi, axis=0) == truth).all(axis=0)
+            assert unique[mi].tolist() == ((labels[mi] != truth) & others_right).tolist()
 
     @pytest.mark.parametrize("labels, message", [
         ([[1, 2]], "need at least two models"),
@@ -58,53 +59,37 @@ class TestSubsets:
     ], ids=["one-model", "1-d", "3-d"])
     def test_bad_label_table_rejected(self, labels, message):
         with pytest.raises(InputError, match=message):
-            find_disagreements(np.array(labels))
-        with pytest.raises(InputError, match=message):
-            find_unique_disagreements(np.array(labels), np.array([1, 2]), 0)
+            subset_masks(np.array(labels), np.array(labels), np.array([1, 2]))
 
     @pytest.mark.parametrize("truth", [[1, 2, 0], [[1, 2]], 1], ids=["too-long", "2-d", "0-d"])
     def test_truth_of_another_shape_rejected(self, truth):
+        labels = np.array([[1, 2], [1, 2]])
         with pytest.raises(InputError, match="label table shape mismatch"):
-            find_unique_disagreements(np.array([[1, 2], [1, 2]]), np.array(truth), 0)
+            subset_masks(labels, labels, np.array(truth))
 
     def test_transferable_rules(self):
+        # every model alone misclassifies one row, and only model 0's
+        # partner repeats that label: a partner that errs otherwise, or is
+        # right, does not transfer
         truth = np.array([2, 2, 2])
-        protected = np.array([1, 1, 1])
-        extracted = np.array([1, 3, 2])
-        unique = np.array([0, 1, 2])
-        assert list(find_transferable(unique, protected, extracted, truth)) == [0]
-
-    @pytest.mark.parametrize("model_index", [2, 5, -1, 1.5, True, "0", None],
-                             ids=["models", "past-the-end", "negative", "fraction", "bool",
-                                  "string", "none"])
-    def test_model_index_must_name_a_model(self, model_index):
-        with pytest.raises(InputError, match=r"model_index must be an integer in \[0, 2\), "
-                                             f"got {re.escape(repr(model_index))}"):
-            find_unique_disagreements(np.array([[1, 2], [2, 2]]), np.array([2, 2]), model_index)
-
-    @pytest.mark.parametrize("unique_set", [[-1], [3], [0, 3]],
-                             ids=["negative", "rows", "one-of-two"])
-    def test_transferable_rows_must_be_in_range(self, unique_set):
-        labels = np.array([1, 1, 1])
-        with pytest.raises(InputError, match=r"row index -?\d+ is outside \[0, 3\)"):
-            find_transferable(unique_set, labels, labels, np.array([2, 2, 2]))
-
-    @pytest.mark.parametrize("unique_set", [[1.5], [True], [0, 1.0]],
-                             ids=["fraction", "bool", "float-list"])
-    def test_transferable_rows_must_be_integers(self, unique_set):
-        labels = np.array([1, 1, 1])
-        with pytest.raises(InputError, match="row indices must be integers"):
-            find_transferable(unique_set, labels, labels, np.array([2, 2, 2]))
+        labels = np.array([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+        partners = np.array([[1, 2, 2], [2, 3, 2], [2, 2, 2]])
+        _, unique, transferable = subset_masks(labels, partners, truth)
+        assert unique.tolist() == np.eye(3, dtype=bool).tolist()
+        assert transferable.tolist() == [[True, False, False], [False] * 3, [False] * 3]
 
     @pytest.mark.parametrize("protected, extracted, truth", [
-        ([1, 1], [1, 1, 1], [2, 2, 2]),
-        ([1, 1, 1], [1, 1], [2, 2, 2]),
-        ([1, 1, 1], [1, 1, 1], [2, 2]),
-        ([[1, 1, 1]], [[1, 1, 1]], [[2, 2, 2]]),
-    ], ids=["short-protected", "short-extracted", "short-truth", "2-d"])
+        ([[1, 1], [1, 1]], [[1, 1, 1], [1, 1, 1]], [2, 2, 2]),
+        ([[1, 1, 1], [1, 1, 1]], [[1, 1], [1, 1]], [2, 2, 2]),
+        ([[1, 1, 1], [1, 1, 1]], [[1, 1, 1], [1, 1, 1]], [2, 2]),
+        ([[1, 1, 1], [1, 1, 1]], [[[1, 1, 1]], [[1, 1, 1]]], [2, 2, 2]),
+        ([[1, 1, 1], [1, 1, 1]], [[1, 1, 1]], [2, 2, 2]),
+    ], ids=["short-protected", "short-extracted", "short-truth", "2-d", "fewer-partners"])
     def test_transferable_label_vectors_must_be_one_length(self, protected, extracted, truth):
-        with pytest.raises(InputError, match="label vectors must be 1-d and of one length"):
-            find_transferable([0], np.array(protected), np.array(extracted), np.array(truth))
+        # each model's labels, its partner's and the truth are one length, and
+        # the partner table has one row per model
+        with pytest.raises(InputError, match="label table shape mismatch"):
+            subset_masks(np.array(protected), np.array(extracted), np.array(truth))
 
 
 @pytest.fixture(scope="module")

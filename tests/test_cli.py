@@ -621,7 +621,7 @@ def test_bad_nested_config_fails_with_json_error(doc, tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", [
     ({"seen_attacks": [5]}, "seen_attacks must be a list of strings, got [5]"),
-    ({"protected_family": ["A"]}, "protected_family must be a string, got ['A']"),
+    ({"classifier_kind": ["lr"]}, "classifier_kind must be a string, got ['lr']"),
     ({"nonextracted_families": [["A"]]},
      "nonextracted_families must be a list of strings, got [['A']]"),
 ], ids=["attack-number", "family-list", "families-nested"])

@@ -172,6 +172,17 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="dataset"):
             parse_dataset(json.dumps(doc))
 
+    def test_bad_label_error_is_short_and_names_its_index(self):
+        # the default dataset has 600 labels; the error shows the bad one, not all
+        doc = json.loads(dump_dataset(generate(GenSpec(), 0)))
+        doc["labels"][417] = 2**63
+        with pytest.raises(FormatError) as info:
+            parse_dataset(json.dumps(doc))
+        message = str(info.value)
+        assert len(message) < 200
+        assert message.startswith("dataset labels must be ")
+        assert message.endswith("got 9223372036854775808 at index 417")
+
     def test_non_finite_features_raise_format_error(self):
         with pytest.raises(FormatError, match="non-finite"):
             parse_dataset(json.dumps(_dataset_doc([[0.0, np.nan], [0.5, 0.0]], [0, 1])))

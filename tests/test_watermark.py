@@ -560,6 +560,17 @@ class TestPersistence:
         with pytest.raises(FormatError, match="labels must be .* JSON integers within int64"):
             parse_keyset(json.dumps(doc))
 
+    def test_bad_label_error_is_short_and_names_its_index(self, keyset):
+        doc = json.loads(dump_keyset(keyset))
+        doc["labels"] = [0] * 5000
+        doc["labels"][4321] = "1"
+        with pytest.raises(FormatError) as info:
+            parse_keyset(json.dumps(doc))
+        message = str(info.value)
+        assert len(message) < 200
+        assert message.startswith("key-set labels must be ")
+        assert message.endswith("got '1' at index 4321")
+
     @pytest.mark.parametrize("provenance", [
         "xyz", [1, 2], {"protected": 5}, {"protected": "ABCDEF012345"},
         {"candidate_source": ["misclassifications"]}, {"dataset": 7}, {"bim": "x"},

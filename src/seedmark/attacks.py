@@ -7,12 +7,11 @@ used by the simulated adversary and, during key-set generation, by the
 model owner.
 """
 
-import numbers
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import INTEGER, NUMBER, ConfigError, InputError, check, within
 from .nnet import Model, TrainConfig, forward, predict, train
 from .rng import stream
 from .serialize import model_digest
@@ -25,9 +24,7 @@ ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC")
 
 def sample_queries(train_inputs, fraction, seed):
     """round(fraction * N) distinct rows of `train_inputs`, in shuffled order."""
-    if isinstance(fraction, bool) or not (
-            isinstance(fraction, numbers.Real) and 0 < fraction <= 1):
-        raise InputError(f"query fraction must be a number in (0, 1], got {fraction!r}")
+    check("query fraction", fraction, within("(0, 1]", NUMBER), InputError)
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     n = len(train_inputs)
     count = int(round(n * fraction))
@@ -61,9 +58,7 @@ def blur_prune(model: Model, sparsity: float) -> Model:
     """Zero the floor(sparsity * count) smallest-magnitude dense weights globally.
 
     Biases are untouched. Ties resolve by flattened position, ascending."""
-    if isinstance(sparsity, bool) or not (
-            isinstance(sparsity, numbers.Real) and 0 <= sparsity < 1):
-        raise ConfigError(f"sparsity must be a number in [0, 1), got {sparsity!r}")
+    check("sparsity", sparsity, within("[0, 1)", NUMBER), ConfigError)
     params = model.params.copy()
     # each dense weight's index in params, ascending: layer by layer, row-major
     pos = np.concatenate([w.ravel() for w, _ in model.spec.layer_views(np.arange(params.size))])
@@ -80,8 +75,7 @@ def blur_quantize(model: Model, bits: int) -> Model:
     Level k of L is lo*(1 - k/L) + hi*(k/L), so the end levels are exactly lo
     and hi, and quantizing again at the same bits changes nothing. Layers
     whose values are all equal pass through unchanged."""
-    if isinstance(bits, bool) or not (isinstance(bits, int) and 1 <= bits <= 16):
-        raise ConfigError(f"bits must be an integer in [1, 16], got {bits!r}")
+    check("bits", bits, within("[1, 16]", INTEGER), ConfigError)
     levels = (1 << bits) - 1
     params = model.params.copy()
     for w, b in model.spec.layer_views(params):

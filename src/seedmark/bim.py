@@ -7,6 +7,7 @@ feature range.
 """
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -17,15 +18,11 @@ from .nnet import Model, input_gradient
 
 @dataclass(frozen=True)
 class BimConfig:
-    iterations: int = 20
-    epsilon: float = 0.3
+    iterations: Annotated[int, "[1, inf)"] = 20
+    epsilon: Annotated[float, "[0, inf)"] = 0.3
 
     def __post_init__(self):
         check_field_types(self, SpecError)
-        if self.iterations < 1:
-            raise SpecError("iterations must be positive")
-        if self.epsilon < 0:
-            raise SpecError("epsilon must be non-negative")
 
     @property
     def step_size(self) -> float:

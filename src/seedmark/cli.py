@@ -9,7 +9,6 @@ machine-readable JSON error line goes to stderr and the exit code is 1.
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import boundary, serialize, watermark
 from .datasets import load_dataset, save_dataset
-from .errors import InputError, SeedmarkError, WatermarkError
+from .errors import INTEGER, NUMBER, InputError, SeedmarkError, WatermarkError, check, within
 from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
@@ -53,8 +52,7 @@ def _load_config(args) -> EvaluationConfig:
 
 
 def cmd_train_population(args):
-    if args.count < 1:
-        raise InputError(f"--count must be at least 1, got {args.count}")
+    check("--count", args.count, within("[1, inf)", INTEGER), InputError)
     cfg = _load_config(args)
     train_set, _ = prepare_data(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -151,8 +149,8 @@ def cmd_verify(args):
     failure leaves stdout empty. One suspect prints its score, decisions and
     optional verdict lines; several print each block after a
     `suspect <path>` line."""
-    if args.threshold is not None and not math.isfinite(args.threshold):
-        raise InputError(f"--threshold must be a finite number, got {args.threshold!r}")
+    if args.threshold is not None:
+        check("--threshold", args.threshold, NUMBER, InputError)
     verifier = watermark.load_verifier(args.verifier)
     keyset = watermark.load_keyset(args.keyset)
     verdicts = [watermark.verify(serialize.load_model(path), verifier, keyset)

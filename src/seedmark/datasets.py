@@ -7,13 +7,15 @@ means.
 """
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import FormatError, InputError, SpecError, check_field_types
+from .errors import (INTEGER, STRING, WHOLE_NUMBER, FormatError, InputError, SpecError, check,
+                     check_field_types, within)
 from .rng import stream
-from .serialize import (_INT, _LABELS, _STR, _check_fields, _decode_array, _encode_array,
-                        _read_artifact, _read_text, _write_artifact, _write_text)
+from .serialize import (_LABELS, _check_fields, _decode_array, _encode_array, _read_artifact,
+                        _read_text, _write_artifact, _write_text)
 
 FEATURE_RANGE = (-1.0, 1.0)
 
@@ -25,26 +27,20 @@ DEFAULT_SPREAD = 0.45
 
 @dataclass(frozen=True)
 class GenSpec:
-    classes: int = 4
-    dims: int = 8
-    samples_per_class: int = 250
-    spread: float = DEFAULT_SPREAD
+    classes: Annotated[int, "[2, inf)"] = 4
+    dims: Annotated[int, "[2, inf)"] = 8
+    samples_per_class: Annotated[int, "[1, inf)"] = 250
+    spread: Annotated[float, "(0, inf)"] = DEFAULT_SPREAD
 
     def __post_init__(self):
         check_field_types(self, SpecError)
-        if self.classes < 2 or self.dims < 2:
-            raise SpecError("need classes >= 2 and dims >= 2")
-        if self.samples_per_class < 1:
-            raise SpecError("samples_per_class must be positive")
-        if self.spread <= 0:
-            raise SpecError("spread must be positive")
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single == truth value
 class Dataset:
     features: np.ndarray  # (N, D) float64 in [-1, 1]
     labels: np.ndarray  # (N,) ints in [0, K)
-    class_count: int
+    class_count: Annotated[int, "[2, inf)"]
     name: str
     seed: int
 
@@ -57,8 +53,6 @@ class Dataset:
         if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
             raise SpecError(f"labels must be a 1-d integer vector, got {labels.dtype} "
                             f"of shape {labels.shape}")
-        if self.class_count < 2:
-            raise SpecError(f"class_count must be at least 2, got {self.class_count}")
         if len(self.features) == 0 or len(self.features) != len(self.labels):
             raise SpecError("features/labels size mismatch or empty dataset")
         if not np.isfinite(self.features).all():
@@ -103,8 +97,7 @@ def generate(spec: GenSpec, seed: int) -> Dataset:
 
 def split(dataset: Dataset, test_fraction: float, seed: int):
     """Disjoint, union-complete (train, test) split with a seeded shuffle."""
-    if not 0 < test_fraction < 1:
-        raise SpecError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check("test_fraction", test_fraction, within("(0, 1)"), SpecError)
     n = len(dataset)
     n_test = int(round(n * test_fraction))
     if n_test == 0 or n_test == n:
@@ -120,8 +113,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
 
 def random_probe_inputs(count: int, dims: int, seed: int = 0) -> np.ndarray:
     """`count` uniform draws from the feature range."""
-    if count < 1:
-        raise SpecError("count must be positive")
+    check("count", count, within("[1, inf)", WHOLE_NUMBER), SpecError)
     return stream(seed, "probes").uniform(*FEATURE_RANGE, size=(count, dims))
 
 
@@ -137,7 +129,7 @@ def dump_dataset(dataset: Dataset) -> str:
 
 def parse_dataset(text: str) -> Dataset:
     doc = _check_fields(_read_artifact(text, DATASET_FORMAT), "dataset",
-                        {"name": _STR, "seed": _INT, "classes": _INT, "labels": _LABELS})
+                        {"name": STRING, "seed": INTEGER, "classes": INTEGER, "labels": _LABELS})
     features = _decode_array(doc.get("features"), (len(doc["labels"]), None))
     try:
         return Dataset(features, np.array(doc["labels"]), doc["classes"], doc["name"], doc["seed"])

@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field, asdict, replace
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from .attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, check_fits, generate, split
 from .datasets import random_probe_inputs
-from .errors import ConfigError, check_field_types
+from .errors import NON_EMPTY, ConfigError, among, check, check_field_types, each
 from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
-from .serialize import _read_text, model_digest
+from .serialize import _OBJECT, _read_text, model_digest
 from .watermark import CANDIDATE_SOURCES, VERIFIER_FIELDS, build_verifier, confidence_table
 from .watermark import generate_keyset, verify
 
@@ -59,57 +59,36 @@ def parse_attack_token(token: str):
 @dataclass(frozen=True)
 class EvaluationConfig:
     master_seed: int = 0
-    repetitions: int = 5
+    repetitions: Annotated[int, "[1, inf)"] = 5
     gen: GenSpec = GenSpec()
-    nonextracted_families: tuple = ("A", "B", "C")
-    n_extracted_train: int = 10
-    n_nonextracted_train: int = 10
-    n_extracted_test: int = 6
-    n_nonextracted_test: int = 6
-    seen_attacks: tuple = ("RET",)
-    unseen_attacks: tuple = ("RET",)
-    classifier_kind: str = "lr"
-    keyset_size: int = 32
-    candidate_source: str = "misclassifications"
-    epochs: int = 10
-    batch_size: int = 32
-    query_budget_fraction: float = 0.5
-    prune_sparsity: float = 0.5
-    quantize_bits: int = 8
+    # populations cycle through the families and the attacks, so each list needs an entry
+    nonextracted_families: Annotated[tuple, NON_EMPTY, each(among(FAMILY_DEFAULTS))] = (
+        "A", "B", "C")
+    n_extracted_train: Annotated[int, "[1, inf)"] = 10
+    n_nonextracted_train: Annotated[int, "[1, inf)"] = 10
+    n_extracted_test: Annotated[int, "[1, inf)"] = 6
+    n_nonextracted_test: Annotated[int, "[1, inf)"] = 6
+    seen_attacks: Annotated[tuple, NON_EMPTY] = ("RET",)
+    unseen_attacks: Annotated[tuple, NON_EMPTY] = ("RET",)
+    classifier_kind: Annotated[str, among(VERIFIER_FIELDS)] = "lr"
+    keyset_size: Annotated[int, "[1, inf)"] = 32
+    candidate_source: Annotated[str, among(CANDIDATE_SOURCES)] = "misclassifications"
+    epochs: Annotated[int, "[1, inf)"] = 10
+    query_budget_fraction: Annotated[float, "(0, 1]"] = 0.5
+    prune_sparsity: Annotated[float, "[0, 1)"] = 0.5
+    quantize_bits: Annotated[int, "[1, 16]"] = 8
     bim: BimConfig = field(default_factory=BimConfig)
-    # not settable: the split's test share, the family of the protected model
-    # and of every surrogate but CAR's, and CC's random probes per data row
+    # not settable: the split's test share, the family of the protected model and
+    # of every surrogate but CAR's, CC's random probes per data row and the batch size
     test_fraction: ClassVar[float] = 0.5
     protected_family: ClassVar[str] = "A"
     copycat_probe_factor: ClassVar[int] = 20
+    batch_size: ClassVar[int] = 32
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
-        for attr in ("repetitions", "n_extracted_train", "n_nonextracted_train",
-                     "n_extracted_test", "n_nonextracted_test", "keyset_size",
-                     "epochs", "batch_size"):
-            if getattr(self, attr) < 1:
-                raise ConfigError(f"{attr} must be positive")
-        if self.classifier_kind not in VERIFIER_FIELDS:
-            raise ConfigError("classifier_kind must be 'lr' or 'gnb'")
-        if self.candidate_source not in CANDIDATE_SOURCES:
-            raise ConfigError(f"candidate_source must be one of {CANDIDATE_SOURCES}")
-        # populations cycle through these, so each needs at least one entry
-        for attr in ("seen_attacks", "unseen_attacks", "nonextracted_families"):
-            if not getattr(self, attr):
-                raise ConfigError(f"{attr} must be non-empty")
-        for family in self.nonextracted_families:
-            if family not in FAMILY_DEFAULTS:
-                raise ConfigError(f"unknown family {family!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
         for token in self.seen_attacks + self.unseen_attacks:
             parse_attack_token(token)
-        for attr, ok, expected in (
-            ("query_budget_fraction", 0 < self.query_budget_fraction <= 1, "in (0, 1]"),
-            ("prune_sparsity", 0 <= self.prune_sparsity < 1, "in [0, 1)"),
-            ("quantize_bits", 1 <= self.quantize_bits <= 16, "in [1, 16]"),
-        ):
-            if not ok:
-                raise ConfigError(f"{attr} must be {expected}, got {getattr(self, attr)!r}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -117,17 +96,13 @@ class EvaluationConfig:
 
 
 def eval_config_from_dict(doc: dict) -> EvaluationConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    for key in ("gen", "bim"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ConfigError(f"config field {key!r} must be a JSON object")
+    check("config", doc, _OBJECT, ConfigError)
     doc = dict(doc)
     try:
-        if "gen" in doc:
-            doc["gen"] = GenSpec(**doc["gen"])
-        if "bim" in doc:
-            doc["bim"] = BimConfig(**doc["bim"])
+        for key, cls in (("gen", GenSpec), ("bim", BimConfig)):
+            if key in doc:
+                check(key, doc[key], _OBJECT, ConfigError)
+                doc[key] = cls(**doc[key])
         return EvaluationConfig(**doc)
     except TypeError as exc:
         raise ConfigError(f"bad evaluation config: {exc}") from exc

@@ -10,11 +10,12 @@ so identical (spec, seed) always reproduces bit-identical weights.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from typing import Annotated
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, SpecError, check_field_types
+from .errors import (INTEGER, NUMBER, DivergenceError, InputError, Rule, SpecError, among, check,
+                     check_field_types, each, within)
 from .rng import stream
 
 # Each activation, and its derivative in terms of the activation's output y.
@@ -22,6 +23,12 @@ from .rng import stream
 _ACTIVATE = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
 _DERIVATIVE = {"relu": lambda y: y > 0.0, "tanh": lambda y: 1.0 - y**2}
 ACTIVATIONS = tuple(_ACTIVATE)
+_ACTIVATION = among(ACTIVATIONS)
+_TWO_WIDTHS = Rule(lambda v: len(v) >= 2, "at least an input and an output width")
+_WIDTHS = each(within("[1, inf)", INTEGER))
+_RECORD = Rule(lambda r: type(r) is dict and type(r.get("stage")) is str, "a stage record")
+_PROVENANCE = Rule(lambda v: type(v) is tuple and all(map(_RECORD.ok, v)),
+                   "a tuple of dicts, each with a string stage", _RECORD.ok)
 
 # Adam's moment decay rates and denominator guard; training always uses Adam.
 ADAM_BETA1 = 0.9
@@ -40,14 +47,11 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(self.widths))
-        if len(self.widths) < 2:
-            raise SpecError(f"spec needs an input and an output width, got {self.widths}")
-        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in self.widths):
-            raise SpecError(f"widths must be positive integers, got {self.widths}")
+        check("widths", self.widths, _TWO_WIDTHS, SpecError)
+        check("widths", self.widths, _WIDTHS, SpecError)
         if self.output_classes < 2:
             raise SpecError(f"output_classes must be >= 2, got {self.output_classes}")
-        if self.activation not in ACTIVATIONS:
-            raise SpecError(f"unknown activation {self.activation!r}")
+        check("activation", self.activation, _ACTIVATION, SpecError)
 
     @property
     def input_dim(self) -> int:
@@ -87,8 +91,7 @@ FAMILY_DEFAULTS = {
 
 
 def family_spec(name, in_dim, classes) -> ModelSpec:
-    if name not in FAMILY_DEFAULTS:
-        raise SpecError(f"unknown family {name!r}, expected one of {sorted(FAMILY_DEFAULTS)}")
+    check("family", name, among(FAMILY_DEFAULTS), SpecError)
     family = FAMILY_DEFAULTS[name]
     return ModelSpec((in_dim, *family["hidden"], classes), family["activation"])
 
@@ -112,10 +115,7 @@ class Model:
                             f"got {got}")
         if not np.isfinite(p).all():
             raise SpecError("params hold non-finite values")
-        if type(self.provenance) is not tuple or not all(
-                type(r) is dict and type(r.get("stage")) is str for r in self.provenance):
-            raise SpecError(f"provenance must be a tuple of dicts, each with a string stage, "
-                            f"got {self.provenance!r}")
+        check("provenance", self.provenance, _PROVENANCE, SpecError)
 
     @cached_property
     def weights(self) -> tuple:  # one (W, b) pair of views into params per dense layer
@@ -124,20 +124,14 @@ class Model:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 32
-    learning_rate: float = 1e-2
+    epochs: Annotated[int, "[1, inf)"] = 10
+    batch_size: Annotated[int, "[1, inf)"] = 32
+    learning_rate: Annotated[float, "[0, inf)"] = 1e-2
     seed: int = 0
-    temperature: float = 1.0  # divides the logits before the softmax
+    temperature: Annotated[float, "(0, inf)"] = 1.0  # divides the logits before the softmax
 
     def __post_init__(self):
         check_field_types(self, SpecError)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise SpecError("epochs and batch_size must be positive")
-        if self.learning_rate < 0:
-            raise SpecError("learning_rate must be non-negative")
-        if self.temperature <= 0:
-            raise SpecError("temperature must be positive")
 
 
 def init_model(spec: ModelSpec, seed: int) -> Model:
@@ -241,9 +235,7 @@ def loss_and_param_grads(model: Model, inputs, targets, temperature=1.0):
     The targets' shape picks the loss (see `_target_matrix`); the model's
     logits are divided by `temperature` before the softmax.
     """
-    if isinstance(temperature, bool) or not (
-            isinstance(temperature, Real) and math.isfinite(temperature) and temperature > 0):
-        raise SpecError(f"temperature must be positive, got {temperature!r}")
+    check("temperature", temperature, within("(0, inf)", NUMBER), SpecError)
     x = _check_inputs(model, inputs)
     t = _target_matrix(model, targets, len(x))
     grads = tuple((np.empty(w.shape), np.empty(b.shape)) for w, b in model.weights)
@@ -287,10 +279,8 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     the same order as a per-tensor loop, so the weights are bit-identical to it.
     """
     x = _check_inputs(model, features)
-    dense = model.spec.dense_count
-    if isinstance(frozen_dense, bool) or not (
-            isinstance(frozen_dense, int) and 0 <= frozen_dense < dense):
-        raise SpecError(f"frozen_dense must be an integer in [0, {dense}), got {frozen_dense!r}")
+    check("frozen_dense", frozen_dense, within(f"[0, {model.spec.dense_count})", INTEGER),
+          SpecError)
     params = model.params.copy()
     weights = model.spec.layer_views(params)
     grad = np.empty_like(params)

@@ -7,12 +7,11 @@ but their own."""
 import hashlib
 import json
 import math
-import reprlib
 from dataclasses import asdict
 
 import numpy as np
 
-from .errors import FormatError, SpecError
+from .errors import FormatError, Rule, SpecError, check
 from .nnet import Model, ModelSpec
 
 MODEL_FORMAT = "seedmark-model"
@@ -86,28 +85,20 @@ def _int64(x) -> bool:
     return type(x) is int and -2**63 <= x < 2**63
 
 
-# (check, what passes it[, check of each entry of a list]) for `_check_fields`
-_INT = (lambda v: type(v) is int, "a JSON integer")
-_STR = (lambda v: type(v) is str, "a string")
-_LABELS = (lambda v: type(v) is list and v != [] and all(map(_int64, v)),
-           "a non-empty list of JSON integers within int64", _int64)
+_OBJECT = Rule(lambda v: type(v) is dict, "a JSON object")
+_LABELS = Rule(lambda v: type(v) is list and v != [] and all(map(_int64, v)),
+               "a non-empty list of JSON integers within int64", _int64)
+_SPEC = Rule(lambda v: type(v) is dict and v.keys() == {"widths", "activation"},
+             "a JSON object of widths and activation only")
 
 
-def _check_fields(obj, what, checks, optional=()) -> dict:
-    """JSON object `obj`, once each field of `checks` (name: (check, what
-    passes it[, check of each entry of a list])) passes, or is missing and
-    `optional`; else FormatError. The error shows a shortened repr of the
-    value, or of a list's first failing entry and its index."""
-    if type(obj) is not dict:
-        raise FormatError(f"{what} must be a JSON object, got {reprlib.repr(obj)}")
-    for name, (ok, expected, *entry_ok) in checks.items():
-        if not (ok(obj[name]) if name in obj else name in optional):
-            value = obj.get(name)
-            got = reprlib.repr(value)
-            if entry_ok and type(value) is list and value:
-                index = next(i for i, x in enumerate(value) if not entry_ok[0](x))
-                got = f"{reprlib.repr(value[index])} at index {index}"
-            raise FormatError(f"{what} {name} must be {expected}, got {got}")
+def _check_fields(obj, what, rules, optional=()) -> dict:
+    """JSON object `obj`, once each field of `rules` (name: `errors.Rule`)
+    passes its rule, or is missing and `optional`; else FormatError."""
+    check(what, obj, _OBJECT, FormatError)
+    for name, rule in rules.items():
+        if name in obj or name not in optional:
+            check(f"{what} {name}", obj.get(name), rule, FormatError)
     return obj
 
 
@@ -119,11 +110,9 @@ def dump_model(model: Model) -> str:
 
 def parse_model(text: str) -> Model:
     doc = _read_artifact(text, MODEL_FORMAT)
-    spec_obj = doc.get("spec")
-    if type(spec_obj) is not dict or spec_obj.keys() != {"widths", "activation"}:
-        raise FormatError(f"model spec must hold widths and activation only, got {spec_obj!r}")
+    check("model spec", doc.get("spec"), _SPEC, FormatError)
     try:
-        spec = ModelSpec(**spec_obj)
+        spec = ModelSpec(**doc["spec"])
     except (TypeError, SpecError) as exc:
         raise FormatError(f"malformed model spec: {exc}") from exc
     params = _decode_array(doc.get("weights"), (spec.param_count,))

@@ -9,7 +9,6 @@ of key-set inputs on which its confidence is classified "extracted".
 
 import hashlib
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
@@ -17,11 +16,11 @@ import numpy as np
 
 from .bim import BimConfig, bim_batch
 from .datasets import check_fits
-from .errors import FormatError, InputError, WatermarkError
+from .errors import (STRING, WHOLE_NUMBER, FormatError, InputError, Rule, WatermarkError, among,
+                     check, within)
 from .nnet import Model, forward, predict
-from .serialize import (_LABELS, _STR, _check_fields, _decode_array, _encode_array,
-                        _read_artifact, _read_text, _write_artifact, _write_text,
-                        model_digest)
+from .serialize import (_LABELS, _check_fields, _decode_array, _encode_array, _read_artifact,
+                        _read_text, _write_artifact, _write_text, model_digest)
 
 LR_LAMBDA = 1e-4
 LR_TOL = 1e-8
@@ -33,6 +32,8 @@ CANDIDATE_SOURCES = ("misclassifications", "disagreements")
 # each classifier kind's parameters; every GNB parameter has one value per
 # class, ordered (non-extracted, extracted)
 VERIFIER_FIELDS = {"lr": ("weight", "bias"), "gnb": ("means", "variances", "priors")}
+
+_KIND = among(VERIFIER_FIELDS)
 
 KEYSET_FORMAT = "seedmark-keyset"
 VERIFIER_FORMAT = "seedmark-verifier"
@@ -87,12 +88,10 @@ def generate_keyset(
     candidate_source="disagreements" narrows the pool to the misclassified
     rows that some non-extracted model labels otherwise.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise WatermarkError(f"key-set size must be a whole number >= 1, got {n!r}")
+    check("key-set size", n, within("[1, inf)", WHOLE_NUMBER), WatermarkError)
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise WatermarkError("both model populations must be non-empty")
-    if candidate_source not in CANDIDATE_SOURCES:
-        raise WatermarkError(f"unknown candidate source {candidate_source!r}")
+    check("candidate_source", candidate_source, among(CANDIDATE_SOURCES), WatermarkError)
     check_fits(data, protected, "protected model")
     bim_cfg = bim_cfg or BimConfig()
     features = np.asarray(data.features, dtype=np.float64)
@@ -233,8 +232,7 @@ def gnb_log_posteriors(means, variances, priors, s) -> np.ndarray:
 def build_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str = "lr") -> VerificationModel:
     """One classifier per watermark, all fitted in one call on the (watermarks,
     models) table of the two populations' confidences."""
-    if kind not in VERIFIER_FIELDS:
-        raise InputError(f"unknown classifier kind {kind!r}")
+    check("kind", kind, _KIND, InputError)
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise InputError("both model populations must be non-empty")
     table = np.concatenate([confidence_table(p, keyset) for p in (extracted_pop, nonextracted_pop)])
@@ -273,16 +271,16 @@ def dump_keyset(keyset: KeySet) -> str:
 
 
 # a `keyset_digest` or `serialize.model_digest`, as `_check_fields` checks it
-_DIGEST = (lambda v: type(v) is str and re.fullmatch("[0-9a-f]{12}", v) is not None,
-           "a 12-digit lowercase hex digest")
+_DIGEST = Rule(lambda v: type(v) is str and re.fullmatch("[0-9a-f]{12}", v) is not None,
+               "a 12-digit lowercase hex digest")
 # each key-set provenance field that `generate_keyset` writes, checked when present
 _PROVENANCE_CHECKS = {
     "protected": _DIGEST,
-    "candidate_source": _STR,
-    "dataset": _STR,
-    "bim": (lambda v: type(v) is dict and type(v.get("iterations")) is int
-            and all(type(x) in (int, float) and math.isfinite(x) for x in v.values()),
-            "an object with an integer iterations and finite numbers"),
+    "candidate_source": STRING,
+    "dataset": STRING,
+    "bim": Rule(lambda v: type(v) is dict and type(v.get("iterations")) is int
+                and all(type(x) in (int, float) and math.isfinite(x) for x in v.values()),
+                "an object with an integer iterations and finite numbers"),
 }
 
 
@@ -303,9 +301,8 @@ def dump_verifier(verifier: VerificationModel) -> str:
 
 
 def parse_verifier(text: str) -> VerificationModel:
-    kinds = (lambda v: v in tuple(VERIFIER_FIELDS), "lr or gnb")
     doc = _check_fields(_read_artifact(text, VERIFIER_FORMAT), "verifier",
-                        {"kind": kinds, "keyset": _DIGEST})
+                        {"kind": _KIND, "keyset": _DIGEST})
     kind = doc["kind"]
     shape = (None,) if kind == "lr" else (None, 2)
     params = {name: _decode_array(doc.get(name), shape) for name in VERIFIER_FIELDS[kind]}

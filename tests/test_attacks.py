@@ -68,8 +68,8 @@ class TestConfigs:
 
     @pytest.mark.parametrize("sparsity", [False, True, "0.5", np.nan])
     def test_prune_sparsity_must_be_a_number_in_range(self, trained_model, sparsity):
-        with pytest.raises(ConfigError, match=r"sparsity must be a number in \[0, 1\), "
-                                              f"got {re.escape(repr(sparsity))}"):
+        with pytest.raises(ConfigError, match=r"^sparsity must be a finite number in \[0, 1\), "
+                                              f"got {re.escape(repr(sparsity))}$"):
             blur_prune(trained_model, sparsity)
 
 
@@ -129,8 +129,9 @@ class TestRetraining:
             sample_queries(np.zeros((3, 8)), 0.1, 0)
         # a fraction outside (0, 1] names itself instead of clamping or failing bare
         for fraction in (1.5, 0.0, -0.5, np.nan, np.inf, "0.5", None, True):
-            with pytest.raises(InputError, match=r"fraction must be a number in \(0, 1\], "
-                                                 f"got {re.escape(repr(fraction))}"):
+            with pytest.raises(InputError, match=r"^query fraction must be a finite number in "
+                                                 r"\(0, 1\], "
+                                                 f"got {re.escape(repr(fraction))}$"):
                 sample_queries(np.zeros((10, 3)), fraction, 0)
 
 

@@ -103,7 +103,7 @@ class TestDatasetShapes:
         (np.zeros((2, 2)), np.zeros(2, int), 2.5, r"class_count must be an integer, got 2.5"),
         (np.zeros((2, 2)), np.zeros(2, int), True, "class_count must be an integer, got True"),
         (np.zeros((2, 2)), np.zeros(2, int), np.int64(2), "class_count must be an integer"),
-        (np.zeros((2, 2)), np.zeros(2, int), 1, "class_count must be at least 2, got 1"),
+        (np.zeros((2, 2)), np.zeros(2, int), 1, r"class_count must be in \[2, inf\), got 1$"),
     ], ids=["1-d-features", "3-d-features", "fractional-labels", "float-labels", "bool-labels",
             "2-d-labels", "fractional-classes", "bool-classes", "numpy-classes", "one-class"])
     def test_bad_shape_raises_spec_error(self, features, labels, classes, message):
@@ -121,7 +121,8 @@ class TestDatasetShapes:
     def test_one_class_file_raises_format_error(self):
         doc = _dataset_doc([[0.0, 0.0]], [0])
         doc["classes"] = 1
-        with pytest.raises(FormatError, match="bad dataset: class_count must be at least 2"):
+        with pytest.raises(FormatError,
+                           match=r"bad dataset: class_count must be in \[2, inf\), got 1$"):
             parse_dataset(json.dumps(doc))
 
 

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,9 @@ def bias_only_model(biases):
     k = len(biases)
     spec = ModelSpec((2, k))
     return Model(spec, flat_params(((np.zeros((2, k)), biases),)), ())
+
+
+WIDTHS_RULE = r"widths must be a list, each an integer in \[1, inf\)"
 
 
 class TestSpec:
@@ -87,11 +92,11 @@ class TestSpec:
 
     @pytest.mark.parametrize("widths, activation, message", [
         ((4, 1), "relu", "output_classes must be >= 2"),
-        ((4, 0, 2), "relu", "positive integers"),
-        ((4, "8", 2), "relu", "positive integers"),
-        ((4, 8.5, 2), "relu", "positive integers"),
-        ((4, True, 2), "relu", "positive integers"),
-        ((4, 8, 2), "sigmoid", "unknown activation 'sigmoid'"),
+        ((4, 0, 2), "relu", rf"^{WIDTHS_RULE}, got 0 at index 1$"),
+        ((4, "8", 2), "relu", rf"^{WIDTHS_RULE}, got '8' at index 1$"),
+        ((4, 8.5, 2), "relu", rf"^{WIDTHS_RULE}, got 8\.5 at index 1$"),
+        ((4, True, 2), "relu", rf"^{WIDTHS_RULE}, got True at index 1$"),
+        ((4, 8, 2), "sigmoid", "^activation must be one of 'relu', 'tanh', got 'sigmoid'$"),
     ], ids=["one-class", "zero-width", "string-width", "float-width", "bool-width",
             "activation"])
     def test_bad_spec_rejected(self, widths, activation, message):
@@ -370,7 +375,8 @@ class TestTrain:
     def test_loss_temperature_must_be_a_finite_positive_number(self, bad):
         # as TrainConfig requires of its own temperature
         m = bias_only_model([0.0, 0.0])
-        with pytest.raises(SpecError, match="temperature must be positive"):
+        with pytest.raises(SpecError, match=r"^temperature must be a finite number in "
+                                            rf"\(0, inf\), got {re.escape(repr(bad))}$"):
             loss_and_param_grads(m, np.zeros((2, 2)), np.array([0, 1]), bad)
 
     @pytest.mark.parametrize("bad", [-1, -3, True, 1.5, 3],

@@ -245,6 +245,29 @@ def test_spec_the_program_never_writes_is_rejected(spec):
         parse_model(json.dumps(doc))
 
 
+WIDE = [4] * 3000
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("spec", {"widths": WIDE, "activation": "relu", "extra": 1},
+     "model spec must be a JSON object of widths and activation only, got "
+     "{'activation': 'relu', 'extra': 1, 'widths': [4, 4, 4, 4, 4, 4, ...]}"),
+    ("spec", {"widths": WIDE[:1500] + [4.5] + WIDE[1500:], "activation": "relu"},
+     "malformed model spec: widths must be a list, each an integer in [1, inf), "
+     "got 4.5 at index 1500"),
+    ("provenance", [{"stage": "init"}] * 1500 + [{"stage": 5}] + [{"stage": "init"}] * 1500,
+     "inconsistent model artifact: provenance must be a tuple of dicts, each with a string "
+     "stage, got {'stage': 5} at index 1500"),
+], ids=["spec-extra-key", "fractional-width", "provenance-record"])
+def test_bad_spec_error_is_short_and_names_its_index(field, value, message):
+    # the whole value used to be in the message: over 9,000 characters for these
+    doc = json.loads(_model_text())
+    doc[field] = value
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as exc:
+        parse_model(json.dumps(doc))
+    assert len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_weight_raises_format_error(bad):
     doc = json.loads(_model_text())

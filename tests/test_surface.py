@@ -5,12 +5,16 @@ option has to change it on purpose."""
 
 import ast
 import inspect
+import math
+import re
+import reprlib
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import pytest
 
-from seedmark import cli
+from seedmark import cli, errors
 from seedmark.bim import BimConfig
 from seedmark.datasets import GenSpec
 from seedmark.errors import ConfigError, SpecError
@@ -26,7 +30,7 @@ def settable_values(cls) -> int:
 def test_settable_config_values():
     # EvaluationConfig's `gen` and `bim` hold a GenSpec and a BimConfig
     assert [settable_values(cls) for cls in (GenSpec, BimConfig)] == [4, 2]
-    assert settable_values(EvaluationConfig) == 17 + 4 + 2
+    assert settable_values(EvaluationConfig) == 16 + 4 + 2
 
 
 def test_train_config_fields():
@@ -69,6 +73,66 @@ def test_every_leaf_field_rejects_a_value_of_the_wrong_type(cls, name, error):
     wrong = WRONG_TYPE[type(getattr(cls(), name))]
     with pytest.raises(error, match=f"^{name} must be "):
         cls(**{name: wrong})
+
+
+def declared_bounds():
+    """(class, field, interval, bound, closed, side, error) for each finite
+    bound of an interval that a config field declares; side is -1 for the
+    lower bound and 1 for the upper."""
+    out = []
+    for cls, error in CONFIGS:
+        for f in fields(cls):
+            if get_origin(f.type) is not Annotated:
+                continue
+            kind, *declared = get_args(f.type)
+            for interval in (r for r in declared if isinstance(r, str)):
+                lo, hi = interval[1:-1].split(", ")
+                for text, closed, side in ((lo, interval[0] == "[", -1),
+                                           (hi, interval[-1] == "]", 1)):
+                    if text.lstrip("-") != "inf":
+                        out.append((cls, f.name, interval, kind(text), closed, side, error))
+    return out
+
+
+BOUNDS = declared_bounds()
+
+
+@pytest.mark.parametrize("cls, name, interval, bound, closed, side, error", BOUNDS,
+                         ids=[f"{b[0].__name__}.{b[1]}-{'upper' if b[5] > 0 else 'lower'}"
+                              for b in BOUNDS])
+def test_every_declared_bound_rejects_the_values_beyond_it(cls, name, interval, bound, closed,
+                                                           side, error):
+    # the nearest value beyond the bound (the bound itself if open), and a huge integer
+    nearest = bound
+    if closed:
+        nearest = bound + side if type(bound) is int else math.nextafter(bound, side * math.inf)
+    for value in (nearest, side * 10**30):
+        message = f"{name} must be in {interval}, got {reprlib.repr(value)}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(**{name: value})
+    if closed:
+        assert getattr(cls(**{name: bound}), name) == bound
+
+
+def test_no_hand_written_value_check_outside_errors():
+    # a check of a number or a bool is a rule of `errors`, used through `errors.check`
+    found = []
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                second = node.args[1]
+                types = second.elts if isinstance(second, ast.Tuple) else [second]
+                if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
+                    found.append(f"{path.name}:{node.lineno} isinstance(..., bool)")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "numbers"):
+                found.append(f"{path.name}:{node.lineno} numbers.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found.append(f"{path.name}:{node.lineno} from numbers import")
+    assert found == []
 
 
 @pytest.mark.parametrize("cls, field, error", NESTED_FIELDS,

@@ -31,12 +31,7 @@ class BimConfig:
 
 def bim(model: Model, x0, label, cfg: BimConfig) -> np.ndarray:
     """Perturb one input toward the target class `label`."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1 or x0.shape[0] != model.spec.input_dim:
-        raise InputError(
-            f"expected a {model.spec.input_dim}-dim input, got shape {x0.shape}"
-        )
-    return bim_batch(model, x0[None], [label], cfg)[0]
+    return bim_batch(model, [x0], [label], cfg)[0]
 
 
 def bim_batch(model: Model, inputs, labels, cfg: BimConfig) -> np.ndarray:
@@ -50,10 +45,6 @@ def bim_batch(model: Model, inputs, labels, cfg: BimConfig) -> np.ndarray:
         raise InputError("inputs/labels length mismatch")
     if len(inputs) == 0:
         return inputs.reshape(0, model.spec.input_dim)
-    if inputs.ndim != 2 or inputs.shape[1] != model.spec.input_dim:
-        raise InputError(
-            f"expected inputs of dim {model.spec.input_dim}, got shape {inputs.shape}"
-        )
     x = inputs.copy()
     for _ in range(cfg.iterations):
         g = input_gradient(model, x, labels)

@@ -56,9 +56,16 @@ def _number(v) -> bool:  # a bool is neither a number nor an integer
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:  # an integer beyond float64's range is not finite there
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 INTEGER = Rule(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 WHOLE_NUMBER = Rule(lambda v: isinstance(v, Integral) and _number(v), "a whole number")
-NUMBER = Rule(lambda v: _number(v) and math.isfinite(v), "a finite number")
+NUMBER = Rule(lambda v: _number(v) and _finite(v), "a finite number")
 STRING = Rule(lambda v: isinstance(v, str), "a string")
 NON_EMPTY = Rule(lambda v: len(v) > 0, "non-empty")
 
@@ -100,8 +107,7 @@ def check(name, value, rule, error):
 
 
 _TYPE_RULES = {int: (INTEGER,), float: (NUMBER,), str: (STRING,),
-               tuple: (Rule(lambda v: isinstance(v, (list, tuple)), "a list"),
-                       Rule(lambda v: all(map(STRING.ok, v)), "a list of strings"))}
+               tuple: (Rule(lambda v: isinstance(v, (list, tuple)), "a list"),)}
 
 
 @cache

@@ -20,7 +20,7 @@ from .attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, check_fits, generate, split
 from .datasets import random_probe_inputs
-from .errors import NON_EMPTY, ConfigError, among, check, check_field_types, each
+from .errors import NON_EMPTY, ConfigError, Rule, among, check, check_field_types, each
 from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
@@ -40,20 +40,19 @@ DISTILL_TEMPERATURE = 2.0
 FROZEN_LAYERS = 1
 
 
+# Every attack token, each extraction alone or inside a blur: 'RET' -> ('RET', None)
+# and 'WP(DIS)' -> ('DIS', 'WP'). Spaces around a token are ignored.
+ATTACK_TOKENS = {f"{blur}({attack})" if blur else attack: (attack, blur)
+                 for blur in (None, *BLUR_METHODS) for attack in ATTACKS}
+_TOKEN = Rule(lambda v: isinstance(v, str) and v.strip() in ATTACK_TOKENS,
+              f"{among(ATTACKS).what}, alone or inside "
+              + " or ".join(f"{blur}(...)" for blur in BLUR_METHODS))
+
+
 def parse_attack_token(token: str):
-    """'RET' -> ('RET', None); 'WP(DIS)' -> ('DIS', 'WP')."""
-    token = token.strip()
-    if "(" in token:
-        blur_name, rest = token.split("(", 1)
-        if not rest.endswith(")") or blur_name not in BLUR_METHODS:
-            raise ConfigError(f"bad attack token {token!r}")
-        inner = rest[:-1]
-        if inner not in ATTACKS:
-            raise ConfigError(f"bad attack token {token!r}")
-        return inner, blur_name
-    if token not in ATTACKS:
-        raise ConfigError(f"unknown attack token {token!r}")
-    return token, None
+    """The (extraction, blur or None) of an attack token (`ATTACK_TOKENS`)."""
+    check("attack token", token, _TOKEN, ConfigError)
+    return ATTACK_TOKENS[token.strip()]
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,8 @@ class EvaluationConfig:
     n_nonextracted_train: Annotated[int, "[1, inf)"] = 10
     n_extracted_test: Annotated[int, "[1, inf)"] = 6
     n_nonextracted_test: Annotated[int, "[1, inf)"] = 6
-    seen_attacks: Annotated[tuple, NON_EMPTY] = ("RET",)
-    unseen_attacks: Annotated[tuple, NON_EMPTY] = ("RET",)
+    seen_attacks: Annotated[tuple, NON_EMPTY, each(_TOKEN)] = ("RET",)
+    unseen_attacks: Annotated[tuple, NON_EMPTY, each(_TOKEN)] = ("RET",)
     classifier_kind: Annotated[str, among(VERIFIER_FIELDS)] = "lr"
     keyset_size: Annotated[int, "[1, inf)"] = 32
     candidate_source: Annotated[str, among(CANDIDATE_SOURCES)] = "misclassifications"
@@ -87,8 +86,6 @@ class EvaluationConfig:
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
-        for token in self.seen_attacks + self.unseen_attacks:
-            parse_attack_token(token)
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)

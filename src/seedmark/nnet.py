@@ -23,9 +23,6 @@ from .rng import stream
 _ACTIVATE = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
 _DERIVATIVE = {"relu": lambda y: y > 0.0, "tanh": lambda y: 1.0 - y**2}
 ACTIVATIONS = tuple(_ACTIVATE)
-_ACTIVATION = among(ACTIVATIONS)
-_TWO_WIDTHS = Rule(lambda v: len(v) >= 2, "at least an input and an output width")
-_WIDTHS = each(within("[1, inf)", INTEGER))
 _RECORD = Rule(lambda r: type(r) is dict and type(r.get("stage")) is str, "a stage record")
 _PROVENANCE = Rule(lambda v: type(v) is tuple and all(map(_RECORD.ok, v)),
                    "a tuple of dicts, each with a string stage", _RECORD.ok)
@@ -42,16 +39,14 @@ class ModelSpec:
 
     `activation` follows every hidden layer; the softmax head is implied."""
 
-    widths: tuple  # (in_dim, *hidden, classes)
-    activation: str = "relu"
+    widths: Annotated[tuple,  # (in_dim, *hidden, classes)
+                      Rule(lambda v: len(v) >= 2, "at least an input and an output width"),
+                      each(within("[1, inf)", INTEGER)),
+                      Rule(lambda v: v[-1] >= 2, "a list ending in at least 2 classes")]
+    activation: Annotated[str, among(ACTIVATIONS)] = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(self.widths))
-        check("widths", self.widths, _TWO_WIDTHS, SpecError)
-        check("widths", self.widths, _WIDTHS, SpecError)
-        if self.output_classes < 2:
-            raise SpecError(f"output_classes must be >= 2, got {self.output_classes}")
-        check("activation", self.activation, _ACTIVATION, SpecError)
+        check_field_types(self, SpecError)
 
     @property
     def input_dim(self) -> int:

@@ -7,6 +7,7 @@ but their own."""
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import asdict
 
 import numpy as np
@@ -77,7 +78,8 @@ def _read_artifact(text, fmt) -> dict:
         raise FormatError(f"not a {fmt} artifact")
     version = doc.get("version")
     if type(version) is not int or version != VERSION:
-        raise FormatError(f"unsupported {fmt} version {version!r} (supported: {VERSION})")
+        raise FormatError(f"unsupported {fmt} version {reprlib.repr(version)} "
+                          f"(supported: {VERSION})")
     return doc
 
 

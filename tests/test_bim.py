@@ -108,10 +108,17 @@ def test_determinism(trained_model, blob_data):
 
 
 def test_dimension_mismatch(trained_model):
+    dim = trained_model.spec.input_dim
     with pytest.raises(InputError):
         bim(trained_model, np.zeros(3), 0, BimConfig())
     with pytest.raises(InputError):
-        bim_batch(trained_model, np.zeros((2, trained_model.spec.input_dim)), [0], BimConfig())
+        bim(trained_model, np.zeros((1, dim)), 0, BimConfig())
+    with pytest.raises(InputError):
+        bim_batch(trained_model, np.zeros((2, dim)), [0], BimConfig())
+    with pytest.raises(InputError):
+        bim_batch(trained_model, np.zeros((2, dim + 1)), [0, 1], BimConfig())
+    with pytest.raises(InputError):
+        bim_batch(trained_model, np.zeros((2, 1, dim)), [0, 1], BimConfig())
 
 
 def _reference_bim(model, x0, label, cfg):

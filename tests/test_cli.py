@@ -3,6 +3,7 @@ import glob
 import json
 import logging
 import os
+import reprlib
 import shlex
 import shutil
 import subprocess
@@ -620,11 +621,15 @@ def test_bad_nested_config_fails_with_json_error(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"seen_attacks": [5]}, "seen_attacks must be a list of strings, got [5]"),
+    ({"seen_attacks": [5]}, "seen_attacks must be a list, each one of 'RET', 'DIS', 'TRL', "
+     "'CAR', 'CC', alone or inside WP(...) or WQ(...), got 5 at index 0"),
     ({"classifier_kind": ["lr"]}, "classifier_kind must be a string, got ['lr']"),
     ({"nonextracted_families": [["A"]]},
-     "nonextracted_families must be a list of strings, got [['A']]"),
-], ids=["attack-number", "family-list", "families-nested"])
+     "nonextracted_families must be a list, each one of 'A', 'B', 'C', got ['A'] at index 0"),
+    # an integer too large for float64 once escaped the check as an OverflowError
+    ({"query_budget_fraction": 10**400},
+     f"query_budget_fraction must be a finite number, got {reprlib.repr(10**400)}"),
+], ids=["attack-number", "family-list", "families-nested", "fraction-beyond-float64"])
 def test_config_value_of_the_wrong_type_fails_with_json_error(doc, message, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

@@ -59,6 +59,17 @@ class TestTokens:
         with pytest.raises(ConfigError):
             parse_attack_token(token)
 
+    @pytest.mark.parametrize("parse, message", [
+        (parse_attack_token, r"^attack token must be one of .*, got 'X+\.\.\.X+'$"),
+        (lambda t: eval_config_from_dict({"seen_attacks": [t]}),
+         r"^seen_attacks must be a list, each one of .*, got 'X+\.\.\.X+' at index 0$"),
+    ], ids=["token", "config"])
+    def test_long_token_error_is_short(self, parse, message):
+        # the whole token used to be in the message: over 5,000 characters
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse("X" * 5000)
+        assert len(str(exc.value)) < 200
+
 
 class TestConfig:
     def test_validation(self):
@@ -111,8 +122,11 @@ class TestConfig:
          "query_budget_fraction must be a finite number, got inf"),
         ({"prune_sparsity": "0.5"}, ConfigError, "prune_sparsity must be a finite number"),
         ({"nonextracted_families": [["A"]]}, ConfigError,
-         "nonextracted_families must be a list of strings, got"),
-        ({"unseen_attacks": ["RET", 5]}, ConfigError, "unseen_attacks must be a list of strings"),
+         r"^nonextracted_families must be a list, each one of 'A', 'B', 'C', got \['A'\] "
+         r"at index 0$"),
+        ({"unseen_attacks": ["RET", 5]}, ConfigError,
+         r"^unseen_attacks must be a list, each one of 'RET', 'DIS', 'TRL', 'CAR', 'CC', "
+         r"alone or inside WP\(\.\.\.\) or WQ\(\.\.\.\), got 5 at index 1$"),
     ], ids=["keyset-size", "epochs", "quantize-bits", "gen-dims",
             "bim-iterations", "master-seed", "repetitions", "families-string",
             "attacks-string", "bim-epsilon-nan", "bim-epsilon-inf", "bim-epsilon-bool",

@@ -91,7 +91,7 @@ class TestSpec:
             ModelSpec((4,))
 
     @pytest.mark.parametrize("widths, activation, message", [
-        ((4, 1), "relu", "output_classes must be >= 2"),
+        ((4, 1), "relu", r"^widths must be a list ending in at least 2 classes, got \(4, 1\)$"),
         ((4, 0, 2), "relu", rf"^{WIDTHS_RULE}, got 0 at index 1$"),
         ((4, "8", 2), "relu", rf"^{WIDTHS_RULE}, got '8' at index 1$"),
         ((4, 8.5, 2), "relu", rf"^{WIDTHS_RULE}, got 8\.5 at index 1$"),

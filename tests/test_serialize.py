@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import reprlib
 import sys
 from functools import partial
 
@@ -165,6 +166,22 @@ def test_version_4_model_file_raises_format_error():
 def test_version_3_file_raises_format_error(make_text, parse):
     with pytest.raises(FormatError, match="version 3 "):
         parse(make_text())
+
+
+@pytest.mark.parametrize("make_text, parse, fmt", [
+    (lambda: _model_text(), parse_model, "seedmark-model"),
+    (lambda: _dataset_text(), parse_dataset, "seedmark-dataset"),
+    (lambda: _keyset_text(), parse_keyset, "seedmark-keyset"),
+    (lambda: _gnb_text(), parse_verifier, "seedmark-verifier"),
+], ids=["model", "dataset", "keyset", "verifier"])
+def test_long_version_error_is_short(make_text, parse, fmt):
+    # the whole value used to be in the message: over 5,000 characters
+    doc = json.loads(make_text())
+    doc["version"] = "v" * 5000
+    message = f"unsupported {fmt} version {reprlib.repr('v' * 5000)} (supported: {VERSION})"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as exc:
+        parse(json.dumps(doc))
+    assert len(str(exc.value)) < 200
 
 
 def test_missing_weights(model):

@@ -12,13 +12,14 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
+import numpy as np
 import pytest
 
 from seedmark import cli, errors
 from seedmark.bim import BimConfig
 from seedmark.datasets import GenSpec
 from seedmark.errors import ConfigError, SpecError
-from seedmark.harness import EvaluationConfig
+from seedmark.harness import ATTACK_TOKENS, EvaluationConfig, parse_attack_token
 from seedmark.nnet import TrainConfig, loss_and_param_grads
 
 
@@ -133,6 +134,31 @@ def test_no_hand_written_value_check_outside_errors():
             elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
                 found.append(f"{path.name}:{node.lineno} from numbers import")
     assert found == []
+
+
+FLOAT_FIELDS = [(cls, name, error) for cls, name, error in LEAF_FIELDS
+                if type(getattr(cls(), name)) is float]
+
+
+@pytest.mark.parametrize("cls, name, error", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [10**400, np.float32(np.inf)],
+                         ids=["int-beyond-float64", "float32-inf"])
+def test_every_float_field_rejects_a_value_beyond_float64(cls, name, error, value):
+    # no OverflowError, and no RuntimeWarning, which the test settings make an error
+    message = f"{name} must be a finite number, got {reprlib.repr(value)}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+
+
+def test_attack_tokens_are_each_extraction_alone_or_in_one_blur():
+    extractions = ("RET", "DIS", "TRL", "CAR", "CC")
+    expected = {token: (token, None) for token in extractions}
+    expected.update({f"{blur}({token})": (token, blur)
+                     for blur in ("WP", "WQ") for token in extractions})
+    assert ATTACK_TOKENS == expected
+    for token in ATTACK_TOKENS:
+        assert parse_attack_token(token) == ATTACK_TOKENS[token]
 
 
 @pytest.mark.parametrize("cls, field, error", NESTED_FIELDS,

@@ -21,6 +21,7 @@ from .errors import INTEGER, NUMBER, InputError, SeedmarkError, WatermarkError, 
 from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
+    _TOKEN,
     _control_population,
     blur_model,
     build_attacked_model,
@@ -122,10 +123,8 @@ def cmd_keygen(args):
     _check_victims(args.extracted, extracted, serialize.model_digest(protected))
     nonextracted = [serialize.load_model(p) for p in args.nonextracted]
     data = load_dataset(args.data)
-    keyset = watermark.generate_keyset(
-        protected, extracted, nonextracted, data, cfg.keyset_size, cfg.bim,
-        candidate_source=cfg.candidate_source,
-    )
+    keyset = watermark.generate_keyset(protected, extracted, nonextracted, data,
+                                       cfg.keyset_size, cfg.bim)
     watermark.save_keyset(keyset, args.out)
     print(args.out)
 
@@ -200,7 +199,7 @@ OPTIONS = {
     "--out": {"required": True},
     "--victim": {"required": True},
     "--data": {"required": True},
-    "--attack": {"required": True, "help": "RET|DIS|TRL|CAR|CC or WP(...)/WQ(...)"},
+    "--attack": {"required": True, "help": _TOKEN.what},
     "--model": {"required": True},
     "--method": {"choices": BLUR_METHODS, "required": True},
     "--protected": {"required": True},

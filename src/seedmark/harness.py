@@ -25,7 +25,7 @@ from .metrics import RocCurve, roc_auc
 from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
 from .rng import derive_seed
 from .serialize import _OBJECT, _read_text, model_digest
-from .watermark import CANDIDATE_SOURCES, VERIFIER_FIELDS, build_verifier, confidence_table
+from .watermark import VERIFIER_FIELDS, build_verifier, confidence_table
 from .watermark import generate_keyset, verify
 
 log = logging.getLogger(__name__)
@@ -41,10 +41,10 @@ FROZEN_LAYERS = 1
 
 
 # Every attack token, each extraction alone or inside a blur: 'RET' -> ('RET', None)
-# and 'WP(DIS)' -> ('DIS', 'WP'). Spaces around a token are ignored.
+# and 'WP(DIS)' -> ('DIS', 'WP').
 ATTACK_TOKENS = {f"{blur}({attack})" if blur else attack: (attack, blur)
                  for blur in (None, *BLUR_METHODS) for attack in ATTACKS}
-_TOKEN = Rule(lambda v: isinstance(v, str) and v.strip() in ATTACK_TOKENS,
+_TOKEN = Rule(among(ATTACK_TOKENS).ok,
               f"{among(ATTACKS).what}, alone or inside "
               + " or ".join(f"{blur}(...)" for blur in BLUR_METHODS))
 
@@ -52,7 +52,7 @@ _TOKEN = Rule(lambda v: isinstance(v, str) and v.strip() in ATTACK_TOKENS,
 def parse_attack_token(token: str):
     """The (extraction, blur or None) of an attack token (`ATTACK_TOKENS`)."""
     check("attack token", token, _TOKEN, ConfigError)
-    return ATTACK_TOKENS[token.strip()]
+    return ATTACK_TOKENS[token]
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class EvaluationConfig:
     unseen_attacks: Annotated[tuple, NON_EMPTY, each(_TOKEN)] = ("RET",)
     classifier_kind: Annotated[str, among(VERIFIER_FIELDS)] = "lr"
     keyset_size: Annotated[int, "[1, inf)"] = 32
-    candidate_source: Annotated[str, among(CANDIDATE_SOURCES)] = "misclassifications"
     epochs: Annotated[int, "[1, inf)"] = 10
     query_budget_fraction: Annotated[float, "(0, 1]"] = 0.5
     prune_sparsity: Annotated[float, "[0, 1)"] = 0.5
@@ -83,6 +82,8 @@ class EvaluationConfig:
     protected_family: ClassVar[str] = "A"
     copycat_probe_factor: ClassVar[int] = 20
     batch_size: ClassVar[int] = 32
+    # only bench/workloads.py reads it, to pass to `generate_keyset`
+    candidate_source: ClassVar[str] = "misclassifications"
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
@@ -197,10 +198,7 @@ def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
         cfg, protected, cfg.seen_attacks, train_set, cfg.n_extracted_train, rep_seed, "ext-train"
     )
     ne_train = _control_population(cfg, train_set, cfg.n_nonextracted_train, rep_seed, "ne-train")
-    keyset = generate_keyset(
-        protected, ext_train, ne_train, train_set, cfg.keyset_size, cfg.bim,
-        candidate_source=cfg.candidate_source,
-    )
+    keyset = generate_keyset(protected, ext_train, ne_train, train_set, cfg.keyset_size, cfg.bim)
     verifier = build_verifier(ext_train, ne_train, keyset, cfg.classifier_kind)
 
     ext_test = _attack_population(

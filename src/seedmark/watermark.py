@@ -10,7 +10,7 @@ of key-set inputs on which its confidence is classified "extracted".
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ LR_LAMBDA = 1e-4
 LR_TOL = 1e-8
 LR_MAX_ITER = 200
 GNB_VAR_FLOOR = 1e-9
-
-CANDIDATE_SOURCES = ("misclassifications", "disagreements")
 
 # each classifier kind's parameters; every GNB parameter has one value per
 # class, ordered (non-extracted, extracted)
@@ -77,6 +75,7 @@ def generate_keyset(
     data,
     n: int,
     bim_cfg: BimConfig = None,
+    # only bench/workloads.py passes it, and it takes no other value
     candidate_source: str = "misclassifications",
 ) -> KeySet:
     """Select the n strengthened misclassifications with the largest
@@ -85,23 +84,17 @@ def generate_keyset(
     Each candidate is BIM-perturbed toward the protected model's label and
     kept only if the model still predicts that label. `data` must have the
     protected model's input and class counts, and `n` is a whole number.
-    candidate_source="disagreements" narrows the pool to the misclassified
-    rows that some non-extracted model labels otherwise.
     """
     check("key-set size", n, within("[1, inf)", WHOLE_NUMBER), WatermarkError)
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise WatermarkError("both model populations must be non-empty")
-    check("candidate_source", candidate_source, among(CANDIDATE_SOURCES), WatermarkError)
+    check("candidate_source", candidate_source, among(("misclassifications",)), WatermarkError)
     check_fits(data, protected, "protected model")
     bim_cfg = bim_cfg or BimConfig()
     features = np.asarray(data.features, dtype=np.float64)
     truth = np.asarray(data.labels)
     preds = predict(protected, features)
-    wrong = preds != truth
-    if candidate_source == "disagreements":
-        others = np.stack([predict(m, features) for m in nonextracted_pop])
-        wrong &= (others != preds).any(axis=0)
-    candidates = np.flatnonzero(wrong)
+    candidates = np.flatnonzero(preds != truth)
     if len(candidates) == 0:
         raise WatermarkError("no watermark material: protected model has no candidate inputs")
 
@@ -123,16 +116,7 @@ def generate_keyset(
     gaps = np.abs(conf_e - conf_ne)
     order = sorted(range(len(candidates)), key=lambda i: (-gaps[i], candidates[i]))
     chosen = order[:n]
-    prov = {
-        "protected": model_digest(protected),
-        "candidate_source": candidate_source,
-        "bim": {
-            "iterations": bim_cfg.iterations,
-            "epsilon": bim_cfg.epsilon,
-            "step_size": bim_cfg.step_size,
-        },
-        "dataset": data.name,
-    }
+    prov = {"protected": model_digest(protected), "bim": asdict(bim_cfg), "dataset": data.name}
     return KeySet(perturbed[chosen], post_preds[chosen], prov)
 
 
@@ -276,7 +260,6 @@ _DIGEST = Rule(lambda v: type(v) is str and re.fullmatch("[0-9a-f]{12}", v) is n
 # each key-set provenance field that `generate_keyset` writes, checked when present
 _PROVENANCE_CHECKS = {
     "protected": _DIGEST,
-    "candidate_source": STRING,
     "dataset": STRING,
     "bim": Rule(lambda v: type(v) is dict and type(v.get("iterations")) is int
                 and all(type(x) in (int, float) and math.isfinite(x) for x in v.values()),

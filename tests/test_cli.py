@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from seedmark import cli, serialize, watermark
+from seedmark.attacks import ATTACKS
 from seedmark.cli import main
 from seedmark.datasets import GenSpec, load_dataset
-from seedmark.harness import EvaluationConfig, load_eval_config
+from seedmark.harness import BLUR_METHODS, EvaluationConfig, load_eval_config
 from seedmark.nnet import ModelSpec, init_model
 
 REPO = Path(__file__).resolve().parents[1]
@@ -247,6 +248,18 @@ def test_help_and_root_errors_read_as_the_full_parser_writes_them(argv, columns,
     assert capsys.readouterr() == expected
 
 
+def test_attack_help_names_every_extraction_and_blur(capsys):
+    # the help is the token rule's own text, so a new extraction or blur appears in it
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "-h"])
+    assert exc.value.code == 0
+    attack_help = capsys.readouterr().out.split("--attack ATTACK", 2)[2]
+    for name in ATTACKS:
+        assert f"'{name}'" in attack_help
+    for blur in BLUR_METHODS:
+        assert f"{blur}(...)" in attack_help
+
+
 def count_parsers(monkeypatch):
     """Count every `argparse.ArgumentParser` built from here on."""
     built = []
@@ -376,7 +389,6 @@ def test_stage_commands_read_the_config(workspace, config_path, tmp_path):
     keyset = watermark.generate_keyset(
         serialize.load_model(workspace["models"][0]), extracted, controls,
         load_dataset(workspace["data"]), cfg.keyset_size, cfg.bim,
-        candidate_source=cfg.candidate_source,
     )
     verifier = watermark.build_verifier(extracted, controls, keyset, cfg.classifier_kind)
     assert Path(keyset_path).read_text() == watermark.dump_keyset(keyset)

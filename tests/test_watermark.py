@@ -14,7 +14,7 @@ from seedmark.datasets import Dataset, GenSpec, generate
 from seedmark.errors import FormatError, InputError, WatermarkError
 from seedmark.harness import EvaluationConfig, build_attacked_model
 from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, forward, init_model, predict, train
-from seedmark.serialize import VERSION
+from seedmark.serialize import VERSION, model_digest
 from seedmark.watermark import (
     GNB_VAR_FLOOR,
     KeySet,
@@ -108,22 +108,25 @@ class TestKeysetGeneration:
         train_set, _ = blob_data
         assert np.array_equal(predict(trained_model, keyset.watermarks), keyset.labels)
 
-    def test_disagreement_source(self, blob_data, trained_model, populations):
+    @pytest.mark.parametrize("source", ["quarrels", "disagreements"])
+    def test_unknown_source(self, blob_data, trained_model, populations, source):
         train_set, _ = blob_data
         extracted, controls = populations
-        ks = generate_keyset(trained_model, extracted, controls, train_set, 8,
-                             candidate_source="disagreements")
-        assert len(ks) == 8
-        assert ks.provenance["candidate_source"] == "disagreements"
-        # survivors still fool the protected model
-        assert np.array_equal(predict(trained_model, ks.watermarks), ks.labels)
-
-    def test_unknown_source(self, blob_data, trained_model, populations):
-        train_set, _ = blob_data
-        extracted, controls = populations
-        with pytest.raises(WatermarkError):
+        message = f"candidate_source must be one of 'misclassifications', got '{source}'"
+        with pytest.raises(WatermarkError, match=f"^{re.escape(message)}$"):
             generate_keyset(trained_model, extracted, controls, train_set, 4,
-                            candidate_source="quarrels")
+                            candidate_source=source)
+
+    def test_candidate_source_keyword_and_config_constant_remain(self, blob_data, trained_model,
+                                                                  populations, keyset):
+        # bench/workloads.py passes `candidate_source=cfg.candidate_source` to
+        # generate_keyset, so both stay until that call drops the keyword
+        train_set, _ = blob_data
+        extracted, controls = populations
+        assert EvaluationConfig.candidate_source == "misclassifications"
+        ks = generate_keyset(trained_model, extracted, controls, train_set, 16,
+                             candidate_source=EvaluationConfig.candidate_source)
+        assert dump_keyset(ks) == dump_keyset(keyset)
 
     def test_no_material(self, blob_data, trained_model, populations):
         """If the protected model classifies every input correctly there is
@@ -148,14 +151,11 @@ class TestKeysetGeneration:
         cfg = BimConfig(iterations=1, epsilon=0.5)
         assert predict(model, data.features).tolist() == [1, 0]
         assert predict(model, bim_batch(model, data.features, [1, 0], cfg)).tolist() == [2, 0]
-        for source in ("misclassifications", "disagreements"):
-            keyset = generate_keyset(model, [model], [init_model(model.spec, 0)], data, 1, cfg,
-                                     candidate_source=source)
-            assert keyset.labels.tolist() == [0]
-            assert keyset.watermarks.tolist() == [[-1.0, 0.0]]
-            with pytest.raises(WatermarkError, match="size 2 exceeds 1 available"):
-                generate_keyset(model, [model], [init_model(model.spec, 0)], data, 2, cfg,
-                                candidate_source=source)
+        keyset = generate_keyset(model, [model], [init_model(model.spec, 0)], data, 1, cfg)
+        assert keyset.labels.tolist() == [0]
+        assert keyset.watermarks.tolist() == [[-1.0, 0.0]]
+        with pytest.raises(WatermarkError, match="size 2 exceeds 1 available"):
+            generate_keyset(model, [model], [init_model(model.spec, 0)], data, 2, cfg)
 
     def test_n_too_large(self, blob_data, trained_model, populations):
         train_set, _ = blob_data
@@ -538,6 +538,27 @@ class TestPersistence:
         assert np.array_equal(back.labels, keyset.labels)
         assert back.provenance == keyset.provenance
 
+    def test_keyset_provenance_records_keygen_inputs(self, blob_data, trained_model, keyset):
+        train_set, _ = blob_data
+        assert keyset.provenance == {"protected": model_digest(trained_model),
+                                     "bim": {"iterations": 20, "epsilon": 0.3},
+                                     "dataset": train_set.name}
+
+    def test_keyset_with_older_provenance_fields_parses_and_verifies_alike(self, keyset,
+                                                                         populations):
+        # format-5 key-set files written before the provenance held only
+        # keygen's inputs also hold the candidate source and BIM's step size
+        extracted, controls = populations
+        doc = json.loads(dump_keyset(keyset))
+        assert doc["version"] == 5
+        doc["provenance"]["candidate_source"] = "misclassifications"
+        doc["provenance"]["bim"]["step_size"] = 0.015
+        older = parse_keyset(json.dumps(doc))
+        assert older.provenance == doc["provenance"]
+        verifier = build_verifier(extracted, controls, keyset)
+        for suspect in (*extracted, *controls):
+            assert verify(suspect, verifier, older) == verify(suspect, verifier, keyset)
+
     def test_keyset_bad_inputs(self, keyset):
         with pytest.raises(FormatError):
             parse_keyset("not json {")
@@ -575,12 +596,11 @@ class TestPersistence:
 
     @pytest.mark.parametrize("provenance", [
         "xyz", [1, 2], {"protected": 5}, {"protected": "ABCDEF012345"},
-        {"candidate_source": ["misclassifications"]}, {"dataset": 7}, {"bim": "x"},
+        {"dataset": 7}, {"bim": "x"},
         {"bim": {"iterations": 1.5, "epsilon": 0.3}}, {"bim": {"iterations": 5, "epsilon": "0.3"}},
         {"bim": {"iterations": 5, "epsilon": float("nan")}},
-    ], ids=["string", "list", "protected-number", "protected-uppercase", "candidate-source-list",
-            "dataset-number", "bim-string", "bim-float-iterations", "bim-string-epsilon",
-            "bim-nan-epsilon"])
+    ], ids=["string", "list", "protected-number", "protected-uppercase", "dataset-number",
+            "bim-string", "bim-float-iterations", "bim-string-epsilon", "bim-nan-epsilon"])
     def test_keyset_provenance_of_the_wrong_type_raises_format_error(self, keyset, provenance):
         doc = json.loads(dump_keyset(keyset))
         doc["provenance"] = provenance

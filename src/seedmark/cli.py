@@ -145,15 +145,22 @@ def cmd_verify(args):
     """Score each `--suspect` against one key-set and verifier.
 
     Every suspect is read and scored before anything is printed, so a
-    failure leaves stdout empty. One suspect prints its score, decisions and
+    failure leaves stdout empty; among several suspects, its error names the
+    suspect's path. One suspect prints its score, decisions and
     optional verdict lines; several print each block after a
     `suspect <path>` line."""
     if args.threshold is not None:
         check("--threshold", args.threshold, NUMBER, InputError)
     verifier = watermark.load_verifier(args.verifier)
     keyset = watermark.load_keyset(args.keyset)
-    verdicts = [watermark.verify(serialize.load_model(path), verifier, keyset)
-                for path in args.suspect]
+    verdicts = []
+    for path in args.suspect:
+        try:
+            verdicts.append(watermark.verify(serialize.load_model(path), verifier, keyset))
+        except SeedmarkError as exc:
+            if len(args.suspect) > 1:  # name the failing one among several
+                exc.args = (f"suspect {path}: {exc}",)
+            raise
     for path, verdict in zip(args.suspect, verdicts):
         if len(verdicts) > 1:
             print(f"suspect {path}")

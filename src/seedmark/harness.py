@@ -1,10 +1,10 @@
 """End-to-end evaluation harness.
 
-Builds seeded model populations, runs the offline watermark stage against
-"seen" attacks, then scores a test population built with "unseen" attacks
-(optionally blurred) plus fresh non-extracted controls, aggregating verdict
-scores into a ROC curve. The whole pipeline is a pure function of the
-config's master seed.
+A repetition is an owner stage, which trains the protected model and fresh
+non-extracted controls, then an attack stage, which runs the offline
+watermark stage against "seen" attacks and scores "unseen" ones (optionally
+blurred) and the test controls. Verdict scores aggregate into a ROC curve.
+The whole pipeline is a pure function of the config's master seed.
 """
 
 import csv
@@ -174,15 +174,6 @@ def blur_model(cfg: EvaluationConfig, model: Model, method: str) -> Model:
     return blur_quantize(model, cfg.quantize_bits)
 
 
-def _attack_population(cfg, victim, tokens, data, count, seed, tag):
-    """`count` models, attacks distributed evenly across `tokens`."""
-    return [
-        build_attacked_model(cfg, victim, tokens[i % len(tokens)], data,
-                             derive_seed(seed, f"{tag}/{i}"))
-        for i in range(count)
-    ]
-
-
 def _control_population(cfg, data, count, seed, tag):
     return [
         train_fresh(cfg, data, cfg.nonextracted_families[i % len(cfg.nonextracted_families)],
@@ -191,20 +182,25 @@ def _control_population(cfg, data, count, seed, tag):
     ]
 
 
-def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
-    """One offline+online pass; returns (pos scores, neg scores, profiles, key-set)."""
-    protected = train_fresh(cfg, train_set, cfg.protected_family, derive_seed(rep_seed, "protected"))
-    ext_train = _attack_population(
-        cfg, protected, cfg.seen_attacks, train_set, cfg.n_extracted_train, rep_seed, "ext-train"
-    )
-    ne_train = _control_population(cfg, train_set, cfg.n_nonextracted_train, rep_seed, "ne-train")
+def owner_stage(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
+    """One repetition's (protected, ne-train, ne-test) models. It reads no attack, key-set,
+    BIM, verifier, blur or query-budget setting, so configs differing only there share it."""
+    return (train_fresh(cfg, train_set, cfg.protected_family, derive_seed(rep_seed, "protected")),
+            _control_population(cfg, train_set, cfg.n_nonextracted_train, rep_seed, "ne-train"),
+            _control_population(cfg, train_set, cfg.n_nonextracted_test, rep_seed, "ne-test"))
+
+
+def attack_stage(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int, owner):
+    """Both extraction populations on an `owner_stage`, then the key-set, the verifier
+    and the scores; returns (pos scores, neg scores, profiles, key-set)."""
+    protected, ne_train, ne_test = owner
+    ext_train, ext_test = (
+        [build_attacked_model(cfg, protected, tokens[i % len(tokens)], train_set,
+                              derive_seed(rep_seed, f"{tag}/{i}")) for i in range(count)]
+        for tag, tokens, count in (("ext-train", cfg.seen_attacks, cfg.n_extracted_train),
+                                   ("ext-test", cfg.unseen_attacks, cfg.n_extracted_test)))
     keyset = generate_keyset(protected, ext_train, ne_train, train_set, cfg.keyset_size, cfg.bim)
     verifier = build_verifier(ext_train, ne_train, keyset, cfg.classifier_kind)
-
-    ext_test = _attack_population(
-        cfg, protected, cfg.unseen_attacks, train_set, cfg.n_extracted_test, rep_seed, "ext-test"
-    )
-    ne_test = _control_population(cfg, train_set, cfg.n_nonextracted_test, rep_seed, "ne-test")
 
     def scores(models):
         keyed = sorted((model_digest(m), verify(m, verifier, keyset).score) for m in models)
@@ -214,32 +210,48 @@ def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
     return scores(ext_test), scores(ne_test), profiles, keyset
 
 
+def run_repetition(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
+    """One offline+online pass: `attack_stage` on a fresh `owner_stage`."""
+    return attack_stage(cfg, train_set, rep_seed, owner_stage(cfg, train_set, rep_seed))
+
+
 def prepare_data(cfg: EvaluationConfig):
     """The (train, test) split of the config's dataset."""
     dataset = generate(cfg.gen, derive_seed(cfg.master_seed, "data"))
     return split(dataset, cfg.test_fraction, derive_seed(cfg.master_seed, "split"))
 
 
-def run_raw_evaluation(cfg: EvaluationConfig) -> EvaluationReport:
+def owner_stages(cfg: EvaluationConfig):
+    """The config's train split and each repetition's (seed, `owner_stage`)."""
     train_set, _test_set = prepare_data(cfg)
+    seeds = [derive_seed(cfg.master_seed, f"rep/{rep}") for rep in range(cfg.repetitions)]
+    return train_set, tuple((seed, owner_stage(cfg, train_set, seed)) for seed in seeds)
+
+
+def attack_evaluation(cfg: EvaluationConfig, owners) -> EvaluationReport:
+    """The report of the config's attacks on `owners`, the `owner_stages` of
+    a config that differs from `cfg` only in fields `owner_stage` does not read."""
+    train_set, stages = owners
     rep_results = []
-    for rep in range(cfg.repetitions):
-        rep_seed = derive_seed(cfg.master_seed, f"rep/{rep}")
-        pos, neg, profiles, _keyset = run_repetition(cfg, train_set, rep_seed)
+    for rep, (rep_seed, owner) in enumerate(stages):
+        pos, neg, profiles, _keyset = attack_stage(cfg, train_set, rep_seed, owner)
         log.info("repetition %d: mean extracted score %.3f, mean control score %.3f",
                  rep, float(np.mean(pos)), float(np.mean(neg)))
         rep_results.append((pos, neg, profiles))
     all_pos = tuple(s for pos, _, _ in rep_results for s in pos)
     all_neg = tuple(s for _, neg, _ in rep_results for s in neg)
-    roc = roc_auc(all_pos, all_neg)
     return EvaluationReport(
         pos_scores=all_pos,
         neg_scores=all_neg,
-        roc=roc,
+        roc=roc_auc(all_pos, all_neg),
         config_digest=cfg.digest(),
         repetition_scores=tuple((pos, neg) for pos, neg, _ in rep_results),
         train_profiles=tuple(profiles for _, _, profiles in rep_results),
     )
+
+
+def run_raw_evaluation(cfg: EvaluationConfig) -> EvaluationReport:
+    return attack_evaluation(cfg, owner_stages(cfg))
 
 
 def export_report(report: EvaluationReport, path):

@@ -169,9 +169,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: Model, inputs) -> np.ndarray:
-    """Confidence vectors: softmax over the final logits, rows summing to 1."""
-    z, _ = _forward_trace(model.spec, model.weights, _check_inputs(model, inputs))
-    return softmax(z)
+    """Confidence vectors: softmax over the final logits, rows summing to 1.
+    InputError, naming the model's digest, if its forward pass overflows."""
+    x = _check_inputs(model, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = softmax(_forward_trace(model.spec, model.weights, x)[0])
+    if not np.isfinite(p).all():
+        from .serialize import model_digest  # serialize imports this module
+        raise InputError(f"model {model_digest(model)} gives non-finite confidences: "
+                         "its forward pass overflows")
+    return p
 
 
 def predict(model: Model, inputs) -> np.ndarray:

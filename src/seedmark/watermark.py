@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bim import BimConfig, bim_batch
-from .datasets import check_fits
+from .datasets import FEATURE_RANGE, check_fits
 from .errors import (STRING, WHOLE_NUMBER, FormatError, InputError, Rule, WatermarkError, among,
                      check, within)
 from .nnet import Model, forward, predict
@@ -229,8 +229,8 @@ def decide(verifier: VerificationModel, s) -> np.ndarray:
     """Each watermark's classifier applied to its confidence in `s`: True
     reads "extracted". A GNB tie reads as not extracted."""
     p = verifier.params
-    if verifier.kind == "lr":
-        return p["weight"] * s + p["bias"] >= 0
+    if verifier.kind == "lr":  # w * s + b >= 0 without the sum, which overflows at huge w and b
+        return p["weight"] * s >= -p["bias"]
     lp = gnb_log_posteriors(p["means"], p["variances"], p["priors"], s)
     return lp[:, 1] > lp[:, 0]
 
@@ -270,8 +270,9 @@ _PROVENANCE_CHECKS = {
 def parse_keyset(text: str) -> KeySet:
     doc = _check_fields(_read_artifact(text, KEYSET_FORMAT), "key-set", {"labels": _LABELS})
     watermarks = _decode_array(doc.get("watermarks"), (len(doc["labels"]), None))
-    if not np.isfinite(watermarks).all():
-        raise FormatError("key-set watermarks must be finite")
+    lo, hi = FEATURE_RANGE  # BIM keeps every watermark in it
+    if not ((watermarks >= lo) & (watermarks <= hi)).all():
+        raise FormatError(f"key-set watermarks must lie in the feature range [{lo}, {hi}]")
     prov = _check_fields(doc.get("provenance", {}), "key-set provenance", _PROVENANCE_CHECKS,
                          optional=_PROVENANCE_CHECKS)
     return KeySet(watermarks, np.array(doc["labels"]), prov)
@@ -293,8 +294,13 @@ def parse_verifier(text: str) -> VerificationModel:
         raise FormatError(f"{kind} verifier fields differ in length")
     if not all(np.isfinite(a).all() for a in params.values()):
         raise FormatError(f"non-finite {kind} classifier parameter")
-    if kind == "gnb" and not ((params["variances"] > 0).all() and (params["priors"] > 0).all()):
-        raise FormatError("GNB variances and priors must be positive")
+    # a fit on confidences in [0, 1] gives no other GNB values, and they keep `decide` finite
+    if kind == "gnb":
+        m, v, p = params.values()
+        if not (((0 <= m) & (m <= 1)).all() and ((GNB_VAR_FLOOR <= v) & (v <= 1)).all()
+                and ((0 < p) & (p <= 1)).all()):
+            raise FormatError(f"GNB means, variances and priors must lie in [0, 1], "
+                              f"[{GNB_VAR_FLOOR}, 1] and (0, 1]")
     return VerificationModel(kind, params, doc["keyset"])
 
 

@@ -16,7 +16,8 @@ from seedmark.attacks import blur_prune, blur_quantize
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.boundary import population_labels, run_analysis, subset_masks
 from seedmark.datasets import Dataset, GenSpec, generate, split
-from seedmark.harness import EvaluationConfig, build_attacked_model, export_report, run_raw_evaluation
+from seedmark.harness import (EvaluationConfig, attack_evaluation, build_attacked_model,
+                              export_report, owner_stages, run_raw_evaluation)
 from seedmark.metrics import roc_auc
 from seedmark.nnet import (
     TrainConfig,
@@ -326,9 +327,20 @@ def test_auc_equals_pairwise_counting(check):
 # --- criteria 8-11: end-to-end evaluations ----------------------------------
 
 
-def test_end_to_end_retraining_detection(check):
+@pytest.fixture(scope="module")
+def default_owner_stages():
+    """The owner stages of criteria 8-11, whose configs differ only in their
+    attacks: each criterion runs its own attack stages on these."""
+    return owner_stages(default_eval_config())
+
+
+def end_to_end_report(owners, **attacks):
+    return attack_evaluation(default_eval_config(**attacks), owners)
+
+
+def test_end_to_end_retraining_detection(check, default_owner_stages):
     start = time.monotonic()
-    report = run_raw_evaluation(default_eval_config())
+    report = end_to_end_report(default_owner_stages)
     elapsed = time.monotonic() - start
     mean_pos = float(np.mean(report.pos_scores))
     mean_neg = float(np.mean(report.neg_scores))
@@ -340,10 +352,9 @@ def test_end_to_end_retraining_detection(check):
     )
 
 
-def test_detection_generalizes_to_unseen_attack(check):
-    report = run_raw_evaluation(
-        default_eval_config(seen_attacks=("TRL", "DIS"), unseen_attacks=("RET",))
-    )
+def test_detection_generalizes_to_unseen_attack(check, default_owner_stages):
+    report = end_to_end_report(default_owner_stages, seen_attacks=("TRL", "DIS"),
+                               unseen_attacks=("RET",))
     rep_aucs = [roc_auc(pos, neg).auc for pos, neg in report.repetition_scores]
     above = sum(a > 0.5 for a in rep_aucs)
     p_value = binomtest(above, len(rep_aucs), 0.5, alternative="greater").pvalue
@@ -355,7 +366,7 @@ def test_detection_generalizes_to_unseen_attack(check):
     )
 
 
-def test_blurring_countermeasures(check):
+def test_blurring_countermeasures(check, default_owner_stages):
     rng = np.random.default_rng(31)
     # exact pruning count across random models and sparsities
     prune_ok = True
@@ -397,9 +408,8 @@ def test_blurring_countermeasures(check):
     )
     acc_ok = drop <= 0.10
 
-    report = run_raw_evaluation(
-        default_eval_config(seen_attacks=("WQ(RET)",), unseen_attacks=("WP(RET)",))
-    )
+    report = end_to_end_report(default_owner_stages, seen_attacks=("WQ(RET)",),
+                               unseen_attacks=("WP(RET)",))
     auc_ok = report.roc.auc > 0.7
     check(
         "10 pruning/quantization behave exactly and blurred suspects stay detectable",
@@ -409,10 +419,9 @@ def test_blurring_countermeasures(check):
     )
 
 
-def test_cross_architecture_extraction_detected(check):
-    report = run_raw_evaluation(
-        default_eval_config(seen_attacks=("TRL",), unseen_attacks=("CAR",))
-    )
+def test_cross_architecture_extraction_detected(check, default_owner_stages):
+    report = end_to_end_report(default_owner_stages, seen_attacks=("TRL",),
+                               unseen_attacks=("CAR",))
     check(
         "11 suspects extracted into a different architecture family detected",
         report.roc.auc >= 0.75,

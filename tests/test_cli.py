@@ -19,7 +19,7 @@ from seedmark.attacks import ATTACKS
 from seedmark.cli import main
 from seedmark.datasets import GenSpec, load_dataset
 from seedmark.harness import BLUR_METHODS, EvaluationConfig, load_eval_config
-from seedmark.nnet import ModelSpec, init_model
+from seedmark.nnet import Model, ModelSpec, init_model
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -146,20 +146,44 @@ def test_verify_prints_one_block_per_suspect(workspace, capsys):
         assert capsys.readouterr().out.splitlines() == block[1:]
 
 
-@pytest.mark.parametrize("bad", ["malformed", "wrong-input-dim"])
+def overflowing_model():
+    """A valid model with finite weights whose forward pass overflows."""
+    model = init_model(ModelSpec((4, 64, 64, 3)), 0)
+    return Model(model.spec, model.params * 1e150, model.provenance)
+
+
+@pytest.mark.parametrize("bad", ["malformed", "wrong-input-dim", "overflowing"])
 def test_a_bad_suspect_among_good_ones_prints_nothing(workspace, tmp_path, capsys, bad):
-    """Every suspect is read and scored before the first block is printed."""
+    """Every suspect is read and scored before the first block is printed,
+    and the error names the suspect that failed."""
     path = tmp_path / "bad.json"
     if bad == "malformed":
         path.write_text("{}")
     else:
-        serialize.save_model(init_model(ModelSpec((5, 3)), 0), path)
+        serialize.save_model(init_model(ModelSpec((5, 3)), 0) if bad == "wrong-input-dim"
+                             else overflowing_model(), path)
     capsys.readouterr()
     assert main(verify_argv(workspace, *workspace["extracted"], str(path))) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert error == ("FormatError" if bad == "malformed" else "InputError")
+    doc = json.loads(captured.err)
+    assert doc["error"] == ("FormatError" if bad == "malformed" else "InputError")
+    assert doc["message"].startswith(f"suspect {path}: ")
+
+
+def test_an_overflowing_suspect_is_refused_not_scored(workspace, tmp_path, capsys):
+    """A suspect whose confidences overflow to NaN once printed `score 0.0`."""
+    model = overflowing_model()
+    path = tmp_path / "huge.json"
+    serialize.save_model(model, path)
+    capsys.readouterr()
+    assert main(verify_argv(workspace, str(path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "InputError",
+        "message": f"model {serialize.model_digest(model)} gives non-finite confidences: "
+                   "its forward pass overflows"}
 
 
 @pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"],

@@ -2,9 +2,10 @@
 each artifact kind, and each path option of each command. Every input
 either works or fails early with a typed `SeedmarkError`.
 
-An artifact with one leaf replaced or deleted must raise `FormatError` from
-its parser, or parse and then raise nothing but a `SeedmarkError` in its
-consumer. A command given an unreadable or wrong file for one path option
+An artifact with one leaf replaced or deleted, or with one or all of its
+float arrays re-encoded from extreme finite values, must raise
+`FormatError` from its parser, or parse and then raise nothing but a
+`SeedmarkError` in its consumer. A command given an unreadable or wrong file for one path option
 must exit 1 with one JSON error line on stderr. A NumPy `RuntimeWarning` is
 an error under the test settings, so it counts as an escape too.
 """
@@ -13,6 +14,7 @@ import copy
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from seedmark import cli
@@ -20,7 +22,8 @@ from seedmark.cli import main
 from seedmark.datasets import GenSpec, dump_dataset, parse_dataset, save_dataset
 from seedmark.errors import FormatError, SeedmarkError
 from seedmark.harness import EvaluationConfig, build_attacked_model, prepare_data, train_fresh
-from seedmark.serialize import dump_model, model_digest, parse_model, save_model
+from seedmark.serialize import (_decode_array, _encode_array, dump_model, model_digest,
+                                parse_model, save_model)
 from seedmark.watermark import (build_verifier, dump_keyset, dump_verifier, generate_keyset,
                                 parse_keyset, parse_verifier, save_keyset, save_verifier, verify)
 
@@ -42,6 +45,10 @@ BAD_VALUES = (None, True, False, 0, -1, 1.5, float("nan"), float("inf"), 10**30,
               "", "RET", [], [0, 1], {}, {"stage": "extracted"},
               "0123456789ab", "00" * 8, "7ff8000000000000", "abc")
 DELETED = object()
+# what fills a float array leaf: finite float64 values at each edge of the range
+EXTREMES = {"1e300": 1e300, "-1e300": -1e300, "max": np.finfo(np.float64).max,
+            "-max": -np.finfo(np.float64).max,
+            "subnormal": np.finfo(np.float64).smallest_subnormal, "zeros": 0.0}
 
 
 @pytest.fixture(scope="module")
@@ -97,21 +104,45 @@ def leaf_paths(node, path=()):
         yield path
 
 
+def parent_of(doc, path):
+    """The object or list that holds the leaf of `doc` at `path`."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
 def mutations(doc):
     """(description, document) for each leaf of `doc` replaced by each of
     `BAD_VALUES`, and deleted."""
     for path in leaf_paths(doc):
         for value in (*BAD_VALUES, DELETED):
             out = copy.deepcopy(doc)
-            parent = out
-            for key in path[:-1]:
-                parent = parent[key]
+            parent = parent_of(out, path)
             if value is DELETED:
                 del parent[path[-1]]
             else:
                 parent[path[-1]] = value
             what = " deleted" if value is DELETED else f" = {value!r}"
             yield "/".join(map(str, path)) + what, out
+
+
+def array_mutations(doc):
+    """(description, document) for each float array leaf of `doc` (each leaf
+    `_decode_array` reads), and for all of them at once, re-encoded with every
+    value one of `EXTREMES`."""
+    lengths = {}
+    for path in leaf_paths(doc):
+        try:
+            lengths[path] = len(_decode_array(parent_of(doc, path)[path[-1]], (None,)))
+        except FormatError:
+            pass
+    groups = [[path] for path in lengths] + ([list(lengths)] if len(lengths) > 1 else [])
+    for name, value in EXTREMES.items():
+        for paths in groups:
+            out = copy.deepcopy(doc)
+            for path in paths:
+                parent_of(out, path)[path[-1]] = _encode_array(np.full(lengths[path], value))
+            yield ", ".join("/".join(map(str, path)) for path in paths) + f" = {name}", out
 
 
 def escape(parse, consume, text):
@@ -137,6 +168,16 @@ def test_every_leaf_mutation_works_or_fails_with_a_typed_error(pipeline, kind):
     consume(parse(text))
     escapes = [f"{what}: {type(exc).__name__}: {exc}"
                for what, mutated in mutations(json.loads(text))
+               if (exc := escape(parse, consume, json.dumps(mutated))) is not None]
+    assert escapes == []
+
+
+@pytest.mark.parametrize("kind", ["model", "dataset", "keyset", "lr-verifier", "gnb-verifier"])
+def test_every_extreme_float_array_works_or_fails_with_a_typed_error(pipeline, kind):
+    text, parse, consume = artifacts(pipeline)[kind]
+    cases = list(array_mutations(json.loads(text)))
+    assert cases
+    escapes = [f"{what}: {type(exc).__name__}: {exc}" for what, mutated in cases
                if (exc := escape(parse, consume, json.dumps(mutated))) is not None]
     assert escapes == []
 

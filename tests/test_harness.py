@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from seedmark.attacks import extract, sample_queries
+from seedmark.bim import BimConfig
+from seedmark.cli import PRESETS
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import (
@@ -11,11 +13,14 @@ from seedmark.harness import (
     DISTILL_TEMPERATURE,
     FROZEN_LAYERS,
     EvaluationConfig,
+    attack_evaluation,
     build_attacked_model,
     dump_confidences,
     eval_config_from_dict,
     export_report,
     load_eval_config,
+    owner_stage,
+    owner_stages,
     parse_attack_token,
     prepare_data,
     run_raw_evaluation,
@@ -23,6 +28,7 @@ from seedmark.harness import (
 )
 from seedmark.nnet import TrainConfig, family_spec, init_model
 from seedmark.rng import derive_seed
+from seedmark.serialize import model_digest
 
 from conftest import accuracy
 
@@ -242,6 +248,56 @@ class TestEvaluation:
         points, auc = read_report_csv(path)
         assert points == list(tiny_report.roc.points)
         assert auc == pytest.approx(tiny_report.roc.auc, abs=1e-9)
+
+
+# a value other than the default for each field the owner stage must not read
+ATTACK_SIDE = dict(
+    seen_attacks=("WQ(DIS)", "CAR"), unseen_attacks=("CC",), keyset_size=3,
+    bim=BimConfig(iterations=3, epsilon=0.1), classifier_kind="gnb", query_budget_fraction=0.2,
+    prune_sparsity=0.9, quantize_bits=3, n_extracted_train=1, n_extracted_test=5,
+)
+
+
+def owner_digests(cfg, rep_seed=11):
+    """The `model_digest`s of the owner stage's protected, ne-train and ne-test models."""
+    protected, ne_train, ne_test = owner_stage(cfg, prepare_data(cfg)[0], rep_seed)
+    return model_digest(protected), [model_digest(m) for m in ne_train + ne_test]
+
+
+def same_bits(a, b) -> bool:
+    return [float(x).hex() for x in a] == [float(x).hex() for x in b]
+
+
+class TestOwnerStage:
+    @pytest.mark.parametrize("field", [*ATTACK_SIDE, "all"])
+    def test_reads_no_attack_setting(self, field):
+        over = ATTACK_SIDE if field == "all" else {field: ATTACK_SIDE[field]}
+        assert owner_digests(tiny_config(**over)) == owner_digests(tiny_config())
+
+    @pytest.mark.parametrize("over, rep_seed", [({"epochs": 5}, 11), ({}, 12)],
+                             ids=["epochs", "rep-seed"])
+    def test_training_settings_and_seed_change_every_model(self, over, rep_seed):
+        protected, controls = owner_digests(tiny_config(**over), rep_seed)
+        base_protected, base_controls = owner_digests(tiny_config())
+        assert protected != base_protected
+        assert all(a != b for a, b in zip(controls, base_controls))
+
+    def test_shared_owner_stages_give_solo_bytes(self, tmp_path):
+        """Two attack mixes on the owner stages of a third config write the
+        report bytes, scores and profiles of their own solo evaluations."""
+        owners = owner_stages(tiny_config(**ATTACK_SIDE))
+        for preset in ("naive", "cross-arch"):
+            cfg = tiny_config(**PRESETS[preset])
+            shared, solo = attack_evaluation(cfg, owners), run_raw_evaluation(cfg)
+            export_report(shared, tmp_path / "shared.csv")
+            export_report(solo, tmp_path / "solo.csv")
+            assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+            assert len(shared.repetition_scores) == cfg.repetitions
+            for (pos, neg), (solo_pos, solo_neg) in zip(shared.repetition_scores,
+                                                        solo.repetition_scores):
+                assert same_bits(pos, solo_pos) and same_bits(neg, solo_neg)
+            for profiles, solo_profiles in zip(shared.train_profiles, solo.train_profiles):
+                assert [p.tobytes() for p in profiles] == [p.tobytes() for p in solo_profiles]
 
 
 @pytest.fixture(scope="module")

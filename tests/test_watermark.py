@@ -684,18 +684,25 @@ NAN, INF = float("nan"), float("inf")
     ("keyset", "watermarks", NAN),
     ("keyset", "watermarks", INF),
     ("keyset", "watermarks", -INF),
+    ("keyset", "watermarks", 1.5),
+    ("keyset", "watermarks", -1e300),
     pytest.param("lr", "weight", INF, id="lr-w-inf"),
     pytest.param("lr", "weight", NAN, id="lr-w-nan"),
     pytest.param("lr", "bias", -INF, id="lr-b--inf"),
     pytest.param("lr", "bias", NAN, id="lr-b-nan"),
     ("gnb", "means", NAN),
     ("gnb", "means", INF),
+    ("gnb", "means", -0.1),
+    ("gnb", "means", 1e300),
     ("gnb", "variances", NAN),
     ("gnb", "variances", INF),
     ("gnb", "variances", -1.0),
     ("gnb", "variances", 0.0),
+    ("gnb", "variances", 1e-12),
+    ("gnb", "variances", 1.5),
     ("gnb", "priors", 0.0),
     ("gnb", "priors", -0.5),
+    ("gnb", "priors", 1.5),
     ("gnb", "priors", NAN),
     ("gnb", "priors", INF),
 ])

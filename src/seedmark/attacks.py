@@ -74,16 +74,21 @@ def blur_quantize(model: Model, bits: int) -> Model:
 
     Level k of L is lo*(1 - k/L) + hi*(k/L), so the end levels are exactly lo
     and hi, and quantizing again at the same bits changes nothing. Layers
-    whose values are all equal pass through unchanged."""
+    whose values are all equal pass through unchanged. A layer whose step
+    (hi - lo)/L is not a normal float, because its range overflows or the
+    step underflows, raises InputError: its levels would not be k/L apart."""
     check("bits", bits, within("[1, 16]", INTEGER), ConfigError)
     levels = (1 << bits) - 1
     params = model.params.copy()
-    for w, b in model.spec.layer_views(params):
-        lo = min(w.min(), b.min())
-        hi = max(w.max(), b.max())
+    for i, (w, b) in enumerate(model.spec.layer_views(params)):
+        # Python floats, whose arithmetic overflows and underflows without a warning
+        lo, hi = float(min(w.min(), b.min())), float(max(w.max(), b.max()))
         if hi == lo:
             continue
         step = (hi - lo) / levels
+        if not np.finfo(np.float64).tiny <= step < np.inf:
+            raise InputError(f"WQ cannot quantize dense layer {i} at {bits} bits: its values "
+                             f"span [{lo!r}, {hi!r}], a level step of {step!r}")
         for a in (w, b):
             t = np.rint((a - lo) / step) / levels  # level k as k/L
             a[...] = lo * (1 - t) + hi * t

@@ -81,7 +81,7 @@ class EvaluationConfig:
     test_fraction: ClassVar[float] = 0.5
     protected_family: ClassVar[str] = "A"
     copycat_probe_factor: ClassVar[int] = 20
-    batch_size: ClassVar[int] = 32
+    batch_size: ClassVar[int] = TrainConfig.batch_size
     # only bench/workloads.py reads it, to pass to `generate_keyset`
     candidate_source: ClassVar[str] = "misclassifications"
 
@@ -125,7 +125,7 @@ class EvaluationReport:
 
 
 def _train_cfg(cfg: EvaluationConfig, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
+    return TrainConfig(epochs=cfg.epochs, seed=seed)
 
 
 def train_fresh(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> Model:

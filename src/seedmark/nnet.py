@@ -10,7 +10,7 @@ so identical (spec, seed) always reproduces bit-identical weights.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Annotated
+from typing import Annotated, ClassVar
 
 import numpy as np
 
@@ -27,7 +27,8 @@ _RECORD = Rule(lambda r: type(r) is dict and type(r.get("stage")) is str, "a sta
 _PROVENANCE = Rule(lambda v: type(v) is tuple and all(map(_RECORD.ok, v)),
                    "a tuple of dicts, each with a string stage", _RECORD.ok)
 
-# Adam's moment decay rates and denominator guard; training always uses Adam.
+# Adam's step size, moment decay rates and denominator guard; training always uses Adam.
+ADAM_LEARNING_RATE = 1e-2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -120,10 +121,9 @@ class Model:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: Annotated[int, "[1, inf)"] = 10
-    batch_size: Annotated[int, "[1, inf)"] = 32
-    learning_rate: Annotated[float, "[0, inf)"] = 1e-2
     seed: int = 0
     temperature: Annotated[float, "(0, inf)"] = 1.0  # divides the logits before the softmax
+    batch_size: ClassVar[int] = 32  # not settable, like Adam's constants above
 
     def __post_init__(self):
         check_field_types(self, SpecError)
@@ -293,9 +293,7 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     t = _target_matrix(model, targets, len(x))
     n = len(x)
     top_bias_grad = grads[-1][1]
-    lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
     m, v = np.zeros_like(p), np.zeros_like(p)
-    tmp1, tmp2 = np.empty_like(p), np.empty_like(p)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
@@ -311,23 +309,13 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
                 if not all(map(math.isfinite, top_bias_grad.tolist())):
                     raise DivergenceError(epoch, bi)
                 step += 1
-                # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
-                m *= b1
-                m += np.multiply(g, 1 - b1, out=tmp1)
-                v *= b2
-                np.multiply(g, g, out=tmp2)
-                tmp2 *= 1 - b2
-                v += tmp2
-                # p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
-                c1 = 1 - b1**step
-                c2 = 1 - b2**step
-                np.divide(m, c1, out=tmp1)
-                tmp1 *= lr
-                np.divide(v, c2, out=tmp2)
-                np.sqrt(tmp2, out=tmp2)
-                tmp2 += ADAM_EPS
-                tmp1 /= tmp2
-                p -= tmp1
+                # m and v decay toward g and g*g; p steps by their bias-corrected ratio
+                m *= ADAM_BETA1
+                m += g * (1 - ADAM_BETA1)
+                v *= ADAM_BETA2
+                v += g * g * (1 - ADAM_BETA2)
+                p -= (m / (1 - ADAM_BETA1**step) * ADAM_LEARNING_RATE
+                      / (np.sqrt(v / (1 - ADAM_BETA2**step)) + ADAM_EPS))
     record = dict(seed=cfg.seed, epochs=cfg.epochs, optimizer="adam",
                   loss="soft" if np.ndim(targets) == 2 else "hard", stage="trained-fresh")
     return Model(model.spec, params, model.provenance + (record,))

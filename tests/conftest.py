@@ -43,3 +43,13 @@ def random_small_model(rng, in_dim=None, classes=None):
         for w, b in model.weights
     )
     return type(model)(spec, params, model.provenance)
+
+
+# valid params, by count, that WQ cannot quantize at 8 bits: a range that overflows in
+# dense layer 0, or one subnormal in the last bias, whose level step underflows to 0
+# or to a subnormal
+UNQUANTIZABLE = {
+    "range-overflows": lambda n: np.finfo(np.float64).max * (-1.0) ** np.arange(n),
+    "step-underflows": lambda n: np.r_[np.zeros(n - 1), np.finfo(np.float64).smallest_subnormal],
+    "step-subnormal": lambda n: np.r_[np.zeros(n - 1), 1e-320],
+}

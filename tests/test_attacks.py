@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from seedmark.nnet import (
 )
 from seedmark.rng import derive_seed
 
-from conftest import flat_params, random_small_model
+from conftest import UNQUANTIZABLE, flat_params, random_small_model
 
 
 def agreement(a, b, features):
@@ -309,6 +310,20 @@ class TestQuantize:
             step = (hi - lo) / 15
             assert np.abs(wq - w).max() <= step / 2 + 1e-12
             assert np.abs(bq - b).max() <= step / 2 + 1e-12
+
+    @pytest.mark.parametrize("case, layer, step", [
+        ("range-overflows", 0, "inf"), ("step-underflows", 1, "0.0"),
+        ("step-subnormal", 1, "4e-323")], ids=list(UNQUANTIZABLE))
+    def test_a_layer_without_a_normal_level_step_is_refused(self, case, layer, step):
+        """Before any arithmetic can warn; a subnormal step would put the levels
+        off the grid, so it is refused too."""
+        spec = ModelSpec((4, 8, 3))
+        model = Model(spec, UNQUANTIZABLE[case](spec.param_count), ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=rf"^WQ cannot quantize dense layer {layer} at "
+                                                 rf"8 bits: .*, a level step of {step}$"):
+                blur_quantize(model, 8)
 
     def test_constant_layer_unchanged(self):
         m = tiny_model([0.25, 0.25, 0.25, 0.25], bias=[0.25, 0.25])

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from seedmark.cli import main
 from seedmark.datasets import GenSpec, load_dataset
 from seedmark.harness import BLUR_METHODS, EvaluationConfig, load_eval_config
 from seedmark.nnet import Model, ModelSpec, init_model
+
+from conftest import UNQUANTIZABLE
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -389,6 +392,24 @@ def test_blur_command(workspace, capsys):
     blurred = load_model(out)
     flat = np.concatenate([w.ravel() for w, _ in blurred.weights])
     assert np.count_nonzero(flat == 0.0) >= flat.size // 2
+
+
+@pytest.mark.parametrize("case", list(UNQUANTIZABLE))
+def test_blur_wq_refuses_a_model_it_cannot_quantize(tmp_path, capsys, case):
+    spec = ModelSpec((4, 8, 3))
+    path, out = tmp_path / "model.json", tmp_path / "blurred.json"
+    serialize.save_model(Model(spec, UNQUANTIZABLE[case](spec.param_count), ()), path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["blur", "--model", str(path), "--method", "WQ", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "InputError"
+    assert doc["message"].startswith("WQ cannot quantize dense layer ")
 
 
 def test_stage_commands_read_the_config(workspace, config_path, tmp_path):

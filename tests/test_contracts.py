@@ -5,9 +5,10 @@ either works or fails early with a typed `SeedmarkError`.
 An artifact with one leaf replaced or deleted, or with one or all of its
 float arrays re-encoded from extreme finite values, must raise
 `FormatError` from its parser, or parse and then raise nothing but a
-`SeedmarkError` in its consumer. A command given an unreadable or wrong file for one path option
-must exit 1 with one JSON error line on stderr. A NumPy `RuntimeWarning` is
-an error under the test settings, so it counts as an escape too.
+`SeedmarkError` in each of its consumers. A command given an unreadable or
+wrong file for one path option must exit 1 with one JSON error line on
+stderr. A NumPy `RuntimeWarning` is an error under the test settings, so it
+counts as an escape too.
 """
 
 import copy
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from seedmark import cli
+from seedmark.attacks import blur_prune, blur_quantize
 from seedmark.cli import main
 from seedmark.datasets import GenSpec, dump_dataset, parse_dataset, save_dataset
 from seedmark.errors import FormatError, SeedmarkError
@@ -26,6 +28,8 @@ from seedmark.serialize import (_decode_array, _encode_array, dump_model, model_
                                 parse_model, save_model)
 from seedmark.watermark import (build_verifier, dump_keyset, dump_verifier, generate_keyset,
                                 parse_keyset, parse_verifier, save_keyset, save_verifier, verify)
+
+from conftest import UNQUANTIZABLE
 
 CONFIG = EvaluationConfig(
     master_seed=3,
@@ -45,10 +49,17 @@ BAD_VALUES = (None, True, False, 0, -1, 1.5, float("nan"), float("inf"), 10**30,
               "", "RET", [], [0, 1], {}, {"stage": "extracted"},
               "0123456789ab", "00" * 8, "7ff8000000000000", "abc")
 DELETED = object()
-# what fills a float array leaf: finite float64 values at each edge of the range
-EXTREMES = {"1e300": 1e300, "-1e300": -1e300, "max": np.finfo(np.float64).max,
-            "-max": -np.finfo(np.float64).max,
-            "subnormal": np.finfo(np.float64).smallest_subnormal, "zeros": 0.0}
+# what fills a float array leaf of n values: finite float64 values at each edge of
+# the range, each alone, then alternating signs at the maximum, and zeros with one
+# smallest subnormal, whose spans overflow and underflow
+EXTREMES = {
+    **{name: lambda n, value=value: np.full(n, value) for name, value in {
+        "1e300": 1e300, "-1e300": -1e300, "max": np.finfo(np.float64).max,
+        "-max": -np.finfo(np.float64).max,
+        "subnormal": np.finfo(np.float64).smallest_subnormal, "zeros": 0.0}.items()},
+    "alternating-max": UNQUANTIZABLE["range-overflows"],
+    "zeros-and-subnormal": UNQUANTIZABLE["step-underflows"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -69,24 +80,23 @@ def pipeline():
 
 
 def artifacts(p):
-    """Each artifact kind: (its valid text, its parser, its consumer)."""
+    """Each artifact kind: (its valid text, its parser, its consumers)."""
     suspect = p["extracted"][0]
-
-    def use_model(model):
-        model_digest(model)
-        verify(model, p["verifiers"]["lr"], p["keyset"])
 
     def use_keyset(keyset):
         verify(suspect, build_verifier(p["extracted"], p["controls"], keyset), keyset)
 
     return {
-        "model": (dump_model(suspect), parse_model, use_model),
-        "dataset": (dump_dataset(p["data"]), parse_dataset,
-                    lambda data: generate_keyset(p["protected"], p["extracted"], p["controls"],
-                                                 data, CONFIG.keyset_size)),
-        "keyset": (dump_keyset(p["keyset"]), parse_keyset, use_keyset),
+        "model": (dump_model(suspect), parse_model, (
+            model_digest, lambda m: verify(m, p["verifiers"]["lr"], p["keyset"]),
+            lambda m: blur_prune(m, CONFIG.prune_sparsity),
+            lambda m: blur_quantize(m, CONFIG.quantize_bits))),
+        "dataset": (dump_dataset(p["data"]), parse_dataset, (
+            lambda data: generate_keyset(p["protected"], p["extracted"], p["controls"],
+                                         data, CONFIG.keyset_size),)),
+        "keyset": (dump_keyset(p["keyset"]), parse_keyset, (use_keyset,)),
         **{f"{kind}-verifier": (dump_verifier(v), parse_verifier,
-                                lambda v: verify(suspect, v, p["keyset"]))
+                                (lambda v: verify(suspect, v, p["keyset"]),))
            for kind, v in p["verifiers"].items()},
     }
 
@@ -137,48 +147,50 @@ def array_mutations(doc):
         except FormatError:
             pass
     groups = [[path] for path in lengths] + ([list(lengths)] if len(lengths) > 1 else [])
-    for name, value in EXTREMES.items():
+    for name, fill in EXTREMES.items():
         for paths in groups:
             out = copy.deepcopy(doc)
             for path in paths:
-                parent_of(out, path)[path[-1]] = _encode_array(np.full(lengths[path], value))
+                parent_of(out, path)[path[-1]] = _encode_array(fill(lengths[path]))
             yield ", ".join("/".join(map(str, path)) for path in paths) + f" = {name}", out
 
 
-def escape(parse, consume, text):
-    """None, or the exception by which `text` broke the contract."""
+def escape(parse, consumers, text):
+    """None, or the first exception by which `text` broke the contract."""
     try:
         obj = parse(text)
     except FormatError:
         return None
     except Exception as exc:
         return exc
-    try:
-        consume(obj)
-    except SeedmarkError:
-        return None
-    except Exception as exc:
-        return exc
+    for consume in consumers:
+        try:
+            consume(obj)
+        except SeedmarkError:
+            pass
+        except Exception as exc:
+            return exc
     return None
 
 
 @pytest.mark.parametrize("kind", ["model", "dataset", "keyset", "lr-verifier", "gnb-verifier"])
 def test_every_leaf_mutation_works_or_fails_with_a_typed_error(pipeline, kind):
-    text, parse, consume = artifacts(pipeline)[kind]
-    consume(parse(text))
+    text, parse, consumers = artifacts(pipeline)[kind]
+    for consume in consumers:
+        consume(parse(text))
     escapes = [f"{what}: {type(exc).__name__}: {exc}"
                for what, mutated in mutations(json.loads(text))
-               if (exc := escape(parse, consume, json.dumps(mutated))) is not None]
+               if (exc := escape(parse, consumers, json.dumps(mutated))) is not None]
     assert escapes == []
 
 
 @pytest.mark.parametrize("kind", ["model", "dataset", "keyset", "lr-verifier", "gnb-verifier"])
 def test_every_extreme_float_array_works_or_fails_with_a_typed_error(pipeline, kind):
-    text, parse, consume = artifacts(pipeline)[kind]
+    text, parse, consumers = artifacts(pipeline)[kind]
     cases = list(array_mutations(json.loads(text)))
     assert cases
     escapes = [f"{what}: {type(exc).__name__}: {exc}" for what, mutated in cases
-               if (exc := escape(parse, consume, json.dumps(mutated))) is not None]
+               if (exc := escape(parse, consumers, json.dumps(mutated))) is not None]
     assert escapes == []
 
 

@@ -9,10 +9,12 @@ one -> `dump-confidences`.
 
 Bytes are a pure function of the config and the NumPy/BLAS build (README,
 Determinism), so the goldens record the build they were made with, and the
-test skips on any other. The temporary directory and the config digests are
-masked wherever they appear; the digests are pinned as one entry of their
-own, so a change to a config field moves that entry alone, while a change
-to training moves many.
+test skips on any other. They also record the host's OpenBLAS kernel and
+NumPy SIMD extensions, on which the bytes depend too; a byte failure names
+both hosts' values, so another kernel or SIMD level reads as what it is.
+The temporary directory and the config digests are masked wherever they
+appear; the digests are pinned as one entry of their own, so a change to a
+config field moves that entry alone, while a change to training moves many.
 
 Regenerate with `PYTHONPATH=src python tests/test_goldens.py`, which prints
 each role whose hash changed, was added or was removed, and say in CHANGES.md
@@ -23,6 +25,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -57,6 +62,21 @@ def numpy_build() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             "blas_configuration": blas.get("openblas configuration")}
+
+
+def host_record() -> dict:
+    """The OpenBLAS kernel, from the `Core:` line a child `import numpy` prints
+    under OPENBLAS_VERBOSE=2, and NumPy's SIMD extensions, read as
+    `numpy.show_runtime()` reads them for its `simd_extensions` entry."""
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+    child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"}, check=True)
+    cores = [line[len("Core:"):].strip() for line in child.stderr.splitlines()
+             if line.startswith("Core:")]
+    return {"openblas_core": cores[0] if cores else None,
+            "simd_baseline": list(__cpu_baseline__),
+            "simd_found": [name for name in __cpu_dispatch__ if __cpu_features__[name]]}
 
 
 def run_pipeline(root: Path) -> dict:
@@ -146,13 +166,17 @@ def test_end_to_end_bytes_match_the_goldens(tmp_path):
     if build != golden["build"]:
         pytest.skip(f"goldens were made with {golden['build']}; this is {build}")
     moved = sorted(moved_roles(golden["entries"], run_pipeline(tmp_path)))
-    assert not moved, f"{len(moved)} of {len(golden['entries'])} entries moved: {moved}"
+    # the message, and so the host probe, is evaluated only on a failure
+    assert not moved, (f"{len(moved)} of {len(golden['entries'])} entries moved: {moved}; "
+                       f"the goldens were made on {golden['host']}, this host is "
+                       f"{host_record()}, and another kernel or SIMD set moves bytes too")
 
 
 if __name__ == "__main__":
     old = json.loads(GOLDENS.read_text())["entries"] if GOLDENS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"build": numpy_build(), "entries": run_pipeline(Path(tmp))}
+        doc = {"build": numpy_build(), "host": host_record(),
+               "entries": run_pipeline(Path(tmp))}
     GOLDENS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for role, status in moved_roles(old, doc["entries"]).items():
         print(f"{status} {role}")

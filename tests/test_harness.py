@@ -351,7 +351,7 @@ class TestAttackedModels:
             surrogate = train_fresh(cfg, pre_data, cfg.protected_family,
                                     derive_seed(seed, "pretrain"))
             kwargs["frozen_dense"] = FROZEN_LAYERS
-        train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=seed)
+        train_cfg = TrainConfig(epochs=cfg.epochs, seed=seed)
         expected = extract(victim, queries, surrogate, train_cfg, token, **kwargs)
         model = build_attacked_model(cfg, victim, token, data, seed)
         assert model.spec == expected.spec and model.provenance == expected.provenance

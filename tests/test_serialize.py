@@ -15,7 +15,7 @@ from seedmark.attacks import blur_prune, blur_quantize, extract
 from seedmark.datasets import GenSpec, dump_dataset, generate, load_dataset, parse_dataset
 from seedmark.errors import ConfigError, FormatError, SpecError
 from seedmark.harness import load_eval_config
-from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model, train
+from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model
 from seedmark.serialize import (
     VERSION,
     _decode_array,
@@ -334,17 +334,12 @@ def test_family_model_file_golden_value(family, sha256):
 
 def test_digest_ignores_memory_layout():
     model = init_model(ModelSpec((3, 4, 2)), 0)
-    rng = np.random.default_rng(0)
-    x, y = rng.uniform(-1, 1, size=(6, 3)), rng.integers(0, 2, size=6)
-    # lr 0 keeps the values; train updates a copy of the params
-    trained = train(model, x, y, TrainConfig(epochs=1, learning_rate=0.0))
-    assert not np.shares_memory(trained.params, model.params)
-    fresh = Model(model.spec, trained.params.copy(), model.provenance)
+    fresh = Model(model.spec, model.params.copy(), model.provenance)
     # a contiguous slice of a larger buffer is a valid params vector
     buffer = np.zeros(model.spec.param_count + 10)
     buffer[5:-5] = model.params
     inner = Model(model.spec, buffer[5:-5], model.provenance)
-    digests = {model_digest(m) for m in (model, trained, fresh, inner)}
+    digests = {model_digest(m) for m in (model, fresh, inner)}
     assert digests == {DIGEST_3_4_2}
     # a strided view is rejected rather than hashed or stored in another layout
     strided = np.zeros(2 * model.spec.param_count)

@@ -35,13 +35,19 @@ def test_settable_config_values():
 
 
 def test_train_config_fields():
-    # the targets' shape picks the loss, so no field and no keyword states it
-    assert [f.name for f in fields(TrainConfig)] == [
-        "epochs", "batch_size", "learning_rate", "seed", "temperature"]
+    # the targets' shape picks the loss, so no field and no keyword states it;
+    # the batch size and Adam's learning rate are constants
+    assert [f.name for f in fields(TrainConfig)] == ["epochs", "seed", "temperature"]
     assert list(inspect.signature(loss_and_param_grads).parameters) == [
         "model", "inputs", "targets", "temperature"]
-    with pytest.raises(TypeError):
-        TrainConfig(loss="soft")
+    assert EvaluationConfig.batch_size == TrainConfig().batch_size == 32
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("loss", "soft"), ("batch_size", 8), ("learning_rate", 0.1)])
+def test_train_config_refuses_a_keyword_it_does_not_declare(keyword, value):
+    with pytest.raises(TypeError, match=keyword):
+        TrainConfig(**{keyword: value})
 
 
 def test_cli_options():

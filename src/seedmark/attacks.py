@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import INTEGER, NUMBER, ConfigError, InputError, check, within
-from .nnet import Model, TrainConfig, forward, predict, train
+from .nnet import Model, TrainConfig, forward, predict, train_jobs
 from .rng import stream
 from .serialize import model_digest
 
@@ -41,17 +41,28 @@ def extract(victim: Model, queries, surrogate: Model, train_cfg: TrainConfig, at
     The answers are hard labels, or with `temperature` the full confidence
     vectors, trained at that temperature (their shape picks the loss). The
     first `frozen_dense` dense layers keep their weights. `attack` is
-    recorded as the attack id in provenance."""
-    if len(queries) == 0:
-        raise InputError("extraction requires at least one query")
-    if temperature is None:
-        targets = predict(victim, queries)
-    else:
-        targets = forward(victim, queries)
-        train_cfg = replace(train_cfg, temperature=temperature)
-    trained = train(surrogate, queries, targets, train_cfg, frozen_dense=frozen_dense)
-    record = dict(attack=attack, victim=model_digest(victim), stage="extracted")
-    return Model(trained.spec, trained.params, trained.provenance + (record,))
+    recorded as the attack id in provenance. This is `extract_population`
+    of one extraction."""
+    return extract_population([(victim, queries, surrogate, train_cfg, attack, temperature,
+                                frozen_dense)])[0]
+
+
+def extract_population(extractions) -> list:
+    """`extract` of each extraction, a tuple of its arguments; the surrogates train
+    in lockstep groups (`nnet.train_jobs`). Returns the models in extraction order."""
+    jobs = []
+    for victim, queries, surrogate, train_cfg, _, temperature, frozen_dense in extractions:
+        if len(queries) == 0:
+            raise InputError("extraction requires at least one query")
+        if temperature is None:
+            targets = predict(victim, queries)
+        else:
+            targets = forward(victim, queries)
+            train_cfg = replace(train_cfg, temperature=temperature)
+        jobs.append((surrogate, queries, targets, train_cfg, frozen_dense))
+    return [Model(trained.spec, trained.params, trained.provenance + (
+                dict(attack=attack, victim=model_digest(victim), stage="extracted"),))
+            for trained, (victim, _, _, _, attack, _, _) in zip(train_jobs(jobs), extractions)]
 
 
 def blur_prune(model: Model, sparsity: float) -> Model:

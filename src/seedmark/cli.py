@@ -22,16 +22,18 @@ from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
     _TOKEN,
-    _control_population,
+    _control_jobs,
+    _fresh_job,
     blur_model,
     build_attacked_model,
+    build_attacked_models,
     dump_confidences,
     export_report,
     load_eval_config,
     prepare_data,
     run_raw_evaluation,
-    train_fresh,
 )
+from .nnet import train_jobs
 from .rng import derive_seed
 
 # The paper's evaluation scenarios, as (seen, unseen) attack mixes.
@@ -59,7 +61,7 @@ def cmd_train_population(args):
     os.makedirs(args.out, exist_ok=True)
     digest = cfg.digest()
     save_dataset(train_set, os.path.join(args.out, f"data-{digest}.json"))
-    models = _control_population(cfg, train_set, args.count, cfg.master_seed, "population")
+    models = train_jobs(_control_jobs(cfg, train_set, args.count, cfg.master_seed, "population"))
     for i, model in enumerate(models):
         family = cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
         path = os.path.join(args.out, f"model-{family}-{i:03d}-{digest}.json")
@@ -86,16 +88,15 @@ def cmd_blur(args):
 def cmd_analyze(args):
     cfg = _load_config(args)
     train_set, test_set = prepare_data(cfg)
-    protected = [
-        train_fresh(cfg, train_set, cfg.protected_family,
-                    derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
+    protected = train_jobs([
+        _fresh_job(cfg, train_set, cfg.protected_family,
+                   derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
         for i in range(cfg.n_nonextracted_train)
-    ]
-    extracted = [
-        build_attacked_model(cfg, m, "RET", train_set,
-                             derive_seed(cfg.master_seed, f"analysis/extracted/{i}"))
+    ])
+    extracted = build_attacked_models(cfg, [
+        (m, "RET", train_set, derive_seed(cfg.master_seed, f"analysis/extracted/{i}"))
         for i, m in enumerate(protected)
-    ]
+    ])
     report = boundary.run_analysis(protected, extracted, test_set)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"boundary-{cfg.digest()}.csv")

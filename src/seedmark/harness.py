@@ -16,16 +16,16 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
-from .attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
+from .attacks import ATTACKS, blur_prune, blur_quantize, extract_population, sample_queries
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, check_fits, generate, split
 from .datasets import random_probe_inputs
 from .errors import NON_EMPTY, ConfigError, Rule, among, check, check_field_types, each
 from .metrics import RocCurve, roc_auc
-from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train
+from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train, train_jobs
 from .rng import derive_seed
 from .serialize import _OBJECT, _read_text, model_digest
-from .watermark import VERIFIER_FIELDS, build_verifier, confidence_table
+from .watermark import VERIFIER_FIELDS, _fit_verifier
 from .watermark import generate_keyset, verify
 
 log = logging.getLogger(__name__)
@@ -128,10 +128,15 @@ def _train_cfg(cfg: EvaluationConfig, seed: int) -> TrainConfig:
     return TrainConfig(epochs=cfg.epochs, seed=seed)
 
 
-def train_fresh(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> Model:
+def _fresh_job(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> tuple:
+    """The `nnet.train_jobs` job of `train_fresh`."""
     spec = family_spec(family, data.dims, data.class_count)
-    model = init_model(spec, derive_seed(seed, "init"))
-    return train(model, data.features, data.labels, _train_cfg(cfg, derive_seed(seed, "train")))
+    return (init_model(spec, derive_seed(seed, "init")), data.features, data.labels,
+            _train_cfg(cfg, derive_seed(seed, "train")), 0)
+
+
+def train_fresh(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> Model:
+    return train(*_fresh_job(cfg, data, family, seed))
 
 
 def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data: Dataset, seed: int) -> Model:
@@ -142,29 +147,42 @@ def build_attacked_model(cfg: EvaluationConfig, victim: Model, token: str, data:
     starting network (a pretrained model for TRL, else a fresh one of the
     protected family, or of the cross-arch family for CAR). The surrogate
     is sized from `data`, so `data` must have the victim's input and class
-    counts."""
-    base, blur_name = parse_attack_token(token)
-    check_fits(data, victim, "victim")
-    if base == "CC":
-        queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
-                                      seed=derive_seed(seed, "probes"))
-    else:
-        queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
-    if base == "TRL":
-        # Pretraining data must match the victim's data shape, which need not be cfg.gen's.
-        pre_gen = replace(cfg.gen, dims=data.dims, classes=data.class_count)
-        pre_data = generate(pre_gen, derive_seed(seed, "pretrain-data"))
-        surrogate = train_fresh(cfg, pre_data, cfg.protected_family, derive_seed(seed, "pretrain"))
-    else:
-        family = CROSS_ARCH_FAMILY if base == "CAR" else cfg.protected_family
-        spec = family_spec(family, data.dims, data.class_count)
-        surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
-    model = extract(victim, queries, surrogate, _train_cfg(cfg, seed), base,
-                    temperature=DISTILL_TEMPERATURE if base == "DIS" else None,
-                    frozen_dense=FROZEN_LAYERS if base == "TRL" else 0)
-    if blur_name is not None:
-        model = blur_model(cfg, model, blur_name)
-    return model
+    counts. This is `build_attacked_models` of one attack."""
+    return build_attacked_models(cfg, [(victim, token, data, seed)])[0]
+
+
+def build_attacked_models(cfg: EvaluationConfig, attacks) -> list:
+    """`build_attacked_model` of each attack, a (victim, token, data, seed) tuple.
+
+    Every TRL pretraining trains first, then every extraction, each in
+    lockstep groups (`nnet.train_jobs`). Returns the models in attack order."""
+    parsed = [parse_attack_token(token) for _, token, _, _ in attacks]
+    for victim, _, data, _ in attacks:
+        check_fits(data, victim, "victim")
+    # Pretraining data must match the victim's data shape, which need not be cfg.gen's.
+    pretrained = iter(train_jobs([
+        _fresh_job(cfg, generate(replace(cfg.gen, dims=data.dims, classes=data.class_count),
+                                 derive_seed(seed, "pretrain-data")),
+                   cfg.protected_family, derive_seed(seed, "pretrain"))
+        for (_, _, data, seed), (base, _) in zip(attacks, parsed) if base == "TRL"]))
+    extractions = []
+    for (victim, _, data, seed), (base, _) in zip(attacks, parsed):
+        if base == "CC":
+            queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
+                                          seed=derive_seed(seed, "probes"))
+        else:
+            queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
+        if base == "TRL":
+            surrogate = next(pretrained)
+        else:
+            family = CROSS_ARCH_FAMILY if base == "CAR" else cfg.protected_family
+            spec = family_spec(family, data.dims, data.class_count)
+            surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
+        extractions.append((victim, queries, surrogate, _train_cfg(cfg, seed), base,
+                            DISTILL_TEMPERATURE if base == "DIS" else None,
+                            FROZEN_LAYERS if base == "TRL" else 0))
+    return [model if blur is None else blur_model(cfg, model, blur)
+            for model, (_, blur) in zip(extract_population(extractions), parsed)]
 
 
 def blur_model(cfg: EvaluationConfig, model: Model, method: str) -> Model:
@@ -174,39 +192,45 @@ def blur_model(cfg: EvaluationConfig, model: Model, method: str) -> Model:
     return blur_quantize(model, cfg.quantize_bits)
 
 
-def _control_population(cfg, data, count, seed, tag):
+def _control_jobs(cfg, data, count, seed, tag):
+    """The `_fresh_job`s of a control population, cycling through the config's families."""
     return [
-        train_fresh(cfg, data, cfg.nonextracted_families[i % len(cfg.nonextracted_families)],
-                    derive_seed(seed, f"{tag}/{i}"))
+        _fresh_job(cfg, data, cfg.nonextracted_families[i % len(cfg.nonextracted_families)],
+                   derive_seed(seed, f"{tag}/{i}"))
         for i in range(count)
     ]
 
 
 def owner_stage(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
-    """One repetition's (protected, ne-train, ne-test) models. It reads no attack, key-set,
-    BIM, verifier, blur or query-budget setting, so configs differing only there share it."""
-    return (train_fresh(cfg, train_set, cfg.protected_family, derive_seed(rep_seed, "protected")),
-            _control_population(cfg, train_set, cfg.n_nonextracted_train, rep_seed, "ne-train"),
-            _control_population(cfg, train_set, cfg.n_nonextracted_test, rep_seed, "ne-test"))
+    """One repetition's (protected, ne-train, ne-test) models, trained in lockstep groups.
+    It reads no attack, key-set, BIM, verifier, blur or query-budget setting, so configs
+    differing only there share it."""
+    jobs = [_fresh_job(cfg, train_set, cfg.protected_family, derive_seed(rep_seed, "protected"))]
+    jobs += _control_jobs(cfg, train_set, cfg.n_nonextracted_train, rep_seed, "ne-train")
+    jobs += _control_jobs(cfg, train_set, cfg.n_nonextracted_test, rep_seed, "ne-test")
+    models, n = train_jobs(jobs), cfg.n_nonextracted_train
+    return models[0], models[1 : 1 + n], models[1 + n :]
 
 
 def attack_stage(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int, owner):
     """Both extraction populations on an `owner_stage`, then the key-set, the verifier
-    and the scores; returns (pos scores, neg scores, profiles, key-set)."""
+    and the scores; returns (pos scores, neg scores, profiles, key-set), where the
+    profiles are the seen extractions' and the ne-train controls' confidence tables
+    that the verifier was fitted on."""
     protected, ne_train, ne_test = owner
-    ext_train, ext_test = (
-        [build_attacked_model(cfg, protected, tokens[i % len(tokens)], train_set,
-                              derive_seed(rep_seed, f"{tag}/{i}")) for i in range(count)]
+    extracted = build_attacked_models(cfg, [
+        (protected, tokens[i % len(tokens)], train_set, derive_seed(rep_seed, f"{tag}/{i}"))
         for tag, tokens, count in (("ext-train", cfg.seen_attacks, cfg.n_extracted_train),
-                                   ("ext-test", cfg.unseen_attacks, cfg.n_extracted_test)))
+                                   ("ext-test", cfg.unseen_attacks, cfg.n_extracted_test))
+        for i in range(count)])
+    ext_train, ext_test = extracted[:cfg.n_extracted_train], extracted[cfg.n_extracted_train:]
     keyset = generate_keyset(protected, ext_train, ne_train, train_set, cfg.keyset_size, cfg.bim)
-    verifier = build_verifier(ext_train, ne_train, keyset, cfg.classifier_kind)
+    verifier, profiles = _fit_verifier(ext_train, ne_train, keyset, cfg.classifier_kind)
 
     def scores(models):
         keyed = sorted((model_digest(m), verify(m, verifier, keyset).score) for m in models)
         return tuple(s for _, s in keyed)
 
-    profiles = (confidence_table(ext_train, keyset), confidence_table(ne_train, keyset))
     return scores(ext_test), scores(ne_test), profiles, keyset
 
 

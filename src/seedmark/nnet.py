@@ -67,11 +67,13 @@ class ModelSpec:
         return sum((n_in + 1) * n_out for n_in, n_out in zip(self.widths, self.widths[1:]))
 
     def layer_views(self, params) -> tuple:
-        """(W, b) views into `params`, laid out W0, b0, W1, b1, ..., each W row-major."""
-        views, offset = [], 0
+        """(W, b) views into `params`, laid out W0, b0, W1, b1, ..., each W row-major.
+        A stack of M vectors, an (M, P) array, gives (M, n_in, n_out) and (M, n_out) views."""
+        views, offset, stack = [], 0, params.shape[:-1]
         for n_in, n_out in zip(self.widths, self.widths[1:]):
             end = offset + n_in * n_out
-            views.append((params[offset:end].reshape(n_in, n_out), params[end : end + n_out]))
+            views.append((params[..., offset:end].reshape(*stack, n_in, n_out),
+                          params[..., end : end + n_out]))
             offset = end + n_out
         return tuple(views)
 
@@ -151,7 +153,9 @@ def _check_inputs(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_trace(spec: ModelSpec, weights, x: np.ndarray):
-    """Run the stack, returning logits plus each dense layer's input (for backprop)."""
+    """Run the network, returning logits plus each dense layer's input (for backprop).
+    A stack of M networks takes an (M, rows, in) `x`, (M, n_in, n_out) weights and
+    (M, 1, n_out) biases."""
     activate = _ACTIVATE[spec.activation]
     inputs = [x]
     a = x @ weights[0][0] + weights[0][1]
@@ -221,11 +225,11 @@ def _backprop(spec: ModelSpec, weights, inputs, delta, out=None, stop=0):
     for i in reversed(range(len(weights))):
         if out is not None:
             gw, gb = out[i]
-            np.matmul(inputs[i].T, delta, out=gw)
-            np.add.reduce(delta, axis=0, out=gb)
+            np.matmul(inputs[i].mT, delta, out=gw)
+            np.add.reduce(delta, axis=-2, out=gb)
             if i == stop:
                 return
-        delta = delta @ weights[i][0].T
+        delta = delta @ weights[i][0].mT
         if i:
             delta = delta * derivative(inputs[i])
     return delta
@@ -247,10 +251,10 @@ def loss_and_param_grads(model: Model, inputs, targets, temperature=1.0):
 
 def _softmax_and_grads(spec, weights, x, t, scale, out, stop=0):
     """softmax(logits / scale); the mean cross-entropy's param grads are
-    written into `out` (see `_backprop`)."""
+    written into `out` (see `_backprop`). A stack's `scale` is a number or (M, 1, 1)."""
     z, inputs = _forward_trace(spec, weights, x)
     p = softmax(z / scale)
-    _backprop(spec, weights, inputs, (p - t) / (len(x) * scale), out, stop)
+    _backprop(spec, weights, inputs, (p - t) / (x.shape[-2] * scale), out, stop)
     return p
 
 
@@ -274,48 +278,103 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     Batch order is a pure function of cfg.seed. `frozen_dense` leaves the
     first k dense layers' weights untouched (transfer-learning support);
     backprop stops at the first trainable layer, so no gradient is formed
-    for the frozen layers or the inputs.
-
-    Each step is one optimizer update over the trainable tail of a copy of
-    `model.params`. The update applies the same elementwise operations in
-    the same order as a per-tensor loop, so the weights are bit-identical to it.
+    for the frozen layers or the inputs. This is `train_population` of one model.
     """
-    x = _check_inputs(model, features)
-    check("frozen_dense", frozen_dense, within(f"[0, {model.spec.dense_count})", INTEGER),
-          SpecError)
-    params = model.params.copy()
-    weights = model.spec.layer_views(params)
+    return train_population([model], [features], [targets], [cfg], frozen_dense)[0]
+
+
+def train_jobs(jobs) -> list:
+    """`train` of each job, a tuple of its arguments (model, features, targets, cfg,
+    frozen_dense), with one `train_population` call per group of jobs that share a
+    spec, a row count, an epoch count and frozen layers. Returns the models in job order."""
+    groups = {}
+    for i, (model, features, _, cfg, frozen_dense) in enumerate(jobs):
+        key = (model.spec, len(np.atleast_2d(features)), cfg.epochs, frozen_dense)
+        groups.setdefault(key, []).append(i)
+    trained = [None] * len(jobs)
+    for key, group in groups.items():
+        models, features, targets, cfgs, _ = zip(*(jobs[i] for i in group))
+        for i, model in zip(group, train_population(models, features, targets, cfgs, key[-1])):
+            trained[i] = model
+    return trained
+
+
+def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
+    """`train` of each model on its features, targets and config, all in lockstep.
+
+    The models share one spec, one row count and one epoch count; each keeps
+    its own batch order and temperature. Their parameters are one (M, P) stack,
+    and each step runs the forward pass, backprop and one optimizer update
+    over the trainable tail of every row at once. Stacked products and
+    elementwise updates apply the same operations to each row as training it
+    alone, so each model's weights are bit-identical to its `train`. A model
+    that diverges raises the `DivergenceError` its own `train` would: the
+    lowest-index diverging model's.
+    """
+    models, features, targets, cfgs = (list(v) for v in (models, features, targets, cfgs))
+    count = len(models)
+    if count == 0 or not count == len(features) == len(targets) == len(cfgs):
+        raise InputError(f"a population needs one features, targets and config per model, got "
+                         f"{count} models, {len(features)} features, {len(targets)} targets "
+                         f"and {len(cfgs)} configs")
+    spec, epochs = models[0].spec, cfgs[0].epochs
+    if any(m.spec != spec for m in models) or any(c.epochs != epochs for c in cfgs):
+        raise SpecError("a population trains models of one spec for one epoch count")
+    xs = [_check_inputs(m, f) for m, f in zip(models, features)]
+    n = len(xs[0])
+    if any(len(x) != n for x in xs):
+        counts = sorted({len(x) for x in xs})
+        raise InputError(f"a population trains on one row count, got {counts}")
+    check("frozen_dense", frozen_dense, within(f"[0, {spec.dense_count})", INTEGER), SpecError)
+    x = np.stack(xs)
+    t = np.stack([_target_matrix(m, tg, n) for m, tg in zip(models, targets)])
+    params = np.stack([m.params for m in models])
+    weights = tuple((w, b[:, None, :]) for w, b in spec.layer_views(params))
     grad = np.empty_like(params)
-    grads = model.spec.layer_views(grad)
-    first = sum(w.size + b.size for w, b in weights[:frozen_dense])
-    p, g = params[first:], grad[first:]
-    shuffler = stream(cfg.seed, "shuffle")
-    t = _target_matrix(model, targets, len(x))
-    n = len(x)
-    top_bias_grad = grads[-1][1]
+    grads = spec.layer_views(grad)
+    first = sum(w.shape[-1] * (w.shape[-2] + 1) for w, _ in weights[:frozen_dense])
+    p, g = params[:, first:], grad[:, first:]
     m, v = np.zeros_like(p), np.zeros_like(p)
+    # Adam's temporaries, allocated once: a fresh stack per step costs more than the step's math
+    tmp, tmp2 = np.empty_like(p), np.empty_like(p)
+    temperatures = [c.temperature for c in cfgs]
+    scale = (temperatures[0] if len(set(temperatures)) == 1  # a scalar divides faster
+             else np.array(temperatures)[:, None, None])
+    shufflers = [stream(c.seed, "shuffle") for c in cfgs]
+    rows = np.arange(count)[:, None]
+    top_bias_grad = grads[-1][1]
+    diverged = {}  # model index -> (epoch, batch) of its first non-finite step
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = shuffler.permutation(n)
-            xs, ts = x[order], t[order]
-            for bi, start in enumerate(range(0, n, cfg.batch_size)):
-                end = start + cfg.batch_size
-                _softmax_and_grads(model.spec, weights, xs[start:end], ts[start:end],
-                                   cfg.temperature, grads, frozen_dense)
+        for epoch in range(epochs):
+            order = np.stack([s.permutation(n) for s in shufflers])
+            xo, to = x[rows, order], t[rows, order]
+            for bi, start in enumerate(range(0, n, TrainConfig.batch_size)):
+                end = start + TrainConfig.batch_size
+                _softmax_and_grads(spec, weights, xo[:, start:end], to[:, start:end], scale,
+                                   grads, frozen_dense)
                 # the top bias gradient sums softmax - targets over the batch, so
                 # it is NaN exactly when the softmax, and so the loss, is; a
                 # Python loop over its few entries is cheaper than a ufunc call
-                if not all(map(math.isfinite, top_bias_grad.tolist())):
-                    raise DivergenceError(epoch, bi)
+                if not all(map(math.isfinite, top_bias_grad.ravel().tolist())):
+                    for i in np.flatnonzero(~np.isfinite(top_bias_grad).all(axis=1)):
+                        diverged.setdefault(int(i), (epoch, bi))
+                    if 0 in diverged:  # no lower-index model can diverge before it
+                        raise DivergenceError(*diverged[0])
                 step += 1
                 # m and v decay toward g and g*g; p steps by their bias-corrected ratio
                 m *= ADAM_BETA1
-                m += g * (1 - ADAM_BETA1)
+                m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
                 v *= ADAM_BETA2
-                v += g * g * (1 - ADAM_BETA2)
-                p -= (m / (1 - ADAM_BETA1**step) * ADAM_LEARNING_RATE
-                      / (np.sqrt(v / (1 - ADAM_BETA2**step)) + ADAM_EPS))
-    record = dict(seed=cfg.seed, epochs=cfg.epochs, optimizer="adam",
-                  loss="soft" if np.ndim(targets) == 2 else "hard", stage="trained-fresh")
-    return Model(model.spec, params, model.provenance + (record,))
+                v += np.multiply(np.multiply(g, g, out=tmp), 1 - ADAM_BETA2, out=tmp)
+                p -= np.divide(np.multiply(np.divide(m, 1 - ADAM_BETA1**step, out=tmp),
+                                           ADAM_LEARNING_RATE, out=tmp),
+                               np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**step, out=tmp2),
+                                              out=tmp2), ADAM_EPS, out=tmp2), out=tmp)
+    if diverged:
+        raise DivergenceError(*diverged[min(diverged)])
+    return tuple(
+        Model(spec, params[i], model.provenance + (dict(
+            seed=cfg.seed, epochs=epochs, optimizer="adam",
+            loss="soft" if np.ndim(tg) == 2 else "hard", stage="trained-fresh"),))
+        for i, (model, tg, cfg) in enumerate(zip(models, targets, cfgs)))

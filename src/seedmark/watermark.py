@@ -216,13 +216,21 @@ def gnb_log_posteriors(means, variances, priors, s) -> np.ndarray:
 def build_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str = "lr") -> VerificationModel:
     """One classifier per watermark, all fitted in one call on the (watermarks,
     models) table of the two populations' confidences."""
+    return _fit_verifier(extracted_pop, nonextracted_pop, keyset, kind)[0]
+
+
+def _fit_verifier(extracted_pop, nonextracted_pop, keyset: KeySet, kind: str):
+    """`build_verifier`'s verifier, and the two populations' (models, watermarks)
+    confidence tables it was fitted on."""
     check("kind", kind, _KIND, InputError)
     if len(extracted_pop) == 0 or len(nonextracted_pop) == 0:
         raise InputError("both model populations must be non-empty")
-    table = np.concatenate([confidence_table(p, keyset) for p in (extracted_pop, nonextracted_pop)])
+    tables = tuple(confidence_table(p, keyset) for p in (extracted_pop, nonextracted_pop))
     labels = np.concatenate([np.ones(len(extracted_pop)), np.zeros(len(nonextracted_pop))])
-    fitted = (fit_lr if kind == "lr" else fit_gnb)(table.T, labels)
-    return VerificationModel(kind, dict(zip(VERIFIER_FIELDS[kind], fitted)), keyset_digest(keyset))
+    fitted = (fit_lr if kind == "lr" else fit_gnb)(np.concatenate(tables).T, labels)
+    verifier = VerificationModel(kind, dict(zip(VERIFIER_FIELDS[kind], fitted)),
+                                 keyset_digest(keyset))
+    return verifier, tables
 
 
 def decide(verifier: VerificationModel, s) -> np.ndarray:

@@ -9,12 +9,14 @@ from seedmark.cli import PRESETS
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, SpecError
 from seedmark.harness import (
+    ATTACK_TOKENS,
     CROSS_ARCH_FAMILY,
     DISTILL_TEMPERATURE,
     FROZEN_LAYERS,
     EvaluationConfig,
     attack_evaluation,
     build_attacked_model,
+    build_attacked_models,
     dump_confidences,
     eval_config_from_dict,
     export_report,
@@ -357,6 +359,19 @@ class TestAttackedModels:
         assert model.spec == expected.spec and model.provenance == expected.provenance
         for (w1, b1), (w2, b2) in zip(model.weights, expected.weights, strict=True):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+    def test_population_equals_each_attack_alone(self, victim_and_data):
+        """Every token, twice, against two victims: the lockstep groups give each
+        model `build_attacked_model`'s bytes and provenance, in attack order."""
+        cfg, victim, data = victim_and_data
+        other = train_fresh(cfg, data, "B", 78)
+        attacks = [(v, token, data, 100 + i) for i, (v, token) in
+                   enumerate((v, t) for t in ATTACK_TOKENS for v in (victim, other))]
+        for (v, token, _, seed), model in zip(attacks, build_attacked_models(cfg, attacks),
+                                              strict=True):
+            alone = build_attacked_model(cfg, v, token, data, seed)
+            assert model.provenance == alone.provenance
+            assert model.params.tobytes() == alone.params.tobytes()
 
     def test_transfer_attack_on_data_unlike_default_gen(self):
         cfg = EvaluationConfig()

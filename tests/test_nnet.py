@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from seedmark import nnet
 from seedmark.bim import BimConfig, bim_batch
 from seedmark.datasets import GenSpec, generate
-from seedmark.errors import DivergenceError, InputError, SpecError
+from seedmark.errors import DivergenceError, InputError, SeedmarkError, SpecError
 from seedmark.harness import EvaluationReport
 from seedmark.metrics import roc_auc
 from seedmark.nnet import (
@@ -23,6 +23,8 @@ from seedmark.nnet import (
     loss_and_param_grads,
     predict,
     train,
+    train_jobs,
+    train_population,
 )
 from seedmark.rng import stream
 from seedmark.watermark import KeySet
@@ -569,6 +571,95 @@ def test_train_bit_identical_to_per_layer_loop(loss, hidden, frozen_dense, activ
         assert np.array_equal(w, ew) and np.array_equal(b, eb)
     for (w, b), (w0, b0) in zip(model.weights, before):
         assert np.array_equal(w, w0) and np.array_equal(b, b0)
+
+
+def _population_inputs(size, family="A", n=70, dims=5, classes=3):
+    """`size` family models with their own rows, hard and soft targets alternating,
+    and temperatures 1 and 2 in another cycle, so one group mixes all four."""
+    rng = np.random.default_rng(31)
+    spec = family_spec(family, dims, classes)
+    models = [init_model(spec, 40 + i) for i in range(size)]
+    features = [rng.uniform(-1, 1, size=(n, dims)) for _ in range(size)]
+    targets = [rng.integers(0, classes, size=n) if i % 2 == 0
+               else rng.dirichlet(np.ones(classes), size=n) for i in range(size)]
+    cfgs = [TrainConfig(epochs=2, seed=60 + i, temperature=(1.0, 1.0, 2.0)[i % 3])
+            for i in range(size)]
+    return models, features, targets, cfgs
+
+
+@pytest.mark.parametrize("frozen_dense", [0, 1])
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_train_population_bit_identical_to_separate_train(size, family, frozen_dense):
+    models, features, targets, cfgs = _population_inputs(size, family)
+    assert len(features[0]) % TrainConfig.batch_size != 0
+    trained = train_population(models, features, targets, cfgs, frozen_dense)
+    assert len(trained) == size
+    for i, model in enumerate(trained):
+        alone = train(models[i], features[i], targets[i], cfgs[i], frozen_dense)
+        assert model.spec == alone.spec and model.provenance == alone.provenance
+        assert model.params.tobytes() == alone.params.tobytes()
+        expected = _reference_train(models[i], features[i], targets[i], cfgs[i], frozen_dense)
+        assert model.params.tobytes() == flat_params(expected).tobytes()
+        # each model owns its parameters: no input and no other model shares them
+        for other in (*(m.params for m in models), *features, *targets,
+                      *(m.params for m in trained[:i])):
+            assert not np.shares_memory(model.params, other)
+
+
+def test_train_jobs_groups_and_keeps_job_order():
+    a, b, c = (_population_inputs(3, family) for family in ("A", "B", "C"))
+    jobs = [(a[0][0], a[1][0], a[2][0], a[3][0], 0), (b[0][0], b[1][0], b[2][0], b[3][0], 1),
+            (a[0][1], a[1][1][:40], a[2][1][:40], a[3][1], 0),
+            (c[0][2], c[1][2], c[2][2], c[3][2], 0), (a[0][2], a[1][2], a[2][2], a[3][2], 0),
+            (b[0][1], b[1][1], b[2][1], b[3][1], 0)]
+    for job, model in zip(jobs, train_jobs(jobs), strict=True):
+        assert model.params.tobytes() == train(*job).params.tobytes()
+
+
+def test_train_population_raises_the_first_diverging_models_error():
+    """Model 2 diverges at the first batch and model 1 at a later one: sequential
+    training stops at model 1, and so does the lockstep group."""
+    models, features, targets, cfgs = _population_inputs(4)
+    features = [x.copy() for x in features]
+    for i, batch in ((1, 1), (2, 0)):
+        order = stream(cfgs[i].seed, "shuffle").permutation(len(features[i]))
+        features[i][order[batch * TrainConfig.batch_size], 0] = np.nan
+    with pytest.raises(DivergenceError) as alone:
+        for job in zip(models, features, targets, cfgs):
+            train(*job)
+    assert (alone.value.epoch, alone.value.batch) == (0, 1)
+    with pytest.raises(DivergenceError) as group:
+        train_population(models, features, targets, cfgs)
+    assert (group.value.epoch, group.value.batch) == (0, 1)
+    # a diverging first model raises at its own batch, as its `train` does
+    with pytest.raises(DivergenceError) as first:
+        train_population(models[2:], features[2:], targets[2:], cfgs[2:])
+    assert (first.value.epoch, first.value.batch) == (0, 0)
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ("spec", SpecError, "one spec for one epoch count"),
+    ("epochs", SpecError, "one spec for one epoch count"),
+    ("rows", InputError, r"one row count, got \[40, 70\]"),
+    ("count", InputError, "one features, targets and config per model"),
+    ("empty", InputError, "got 0 models"),
+])
+def test_train_population_refuses_a_mixed_group(change, error, message):
+    models, features, targets, cfgs = _population_inputs(2)
+    if change == "spec":
+        models[1] = init_model(family_spec("C", 5, 3), 1)
+    elif change == "epochs":
+        cfgs[1] = TrainConfig(epochs=3, seed=1)
+    elif change == "rows":
+        features[1], targets[1] = features[1][:40], targets[1][:40]
+    elif change == "count":
+        cfgs = cfgs[:1]
+    else:
+        models, features, targets, cfgs = [], [], [], []
+    with pytest.raises(error, match=message) as err:
+        train_population(models, features, targets, cfgs)
+    assert isinstance(err.value, SeedmarkError)
 
 
 # each frozen dataclass that holds arrays, built anew on each call

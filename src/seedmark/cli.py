@@ -22,8 +22,7 @@ from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
     _TOKEN,
-    _control_jobs,
-    _fresh_job,
+    _control_population,
     blur_model,
     build_attacked_model,
     build_attacked_models,
@@ -32,8 +31,8 @@ from .harness import (
     load_eval_config,
     prepare_data,
     run_raw_evaluation,
+    train_fresh_models,
 )
-from .nnet import train_jobs
 from .rng import derive_seed
 
 # The paper's evaluation scenarios, as (seen, unseen) attack mixes.
@@ -61,7 +60,7 @@ def cmd_train_population(args):
     os.makedirs(args.out, exist_ok=True)
     digest = cfg.digest()
     save_dataset(train_set, os.path.join(args.out, f"data-{digest}.json"))
-    models = train_jobs(_control_jobs(cfg, train_set, args.count, cfg.master_seed, "population"))
+    models = _control_population(cfg, train_set, args.count, cfg.master_seed, "population")
     for i, model in enumerate(models):
         family = cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
         path = os.path.join(args.out, f"model-{family}-{i:03d}-{digest}.json")
@@ -88,9 +87,8 @@ def cmd_blur(args):
 def cmd_analyze(args):
     cfg = _load_config(args)
     train_set, test_set = prepare_data(cfg)
-    protected = train_jobs([
-        _fresh_job(cfg, train_set, cfg.protected_family,
-                   derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
+    protected = train_fresh_models(cfg, train_set, [
+        (cfg.protected_family, derive_seed(cfg.master_seed, f"analysis/protected/{i}"))
         for i in range(cfg.n_nonextracted_train)
     ])
     extracted = build_attacked_models(cfg, [

@@ -27,11 +27,13 @@ class FormatError(SeedmarkError):
 
 
 class DivergenceError(SeedmarkError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss. `model` is the diverging model's index
+    among those the raising call trained (0 for a single model)."""
 
-    def __init__(self, epoch, batch):
+    def __init__(self, epoch, batch, model=0):
         self.epoch = epoch
         self.batch = batch
+        self.model = model
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
 
 

@@ -155,7 +155,9 @@ def build_attacked_models(cfg: EvaluationConfig, attacks) -> list:
     """`build_attacked_model` of each attack, a (victim, token, data, seed) tuple.
 
     Every TRL pretraining trains first, then every extraction, each in
-    lockstep groups (`nnet.train_jobs`). Returns the models in attack order."""
+    lockstep groups (`nnet.train_jobs`). Returns the models in attack order.
+    A failing pretraining raises before any extraction trains, so it is named
+    even where an earlier attack's extraction would fail too."""
     parsed = [parse_attack_token(token) for _, token, _, _ in attacks]
     for victim, _, data, _ in attacks:
         check_fits(data, victim, "victim")
@@ -192,23 +194,30 @@ def blur_model(cfg: EvaluationConfig, model: Model, method: str) -> Model:
     return blur_quantize(model, cfg.quantize_bits)
 
 
-def _control_jobs(cfg, data, count, seed, tag):
-    """The `_fresh_job`s of a control population, cycling through the config's families."""
-    return [
-        _fresh_job(cfg, data, cfg.nonextracted_families[i % len(cfg.nonextracted_families)],
-                   derive_seed(seed, f"{tag}/{i}"))
-        for i in range(count)
-    ]
+def train_fresh_models(cfg: EvaluationConfig, data: Dataset, runs) -> list:
+    """`train_fresh` of each (family, seed) run, in lockstep groups (`nnet.train_jobs`).
+    Returns the models in run order."""
+    return train_jobs([_fresh_job(cfg, data, family, seed) for family, seed in runs])
+
+
+def _control_runs(cfg, count, seed, tag):
+    """The (family, seed) runs of a control population, cycling through the config's families."""
+    families = cfg.nonextracted_families
+    return [(families[i % len(families)], derive_seed(seed, f"{tag}/{i}")) for i in range(count)]
+
+
+def _control_population(cfg, data, count, seed, tag):
+    return train_fresh_models(cfg, data, _control_runs(cfg, count, seed, tag))
 
 
 def owner_stage(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
     """One repetition's (protected, ne-train, ne-test) models, trained in lockstep groups.
     It reads no attack, key-set, BIM, verifier, blur or query-budget setting, so configs
     differing only there share it."""
-    jobs = [_fresh_job(cfg, train_set, cfg.protected_family, derive_seed(rep_seed, "protected"))]
-    jobs += _control_jobs(cfg, train_set, cfg.n_nonextracted_train, rep_seed, "ne-train")
-    jobs += _control_jobs(cfg, train_set, cfg.n_nonextracted_test, rep_seed, "ne-test")
-    models, n = train_jobs(jobs), cfg.n_nonextracted_train
+    runs = [(cfg.protected_family, derive_seed(rep_seed, "protected"))]
+    runs += _control_runs(cfg, cfg.n_nonextracted_train, rep_seed, "ne-train")
+    runs += _control_runs(cfg, cfg.n_nonextracted_test, rep_seed, "ne-test")
+    models, n = train_fresh_models(cfg, train_set, runs), cfg.n_nonextracted_train
     return models[0], models[1 : 1 + n], models[1 + n :]
 
 

@@ -14,8 +14,8 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
-from .errors import (INTEGER, NUMBER, DivergenceError, InputError, Rule, SpecError, among, check,
-                     check_field_types, each, within)
+from .errors import (INTEGER, NUMBER, DivergenceError, InputError, Rule, SeedmarkError, SpecError,
+                     among, check, check_field_types, each, within)
 from .rng import stream
 
 # Each activation, and its derivative in terms of the activation's output y.
@@ -251,7 +251,7 @@ def loss_and_param_grads(model: Model, inputs, targets, temperature=1.0):
 
 def _softmax_and_grads(spec, weights, x, t, scale, out, stop=0):
     """softmax(logits / scale); the mean cross-entropy's param grads are
-    written into `out` (see `_backprop`). A stack's `scale` is a number or (M, 1, 1)."""
+    written into `out` (see `_backprop`). A stack's `scale` is (M, 1, 1)."""
     z, inputs = _forward_trace(spec, weights, x)
     p = softmax(z / scale)
     _backprop(spec, weights, inputs, (p - t) / (x.shape[-2] * scale), out, stop)
@@ -283,20 +283,48 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     return train_population([model], [features], [targets], [cfg], frozen_dense)[0]
 
 
+# The most models one `train_population` call of `train_jobs` stacks. A call holds
+# each model's rows, targets, parameters, gradient, Adam moments and temporaries at
+# once, so this bounds training memory however many jobs share a group.
+MAX_POPULATION = 16
+
+
 def train_jobs(jobs) -> list:
     """`train` of each job, a tuple of its arguments (model, features, targets, cfg,
-    frozen_dense), with one `train_population` call per group of jobs that share a
-    spec, a row count, an epoch count and frozen layers. Returns the models in job order."""
-    groups = {}
-    for i, (model, features, _, cfg, frozen_dense) in enumerate(jobs):
-        key = (model.spec, len(np.atleast_2d(features)), cfg.epochs, frozen_dense)
-        groups.setdefault(key, []).append(i)
+    frozen_dense), in one `train_population` call per group of at most
+    `MAX_POPULATION` jobs that share a spec, a row count, an epoch count and frozen
+    layers. Returns the models in job order. A failure raises what training the jobs
+    in turn would: the error of the first failing job, which no later job is trained past."""
+    jobs, groups, failure = list(jobs), {}, None
+    for i, (model, features, targets, cfg, frozen_dense) in enumerate(jobs):
+        try:
+            rows = len(_check_inputs(model, features))  # `train_population`'s checks, in its order
+            _check_frozen(model.spec, frozen_dense)
+            _target_matrix(model, targets, rows)
+        except SeedmarkError as error:
+            failure = (i, error)
+            break
+        groups.setdefault((model.spec, rows, cfg.epochs, frozen_dense), []).append(i)
     trained = [None] * len(jobs)
-    for key, group in groups.items():
-        models, features, targets, cfgs, _ = zip(*(jobs[i] for i in group))
-        for i, model in zip(group, train_population(models, features, targets, cfgs, key[-1])):
-            trained[i] = model
+    for (*_, frozen_dense), group in groups.items():
+        for start in range(0, len(group), MAX_POPULATION):
+            chunk = group[start : start + MAX_POPULATION]
+            try:
+                models = train_population(*zip(*(jobs[i][:4] for i in chunk)), frozen_dense)
+            except DivergenceError as error:
+                i = chunk[error.model]
+                if failure is None or i < failure[0]:
+                    failure = (i, DivergenceError(error.epoch, error.batch, i))
+                continue
+            for i, model in zip(chunk, models):
+                trained[i] = model
+    if failure:
+        raise failure[1]
     return trained
+
+
+def _check_frozen(spec, frozen_dense):
+    check("frozen_dense", frozen_dense, within(f"[0, {spec.dense_count})", INTEGER), SpecError)
 
 
 def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
@@ -309,7 +337,7 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
     elementwise updates apply the same operations to each row as training it
     alone, so each model's weights are bit-identical to its `train`. A model
     that diverges raises the `DivergenceError` its own `train` would: the
-    lowest-index diverging model's.
+    lowest-index diverging model's, with that index as its `model`.
     """
     models, features, targets, cfgs = (list(v) for v in (models, features, targets, cfgs))
     count = len(models)
@@ -325,9 +353,10 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
     if any(len(x) != n for x in xs):
         counts = sorted({len(x) for x in xs})
         raise InputError(f"a population trains on one row count, got {counts}")
-    check("frozen_dense", frozen_dense, within(f"[0, {spec.dense_count})", INTEGER), SpecError)
-    x = np.stack(xs)
-    t = np.stack([_target_matrix(m, tg, n) for m, tg in zip(models, targets)])
+    _check_frozen(spec, frozen_dense)
+    # every model's rows, and targets, one after another: model i's row r is row i * n + r
+    x = np.concatenate(xs)
+    t = np.concatenate([_target_matrix(m, tg, n) for m, tg in zip(models, targets)])
     params = np.stack([m.params for m in models])
     weights = tuple((w, b[:, None, :]) for w, b in spec.layer_views(params))
     grad = np.empty_like(params)
@@ -337,21 +366,20 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
     m, v = np.zeros_like(p), np.zeros_like(p)
     # Adam's temporaries, allocated once: a fresh stack per step costs more than the step's math
     tmp, tmp2 = np.empty_like(p), np.empty_like(p)
-    temperatures = [c.temperature for c in cfgs]
-    scale = (temperatures[0] if len(set(temperatures)) == 1  # a scalar divides faster
-             else np.array(temperatures)[:, None, None])
+    scale = np.array([c.temperature for c in cfgs])[:, None, None]
     shufflers = [stream(c.seed, "shuffle") for c in cfgs]
-    rows = np.arange(count)[:, None]
+    offsets = np.arange(0, count * n, n)[:, None]
     top_bias_grad = grads[-1][1]
     diverged = {}  # model index -> (epoch, batch) of its first non-finite step
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = np.stack([s.permutation(n) for s in shufflers])
-            xo, to = x[rows, order], t[rows, order]
+            order = np.stack([s.permutation(n) for s in shufflers]) + offsets
             for bi, start in enumerate(range(0, n, TrainConfig.batch_size)):
-                end = start + TrainConfig.batch_size
-                _softmax_and_grads(spec, weights, xo[:, start:end], to[:, start:end], scale,
+                # each batch is gathered alone: an epoch's reordered copy of the rows
+                # would hold the population's data twice over
+                batch = order[:, start : start + TrainConfig.batch_size]
+                _softmax_and_grads(spec, weights, x.take(batch, 0), t.take(batch, 0), scale,
                                    grads, frozen_dense)
                 # the top bias gradient sums softmax - targets over the batch, so
                 # it is NaN exactly when the softmax, and so the loss, is; a
@@ -360,7 +388,7 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
                     for i in np.flatnonzero(~np.isfinite(top_bias_grad).all(axis=1)):
                         diverged.setdefault(int(i), (epoch, bi))
                     if 0 in diverged:  # no lower-index model can diverge before it
-                        raise DivergenceError(*diverged[0])
+                        raise DivergenceError(*diverged[0], 0)
                 step += 1
                 # m and v decay toward g and g*g; p steps by their bias-corrected ratio
                 m *= ADAM_BETA1
@@ -372,7 +400,8 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
                                np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**step, out=tmp2),
                                               out=tmp2), ADAM_EPS, out=tmp2), out=tmp)
     if diverged:
-        raise DivergenceError(*diverged[min(diverged)])
+        first = min(diverged)
+        raise DivergenceError(*diverged[first], first)
     return tuple(
         Model(spec, params[i], model.provenance + (dict(
             seed=cfg.seed, epochs=epochs, optimizer="adam",

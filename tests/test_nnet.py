@@ -1,5 +1,6 @@
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -636,6 +637,76 @@ def test_train_population_raises_the_first_diverging_models_error():
     with pytest.raises(DivergenceError) as first:
         train_population(models[2:], features[2:], targets[2:], cfgs[2:])
     assert (first.value.epoch, first.value.batch) == (0, 0)
+
+
+def _poison(features, cfg, batch):
+    """A copy of `features` with a NaN in the first row of `cfg`'s epoch-0 batch `batch`."""
+    features = features.copy()
+    order = stream(cfg.seed, "shuffle").permutation(len(features))
+    features[order[batch * TrainConfig.batch_size], 0] = np.nan
+    return features
+
+
+def _first_error(jobs):
+    """The error that training each job in turn raises."""
+    with pytest.raises(SeedmarkError) as err:
+        for job in jobs:
+            train(*job)
+    return err.value
+
+
+def test_train_jobs_raises_the_first_failing_jobs_error_across_groups():
+    """Jobs 1 and 4 diverge in different groups, job 4 at an earlier batch; job 5's
+    targets are invalid. Training in turn stops at job 1, and so must `train_jobs`."""
+    a, b = _population_inputs(4, "A"), _population_inputs(2, "B")
+    jobs = [(a[0][0], a[1][0], a[2][0], a[3][0], 0),
+            (b[0][0], _poison(b[1][0], b[3][0], 1), b[2][0], b[3][0], 0),
+            (a[0][1], a[1][1], a[2][1], a[3][1], 0),
+            (b[0][1], b[1][1], b[2][1], b[3][1], 0),
+            (a[0][2], _poison(a[1][2], a[3][2], 0), a[2][2], a[3][2], 0),
+            (a[0][3], a[1][3], a[2][3][:-1], a[3][3], 0)]
+    expected = _first_error(jobs)
+    assert isinstance(expected, DivergenceError) and (expected.epoch, expected.batch) == (0, 1)
+    with pytest.raises(DivergenceError) as got:
+        train_jobs(jobs)
+    assert (got.value.epoch, got.value.batch, got.value.model) == (0, 1, 1)
+    # without job 1, job 4's divergence precedes job 5's invalid targets
+    rest = jobs[:1] + jobs[2:]
+    with pytest.raises(DivergenceError) as got:
+        train_jobs(rest)
+    assert (got.value.epoch, got.value.batch, got.value.model) == (0, 0, 3)
+    assert str(got.value) == str(_first_error(rest))
+    # and an invalid job ahead of every divergence is what fails
+    with pytest.raises(InputError, match="targets for") as got:
+        train_jobs([jobs[5], *jobs[:5]])
+    assert str(got.value) == str(_first_error([jobs[5], *jobs[:5]]))
+
+
+def test_train_jobs_memory_does_not_grow_with_the_group():
+    """A group larger than `MAX_POPULATION` trains in calls of at most that many
+    models, so four times the jobs need no more room than one full call."""
+    rng = np.random.default_rng(5)
+    spec = ModelSpec((8, 2, 2))
+    x, y = rng.uniform(-1, 1, size=(2048, 8)), rng.integers(0, 2, size=2048)
+
+    def peak_bytes(jobs):
+        tracemalloc.start()
+        try:
+            trained = train_jobs(jobs)
+            return tracemalloc.get_traced_memory()[1], trained
+        finally:
+            tracemalloc.stop()
+
+    jobs = [(init_model(spec, s), x, y, TrainConfig(epochs=1, seed=s), 0)
+            for s in range(4 * nnet.MAX_POPULATION)]
+    one_call, _ = peak_bytes(jobs[:nnet.MAX_POPULATION])
+    four_calls, trained = peak_bytes(jobs)
+    # one call stacks MAX_POPULATION copies of x (2 MB); a single call for
+    # every job would stack four times as many
+    assert one_call > nnet.MAX_POPULATION * x.nbytes
+    assert four_calls < 1.25 * one_call
+    for i in (0, nnet.MAX_POPULATION, len(jobs) - 1):
+        assert trained[i].params.tobytes() == train(*jobs[i]).params.tobytes()
 
 
 @pytest.mark.parametrize("change, error, message", [

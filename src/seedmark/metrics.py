@@ -28,7 +28,8 @@ def roc_auc(pos_scores, neg_scores) -> RocCurve:
         raise InputError("both score lists must be non-empty")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise InputError("scores must be finite")
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
+    # not np.unique, which imports numpy.ma on its first call
+    thresholds = sorted(set(pos.tolist() + neg.tolist()), reverse=True)
     points = [(0.0, 0.0)]
     for t in thresholds:
         tpr = float(np.mean(pos >= t))

@@ -364,8 +364,8 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
     first = sum(w.shape[-1] * (w.shape[-2] + 1) for w, _ in weights[:frozen_dense])
     p, g = params[:, first:], grad[:, first:]
     m, v = np.zeros_like(p), np.zeros_like(p)
-    # Adam's temporaries, allocated once: a fresh stack per step costs more than the step's math
-    tmp, tmp2 = np.empty_like(p), np.empty_like(p)
+    # Adam's temporary, allocated once: a fresh stack per step costs more than the step's math
+    tmp = np.empty_like(p)
     scale = np.array([c.temperature for c in cfgs])[:, None, None]
     shufflers = [stream(c.seed, "shuffle") for c in cfgs]
     offsets = np.arange(0, count * n, n)[:, None]
@@ -390,15 +390,16 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
                     if 0 in diverged:  # no lower-index model can diverge before it
                         raise DivergenceError(*diverged[0], 0)
                 step += 1
-                # m and v decay toward g and g*g; p steps by their bias-corrected ratio
+                # m and v decay toward g and g*g; p steps by their bias-corrected ratio.
+                # Once m has read g, g is scratch: the next backprop rewrites all of it
                 m *= ADAM_BETA1
                 m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
                 v *= ADAM_BETA2
-                v += np.multiply(np.multiply(g, g, out=tmp), 1 - ADAM_BETA2, out=tmp)
+                v += np.multiply(np.multiply(g, g, out=g), 1 - ADAM_BETA2, out=g)
                 p -= np.divide(np.multiply(np.divide(m, 1 - ADAM_BETA1**step, out=tmp),
                                            ADAM_LEARNING_RATE, out=tmp),
-                               np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**step, out=tmp2),
-                                              out=tmp2), ADAM_EPS, out=tmp2), out=tmp)
+                               np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**step, out=g),
+                                              out=g), ADAM_EPS, out=g), out=tmp)
     if diverged:
         first = min(diverged)
         raise DivergenceError(*diverged[first], first)

@@ -151,7 +151,8 @@ def _fit_labels(s, labels) -> np.ndarray:
         raise InputError("samples/labels mismatch or empty")
     if not np.isin(y, (0, 1)).all():
         raise InputError("labels must each be 0 (not extracted) or 1 (extracted)")
-    if len(np.unique(y)) < 2:
+    # not np.unique, which imports numpy.ma on its first call
+    if y.min() == y.max():
         raise InputError("a verifier fit requires both classes present")
     if not np.isfinite(s).all():
         raise InputError("samples must be finite")

@@ -1,9 +1,13 @@
 """Every name a `seedmark` module imports is used in that module.
 
 A standard-library stand-in for a linter's unused-import rule, so that
-code removed from a module does not leave its imports behind."""
+code removed from a module does not leave its imports behind. And an
+evaluation loads no NumPy module it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,30 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# a reduced evaluation with each verifier kind; `numpy.ma`, which `np.unique`
+# imports on its first call, holds about a megabyte and no seedmark code uses it
+EVALUATE_WITHOUT_MA = """
+import sys
+from seedmark.harness import EvaluationConfig, run_raw_evaluation
+for kind in ("lr", "gnb"):
+    run_raw_evaluation(EvaluationConfig(
+        repetitions=1, seen_attacks=("TRL", "DIS"), unseen_attacks=("WP(RET)",),
+        n_extracted_train=2, n_nonextracted_train=2, n_extracted_test=2,
+        n_nonextracted_test=2, keyset_size=4, classifier_kind=kind))
+    assert "numpy.ma" not in sys.modules, kind
+"""
+
+
+def test_evaluation_never_imports_numpy_ma():
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    bare = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("this NumPy loads numpy.ma on `import numpy` alone")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, "-W", "error", "-c", EVALUATE_WITHOUT_MA],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr

@@ -48,14 +48,31 @@ def test_non_finite_scores_rejected(pos, neg):
         roc_auc(pos, neg)
 
 
+def unique_threshold_roc(pos, neg):
+    """`roc_auc`'s points and AUC, with its thresholds taken from np.unique."""
+    points = [(0.0, 0.0)] + [(float(np.mean(neg >= t)), float(np.mean(pos >= t)))
+                             for t in np.unique(np.concatenate([pos, neg]))[::-1]]
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    pts = np.array(points)
+    return tuple(points), float(np.trapezoid(pts[:, 1], pts[:, 0]))
+
+
 def test_matches_mann_whitney_brute_force():
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(50):
         # quantized scores force plenty of ties
-        pos = rng.integers(0, 8, size=rng.integers(1, 20)) / 7
-        neg = rng.integers(0, 8, size=rng.integers(1, 20)) / 7
+        cases.append((rng.integers(0, 8, size=rng.integers(1, 20)) / 7,
+                      rng.integers(0, 8, size=rng.integers(1, 20)) / 7))
+    # 0.0 and -0.0 are one threshold, whichever of them a set or a sort keeps
+    cases += [(np.array([0.0, -0.0, 0.5]), np.array([-0.0, 0.0, -0.5])),
+              (np.array([-0.0]), np.array([0.0])),
+              (np.array([0.0, 1.0]), np.array([-0.0, -0.0, -1.0]))]
+    for pos, neg in cases:
         curve = roc_auc(pos, neg)
         assert abs(curve.auc - mann_whitney_auc(pos, neg)) < 1e-12
+        assert repr((curve.points, curve.auc)) == repr(unique_threshold_roc(pos, neg))
 
 
 def test_curve_monotone():

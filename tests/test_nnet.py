@@ -709,6 +709,24 @@ def test_train_jobs_memory_does_not_grow_with_the_group():
         assert trained[i].params.tobytes() == train(*jobs[i]).params.tobytes()
 
 
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_train_population_holds_one_adam_scratch_stack(size):
+    """A call holds the parameter stack, its gradient, Adam's two moments and one
+    scratch stack: five (M, P) stacks, and little else on a wide model."""
+    rng = np.random.default_rng(6)
+    spec = ModelSpec((8, 512, 512, 4))
+    x, y = rng.uniform(-1, 1, size=(40, 8)), rng.integers(0, 4, size=40)
+    jobs = [(init_model(spec, s), x, y, TrainConfig(epochs=1, seed=s), 0) for s in range(size)]
+    tracemalloc.start()
+    try:
+        train_jobs(jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a second scratch stack would read above six stacks
+    assert peak < 5.5 * size * spec.param_count * 8
+
+
 @pytest.mark.parametrize("change, error, message", [
     ("spec", SpecError, "one spec for one epoch count"),
     ("epochs", SpecError, "one spec for one epoch count"),

@@ -12,12 +12,12 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import INTEGER, NUMBER, ConfigError, InputError, check, within
-from .nnet import Model, TrainConfig, forward, predict, train_jobs
+from .nnet import Model, forward, predict, train_jobs
 from .rng import stream
 from .serialize import model_digest
 
 # Every extraction attack token. The attacks differ only in their queries,
-# their targets and their starting network; `harness.build_attacked_model`
+# their targets and their starting network; `harness.build_attacked_models`
 # picks those for each token.
 ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC")
 
@@ -34,26 +34,14 @@ def sample_queries(train_inputs, fraction, seed):
     return train_inputs[idx]
 
 
-def extract(victim: Model, queries, surrogate: Model, train_cfg: TrainConfig, attack: str,
-            temperature: float = None, frozen_dense: int = 0) -> Model:
-    """Train `surrogate` on the victim's answers to `queries`.
-
-    The answers are hard labels, or with `temperature` the full confidence
-    vectors, trained at that temperature (their shape picks the loss). The
-    first `frozen_dense` dense layers keep their weights. `attack` is
-    recorded as the attack id in provenance. This is `extract_population`
-    of one extraction."""
-    return extract_population([(victim, queries, surrogate, train_cfg, attack, temperature,
-                                frozen_dense)])[0]
-
-
 def extract_population(extractions) -> list:
-    """`extract` of each extraction, a tuple of its arguments; the surrogates train
-    in lockstep groups (`nnet.train_jobs`). Returns the models in extraction order."""
+    """Train each surrogate on its victim's answers to its queries, in lockstep groups
+    (`nnet.train_jobs`); returns the models in extraction order. An extraction is a
+    (victim, queries, surrogate, train_cfg, attack, temperature, frozen_dense) tuple:
+    the answers are hard labels, or with a `temperature` the confidence vectors trained
+    at that temperature. `attack` is recorded in provenance."""
     jobs = []
     for victim, queries, surrogate, train_cfg, _, temperature, frozen_dense in extractions:
-        if len(queries) == 0:
-            raise InputError("extraction requires at least one query")
         if temperature is None:
             targets = predict(victim, queries)
         else:

@@ -43,8 +43,6 @@ def bim_batch(model: Model, inputs, labels, cfg: BimConfig) -> np.ndarray:
     labels = np.asarray(labels)
     if len(inputs) != len(labels):
         raise InputError("inputs/labels length mismatch")
-    if len(inputs) == 0:
-        return inputs.reshape(0, model.spec.input_dim)
     x = inputs.copy()
     for _ in range(cfg.iterations):
         g = input_gradient(model, x, labels)

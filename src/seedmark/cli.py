@@ -22,7 +22,7 @@ from .harness import (
     BLUR_METHODS,
     EvaluationConfig,
     _TOKEN,
-    _control_population,
+    _control_runs,
     blur_model,
     build_attacked_model,
     build_attacked_models,
@@ -60,9 +60,9 @@ def cmd_train_population(args):
     os.makedirs(args.out, exist_ok=True)
     digest = cfg.digest()
     save_dataset(train_set, os.path.join(args.out, f"data-{digest}.json"))
-    models = _control_population(cfg, train_set, args.count, cfg.master_seed, "population")
-    for i, model in enumerate(models):
-        family = cfg.nonextracted_families[i % len(cfg.nonextracted_families)]
+    runs = _control_runs(cfg, args.count, cfg.master_seed, "population")
+    models = train_fresh_models(cfg, train_set, runs)
+    for i, ((family, _), model) in enumerate(zip(runs, models)):
         path = os.path.join(args.out, f"model-{family}-{i:03d}-{digest}.json")
         serialize.save_model(model, path)
         print(path)

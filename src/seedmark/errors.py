@@ -27,8 +27,8 @@ class FormatError(SeedmarkError):
 
 
 class DivergenceError(SeedmarkError):
-    """Training produced a non-finite loss. `model` is the diverging model's index
-    among those the raising call trained (0 for a single model)."""
+    """Training produced a non-finite loss. `model` is the diverging job's index
+    in the `nnet.train_jobs` list (0 for `nnet.train`)."""
 
     def __init__(self, epoch, batch, model=0):
         self.epoch = epoch

@@ -206,10 +206,6 @@ def _control_runs(cfg, count, seed, tag):
     return [(families[i % len(families)], derive_seed(seed, f"{tag}/{i}")) for i in range(count)]
 
 
-def _control_population(cfg, data, count, seed, tag):
-    return train_fresh_models(cfg, data, _control_runs(cfg, count, seed, tag))
-
-
 def owner_stage(cfg: EvaluationConfig, train_set: Dataset, rep_seed: int):
     """One repetition's (protected, ne-train, ne-test) models, trained in lockstep groups.
     It reads no attack, key-set, BIM, verifier, blur or query-budget setting, so configs

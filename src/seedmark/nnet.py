@@ -278,39 +278,43 @@ def train(model: Model, features, targets, cfg: TrainConfig, frozen_dense=0) -> 
     Batch order is a pure function of cfg.seed. `frozen_dense` leaves the
     first k dense layers' weights untouched (transfer-learning support);
     backprop stops at the first trainable layer, so no gradient is formed
-    for the frozen layers or the inputs. This is `train_population` of one model.
+    for the frozen layers or the inputs. This is `train_jobs` of one job.
     """
-    return train_population([model], [features], [targets], [cfg], frozen_dense)[0]
+    return train_jobs([(model, features, targets, cfg, frozen_dense)])[0]
 
 
-# The most models one `train_population` call of `train_jobs` stacks. A call holds
-# each model's rows, targets, parameters, gradient, Adam moments and temporaries at
+# The most models `train_jobs` stacks in one lockstep loop. A stack holds each
+# model's rows, targets, parameters, gradient, Adam moments and temporaries at
 # once, so this bounds training memory however many jobs share a group.
 MAX_POPULATION = 16
 
 
 def train_jobs(jobs) -> list:
     """`train` of each job, a tuple of its arguments (model, features, targets, cfg,
-    frozen_dense), in one `train_population` call per group of at most
-    `MAX_POPULATION` jobs that share a spec, a row count, an epoch count and frozen
-    layers. Returns the models in job order. A failure raises what training the jobs
-    in turn would: the error of the first failing job, which no later job is trained past."""
+    frozen_dense), trained in lockstep: one stack per group of at most `MAX_POPULATION`
+    jobs that share a spec, a row count, an epoch count and frozen layers. Returns the
+    models in job order, each bit-identical to training it alone. A failure raises
+    what training the jobs in turn would: the error of the first failing job, which no
+    later job is trained past, and a `DivergenceError`'s `model` is that job's index."""
     jobs, groups, failure = list(jobs), {}, None
     for i, (model, features, targets, cfg, frozen_dense) in enumerate(jobs):
         try:
-            rows = len(_check_inputs(model, features))  # `train_population`'s checks, in its order
-            _check_frozen(model.spec, frozen_dense)
-            _target_matrix(model, targets, rows)
+            x = _check_inputs(model, features)
+            check("training row count", len(x), within("[1, inf)"), InputError)
+            check("frozen_dense", frozen_dense,
+                  within(f"[0, {model.spec.dense_count})", INTEGER), SpecError)
+            _target_matrix(model, targets, len(x))
         except SeedmarkError as error:
             failure = (i, error)
             break
-        groups.setdefault((model.spec, rows, cfg.epochs, frozen_dense), []).append(i)
+        jobs[i] = (model, x, targets, cfg)
+        groups.setdefault((model.spec, len(x), cfg.epochs, frozen_dense), []).append(i)
     trained = [None] * len(jobs)
-    for (*_, frozen_dense), group in groups.items():
+    for key, group in groups.items():
         for start in range(0, len(group), MAX_POPULATION):
             chunk = group[start : start + MAX_POPULATION]
             try:
-                models = train_population(*zip(*(jobs[i][:4] for i in chunk)), frozen_dense)
+                models = _train_population(*key, [jobs[i] for i in chunk])
             except DivergenceError as error:
                 i = chunk[error.model]
                 if failure is None or i < failure[0]:
@@ -323,37 +327,15 @@ def train_jobs(jobs) -> list:
     return trained
 
 
-def _check_frozen(spec, frozen_dense):
-    check("frozen_dense", frozen_dense, within(f"[0, {spec.dense_count})", INTEGER), SpecError)
+def _train_population(spec, n, epochs, frozen_dense, jobs) -> tuple:
+    """Train a checked `train_jobs` group of (model, rows, targets, cfg) jobs in lockstep.
 
-
-def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
-    """`train` of each model on its features, targets and config, all in lockstep.
-
-    The models share one spec, one row count and one epoch count; each keeps
-    its own batch order and temperature. Their parameters are one (M, P) stack,
-    and each step runs the forward pass, backprop and one optimizer update
-    over the trainable tail of every row at once. Stacked products and
-    elementwise updates apply the same operations to each row as training it
-    alone, so each model's weights are bit-identical to its `train`. A model
-    that diverges raises the `DivergenceError` its own `train` would: the
-    lowest-index diverging model's, with that index as its `model`.
-    """
-    models, features, targets, cfgs = (list(v) for v in (models, features, targets, cfgs))
-    count = len(models)
-    if count == 0 or not count == len(features) == len(targets) == len(cfgs):
-        raise InputError(f"a population needs one features, targets and config per model, got "
-                         f"{count} models, {len(features)} features, {len(targets)} targets "
-                         f"and {len(cfgs)} configs")
-    spec, epochs = models[0].spec, cfgs[0].epochs
-    if any(m.spec != spec for m in models) or any(c.epochs != epochs for c in cfgs):
-        raise SpecError("a population trains models of one spec for one epoch count")
-    xs = [_check_inputs(m, f) for m, f in zip(models, features)]
-    n = len(xs[0])
-    if any(len(x) != n for x in xs):
-        counts = sorted({len(x) for x in xs})
-        raise InputError(f"a population trains on one row count, got {counts}")
-    _check_frozen(spec, frozen_dense)
+    Their parameters are one (M, P) stack, and each step runs the forward pass, backprop
+    and Adam update over the trainable tail of every row at once, each model with its own
+    batch order and temperature. These apply the same operations to each row as training
+    it alone, so each model's bytes equal its solo training's. Divergence raises the
+    lowest-index diverging model's `DivergenceError`, with that index as its `model`."""
+    models, xs, targets, cfgs = zip(*jobs)
     # every model's rows, and targets, one after another: model i's row r is row i * n + r
     x = np.concatenate(xs)
     t = np.concatenate([_target_matrix(m, tg, n) for m, tg in zip(models, targets)])
@@ -368,7 +350,7 @@ def train_population(models, features, targets, cfgs, frozen_dense=0) -> tuple:
     tmp = np.empty_like(p)
     scale = np.array([c.temperature for c in cfgs])[:, None, None]
     shufflers = [stream(c.seed, "shuffle") for c in cfgs]
-    offsets = np.arange(0, count * n, n)[:, None]
+    offsets = np.arange(0, len(jobs) * n, n)[:, None]
     top_bias_grad = grads[-1][1]
     diverged = {}  # model index -> (epoch, batch) of its first non-finite step
     step = 0

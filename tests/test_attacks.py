@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedmark.attacks import ATTACKS, blur_prune, blur_quantize, extract, sample_queries
+from seedmark.attacks import (ATTACKS, blur_prune, blur_quantize, extract_population,
+                              sample_queries)
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
 from seedmark.errors import ConfigError, InputError, SpecError
 from seedmark.harness import EvaluationConfig, build_attacked_model, parse_attack_token
@@ -38,9 +39,9 @@ def surrogate_spec(blob_data):
 def fresh_extract(victim, inputs, spec, seed, attack="RET", temperature=None):
     """`build_attacked_model`'s extraction for a fresh surrogate: half the
     inputs as queries, the surrogate initialized from the attack seed."""
-    return extract(victim, sample_queries(inputs, 0.5, seed),
-                   init_model(spec, derive_seed(seed, "surrogate-init")),
-                   TrainConfig(seed=seed), attack, temperature=temperature)
+    return extract_population([(victim, sample_queries(inputs, 0.5, seed),
+                                init_model(spec, derive_seed(seed, "surrogate-init")),
+                                TrainConfig(seed=seed), attack, temperature, 0)])[0]
 
 
 class TestConfigs:
@@ -180,8 +181,8 @@ def pretrained(blob_data, surrogate_spec):
 
 
 def transfer(victim, inputs, pretrained, frozen, seed=0):
-    return extract(victim, sample_queries(inputs, 0.5, seed), pretrained,
-                   TrainConfig(seed=seed), "TRL", frozen_dense=frozen)
+    return extract_population([(victim, sample_queries(inputs, 0.5, seed), pretrained,
+                                TrainConfig(seed=seed), "TRL", None, frozen)])[0]
 
 
 class TestTransfer:
@@ -224,8 +225,9 @@ class TestTransfer:
 
 
 def copycat(victim, probes, spec, seed=0):
-    return extract(victim, probes, init_model(spec, derive_seed(seed, "surrogate-init")),
-                   TrainConfig(seed=seed), "CC")
+    surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
+    return extract_population([(victim, probes, surrogate, TrainConfig(seed=seed), "CC",
+                                None, 0)])[0]
 
 
 class TestCopycat:

@@ -87,6 +87,10 @@ def test_empty_batch(trained_model):
     cfg = BimConfig()
     out = bim_batch(trained_model, np.empty((0, trained_model.spec.input_dim)), [], cfg)
     assert out.shape == (0, trained_model.spec.input_dim)
+    # an empty batch of another width is as wrong as a full one
+    width = trained_model.spec.input_dim + 1
+    with pytest.raises(InputError, match=rf"got shape \(0, {width}\)"):
+        bim_batch(trained_model, np.empty((0, width)), [], cfg)
 
 
 def test_batch_elementwise_equals_singles(trained_model, blob_data):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seedmark.attacks import extract, sample_queries
+from seedmark.attacks import extract_population, sample_queries
 from seedmark.bim import BimConfig
 from seedmark.cli import PRESETS
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
@@ -334,27 +334,28 @@ class TestAttackedModels:
 
     @pytest.mark.parametrize("token", ["RET", "DIS", "TRL", "CAR", "CC"])
     def test_token_picks_the_inputs_of_extract(self, victim_and_data, token):
-        """Each token is `extract` on its queries, surrogate and targets."""
+        """Each token is `extract_population` on its queries, surrogate and targets."""
         cfg, victim, data = victim_and_data
         seed = 9
         queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
         family = CROSS_ARCH_FAMILY if token == "CAR" else cfg.protected_family
         surrogate = init_model(family_spec(family, data.dims, data.class_count),
                                derive_seed(seed, "surrogate-init"))
-        kwargs = {}
+        temperature, frozen_dense = None, 0
         if token == "CC":
             queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
                                           seed=derive_seed(seed, "probes"))
         if token == "DIS":
-            kwargs["temperature"] = DISTILL_TEMPERATURE
+            temperature = DISTILL_TEMPERATURE
         if token == "TRL":
             pre_data = generate(replace(cfg.gen, dims=data.dims, classes=data.class_count),
                                 derive_seed(seed, "pretrain-data"))
             surrogate = train_fresh(cfg, pre_data, cfg.protected_family,
                                     derive_seed(seed, "pretrain"))
-            kwargs["frozen_dense"] = FROZEN_LAYERS
+            frozen_dense = FROZEN_LAYERS
         train_cfg = TrainConfig(epochs=cfg.epochs, seed=seed)
-        expected = extract(victim, queries, surrogate, train_cfg, token, **kwargs)
+        expected, = extract_population([(victim, queries, surrogate, train_cfg, token,
+                                         temperature, frozen_dense)])
         model = build_attacked_model(cfg, victim, token, data, seed)
         assert model.spec == expected.spec and model.provenance == expected.provenance
         for (w1, b1), (w2, b2) in zip(model.weights, expected.weights, strict=True):

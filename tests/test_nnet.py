@@ -25,7 +25,6 @@ from seedmark.nnet import (
     predict,
     train,
     train_jobs,
-    train_population,
 )
 from seedmark.rng import stream
 from seedmark.watermark import KeySet
@@ -393,6 +392,21 @@ class TestTrain:
             train(m, np.zeros((4, 2)), np.array([0, 1, 0, 1]), TrainConfig(epochs=1),
                   frozen_dense=bad)
 
+    @pytest.mark.parametrize("targets", [np.array([], int), np.empty((0, 2))],
+                             ids=["labels", "confidences"])
+    def test_training_needs_at_least_one_row(self, targets):
+        m = init_model(ModelSpec((3, 4, 2)), 0)
+        rule = r"^training row count must be in \[1, inf\), got 0$"
+        with pytest.raises(InputError, match=rule):
+            train(m, np.empty((0, 3)), targets, TrainConfig())
+        # in a list, the empty job fails in job order: after an invalid job, ahead of a later one
+        good = (m, np.zeros((4, 3)), np.array([0, 1, 0, 1]), TrainConfig(epochs=1), 0)
+        empty = (m, np.empty((0, 3)), targets, TrainConfig(epochs=1), 0)
+        with pytest.raises(InputError, match=rule):
+            train_jobs([good, empty, (m, np.zeros((4, 3)), np.array([0, 1]), good[3], 0)])
+        with pytest.raises(InputError, match="2 targets for 4 inputs"):
+            train_jobs([good, (m, np.zeros((4, 3)), np.array([0, 1]), good[3], 0), empty])
+
     def test_labels_equal_their_one_hot_confidences_at_any_temperature(self):
         # the targets' shape picks the loss, and temperature divides the logits for both
         rng = np.random.default_rng(2)
@@ -588,14 +602,30 @@ def _population_inputs(size, family="A", n=70, dims=5, classes=3):
     return models, features, targets, cfgs
 
 
+def _jobs(models, features, targets, cfgs, frozen_dense=0):
+    return [(*job, frozen_dense) for job in zip(models, features, targets, cfgs)]
+
+
+def _count_stacks(monkeypatch) -> list:
+    """The size of each lockstep stack `train_jobs` trains from now on, in call order."""
+    stacks, stacked = [], nnet._train_population
+    monkeypatch.setattr(nnet, "_train_population",
+                        lambda *a: stacks.append(len(a[-1])) or stacked(*a))
+    return stacks
+
+
 @pytest.mark.parametrize("frozen_dense", [0, 1])
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 @pytest.mark.parametrize("size", [1, 2, 7])
-def test_train_population_bit_identical_to_separate_train(size, family, frozen_dense):
+def test_train_population_bit_identical_to_separate_train(size, family, frozen_dense,
+                                                          monkeypatch):
+    """`train_jobs` of `size` same-shaped jobs trains them as one stack, and gives each
+    model the bytes of its solo training and of the per-layer reference loop."""
     models, features, targets, cfgs = _population_inputs(size, family)
     assert len(features[0]) % TrainConfig.batch_size != 0
-    trained = train_population(models, features, targets, cfgs, frozen_dense)
-    assert len(trained) == size
+    stacks = _count_stacks(monkeypatch)
+    trained = train_jobs(_jobs(models, features, targets, cfgs, frozen_dense))
+    assert stacks == [size] and len(trained) == size
     for i, model in enumerate(trained):
         alone = train(models[i], features[i], targets[i], cfgs[i], frozen_dense)
         assert model.spec == alone.spec and model.provenance == alone.provenance
@@ -616,27 +646,29 @@ def test_train_jobs_groups_and_keeps_job_order():
             (b[0][1], b[1][1], b[2][1], b[3][1], 0)]
     for job, model in zip(jobs, train_jobs(jobs), strict=True):
         assert model.params.tobytes() == train(*job).params.tobytes()
+    assert train_jobs([]) == []
 
 
 def test_train_population_raises_the_first_diverging_models_error():
     """Model 2 diverges at the first batch and model 1 at a later one: sequential
-    training stops at model 1, and so does the lockstep group."""
+    training stops at model 1, and so does the lockstep stack."""
     models, features, targets, cfgs = _population_inputs(4)
     features = [x.copy() for x in features]
     for i, batch in ((1, 1), (2, 0)):
         order = stream(cfgs[i].seed, "shuffle").permutation(len(features[i]))
         features[i][order[batch * TrainConfig.batch_size], 0] = np.nan
+    jobs = _jobs(models, features, targets, cfgs)
     with pytest.raises(DivergenceError) as alone:
-        for job in zip(models, features, targets, cfgs):
+        for job in jobs:
             train(*job)
     assert (alone.value.epoch, alone.value.batch) == (0, 1)
     with pytest.raises(DivergenceError) as group:
-        train_population(models, features, targets, cfgs)
-    assert (group.value.epoch, group.value.batch) == (0, 1)
+        train_jobs(jobs)
+    assert (group.value.epoch, group.value.batch, group.value.model) == (0, 1, 1)
     # a diverging first model raises at its own batch, as its `train` does
     with pytest.raises(DivergenceError) as first:
-        train_population(models[2:], features[2:], targets[2:], cfgs[2:])
-    assert (first.value.epoch, first.value.batch) == (0, 0)
+        train_jobs(jobs[2:])
+    assert (first.value.epoch, first.value.batch, first.value.model) == (0, 0, 0)
 
 
 def _poison(features, cfg, batch):
@@ -682,7 +714,7 @@ def test_train_jobs_raises_the_first_failing_jobs_error_across_groups():
     assert str(got.value) == str(_first_error([jobs[5], *jobs[:5]]))
 
 
-def test_train_jobs_memory_does_not_grow_with_the_group():
+def test_train_jobs_memory_does_not_grow_with_the_group(monkeypatch):
     """A group larger than `MAX_POPULATION` trains in calls of at most that many
     models, so four times the jobs need no more room than one full call."""
     rng = np.random.default_rng(5)
@@ -700,7 +732,9 @@ def test_train_jobs_memory_does_not_grow_with_the_group():
     jobs = [(init_model(spec, s), x, y, TrainConfig(epochs=1, seed=s), 0)
             for s in range(4 * nnet.MAX_POPULATION)]
     one_call, _ = peak_bytes(jobs[:nnet.MAX_POPULATION])
+    stacks = _count_stacks(monkeypatch)
     four_calls, trained = peak_bytes(jobs)
+    assert stacks == [nnet.MAX_POPULATION] * 4
     # one call stacks MAX_POPULATION copies of x (2 MB); a single call for
     # every job would stack four times as many
     assert one_call > nnet.MAX_POPULATION * x.nbytes
@@ -725,30 +759,6 @@ def test_train_population_holds_one_adam_scratch_stack(size):
         tracemalloc.stop()
     # a second scratch stack would read above six stacks
     assert peak < 5.5 * size * spec.param_count * 8
-
-
-@pytest.mark.parametrize("change, error, message", [
-    ("spec", SpecError, "one spec for one epoch count"),
-    ("epochs", SpecError, "one spec for one epoch count"),
-    ("rows", InputError, r"one row count, got \[40, 70\]"),
-    ("count", InputError, "one features, targets and config per model"),
-    ("empty", InputError, "got 0 models"),
-])
-def test_train_population_refuses_a_mixed_group(change, error, message):
-    models, features, targets, cfgs = _population_inputs(2)
-    if change == "spec":
-        models[1] = init_model(family_spec("C", 5, 3), 1)
-    elif change == "epochs":
-        cfgs[1] = TrainConfig(epochs=3, seed=1)
-    elif change == "rows":
-        features[1], targets[1] = features[1][:40], targets[1][:40]
-    elif change == "count":
-        cfgs = cfgs[:1]
-    else:
-        models, features, targets, cfgs = [], [], [], []
-    with pytest.raises(error, match=message) as err:
-        train_population(models, features, targets, cfgs)
-    assert isinstance(err.value, SeedmarkError)
 
 
 # each frozen dataclass that holds arrays, built anew on each call

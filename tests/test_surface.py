@@ -15,7 +15,7 @@ from typing import Annotated, get_args, get_origin
 import numpy as np
 import pytest
 
-from seedmark import cli, errors
+from seedmark import attacks, cli, errors, nnet
 from seedmark.bim import BimConfig
 from seedmark.datasets import GenSpec
 from seedmark.errors import ConfigError, SpecError
@@ -48,6 +48,20 @@ def test_train_config_fields():
 def test_train_config_refuses_a_keyword_it_does_not_declare(keyword, value):
     with pytest.raises(TypeError, match=keyword):
         TrainConfig(**{keyword: value})
+
+
+def public_functions(module, word) -> set:
+    """The names of the public functions `module` defines that contain `word`."""
+    return {name for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__
+            and not name.startswith("_") and word in name}
+
+
+def test_one_training_entry_point_and_one_extraction():
+    # a single model is a list of one job or extraction, so a second entry point
+    # has to be added on purpose
+    assert public_functions(nnet, "train") == {"train", "train_jobs"}
+    assert public_functions(attacks, "extract") == {"extract_population"}
 
 
 def test_cli_options():

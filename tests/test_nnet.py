@@ -649,6 +649,34 @@ def test_train_jobs_groups_and_keeps_job_order():
     assert train_jobs([]) == []
 
 
+@pytest.mark.parametrize("change", ["spec", "epochs", "rows", "frozen_dense",
+                                    "seed", "temperature", "targets"])
+def test_train_jobs_splits_a_mixed_group(change, monkeypatch):
+    """Two jobs that differ in spec, epoch count, row count or frozen layers train
+    as two stacks; a seed, temperature or kind of target of their own keeps them in
+    one. Either way each model has the bytes of its solo training."""
+    models, features, targets, cfgs = _population_inputs(2)
+    targets[1] = targets[0].copy()
+    cfgs = [TrainConfig(epochs=2, seed=60)] * 2
+    jobs = _jobs(models, features, targets, cfgs)
+    second = {
+        "spec": lambda: (init_model(family_spec("C", 5, 3), 1), *jobs[1][1:]),
+        "epochs": lambda: (*jobs[1][:3], TrainConfig(epochs=3, seed=60), 0),
+        "rows": lambda: (jobs[1][0], features[1][:40], targets[1][:40], *jobs[1][3:]),
+        "frozen_dense": lambda: (*jobs[1][:4], 1),
+        "seed": lambda: (*jobs[1][:3], TrainConfig(epochs=2, seed=61), 0),
+        "temperature": lambda: (*jobs[1][:3], TrainConfig(epochs=2, seed=60,
+                                                          temperature=2.0), 0),
+        "targets": lambda: (*jobs[1][:2], np.eye(3)[targets[1]], *jobs[1][3:]),
+    }
+    jobs[1] = second[change]()
+    counted = _count_stacks(monkeypatch)
+    trained = train_jobs(jobs)
+    assert counted == ([1, 1] if change in ("spec", "epochs", "rows", "frozen_dense") else [2])
+    for job, model in zip(jobs, trained, strict=True):
+        assert model.params.tobytes() == train(*job).params.tobytes()
+
+
 def test_train_population_raises_the_first_diverging_models_error():
     """Model 2 diverges at the first batch and model 1 at a later one: sequential
     training stops at model 1, and so does the lockstep stack."""

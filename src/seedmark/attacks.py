@@ -1,24 +1,23 @@
-"""Model extraction attacks and blurring methods.
+"""Model extraction attack tokens, query sampling and blurring methods.
 
-Extraction attacks query a victim model and train a surrogate on the
-responses (hard labels or full confidence vectors). Blurring methods
-post-process an extracted model to obscure inherited behavior. Both are
-used by the simulated adversary and, during key-set generation, by the
-model owner.
+An extraction attack queries a victim model and trains a surrogate on the
+answers (hard labels, or full confidence vectors for DIS); that training
+is a `nnet.train_jobs` job, which `harness.build_attacked_models` builds.
+Blurring methods post-process an extracted model to obscure inherited
+behavior. Both are used by the simulated adversary and, during key-set
+generation, by the model owner.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import INTEGER, NUMBER, ConfigError, InputError, check, within
-from .nnet import Model, forward, predict, train_jobs
+from .nnet import Model
 from .rng import stream
 from .serialize import model_digest
 
 # Every extraction attack token. The attacks differ only in their queries,
 # their targets and their starting network; `harness.build_attacked_models`
-# picks those for each token.
+# picks those for each token and trains every surrogate in one `train_jobs` call.
 ATTACKS = ("RET", "DIS", "TRL", "CAR", "CC")
 
 
@@ -32,25 +31,6 @@ def sample_queries(train_inputs, fraction, seed):
         raise InputError("query budget yields zero samples")
     idx = stream(seed, "attack/queries").permutation(n)[:count]
     return train_inputs[idx]
-
-
-def extract_population(extractions) -> list:
-    """Train each surrogate on its victim's answers to its queries, in lockstep groups
-    (`nnet.train_jobs`); returns the models in extraction order. An extraction is a
-    (victim, queries, surrogate, train_cfg, attack, temperature, frozen_dense) tuple:
-    the answers are hard labels, or with a `temperature` the confidence vectors trained
-    at that temperature. `attack` is recorded in provenance."""
-    jobs = []
-    for victim, queries, surrogate, train_cfg, _, temperature, frozen_dense in extractions:
-        if temperature is None:
-            targets = predict(victim, queries)
-        else:
-            targets = forward(victim, queries)
-            train_cfg = replace(train_cfg, temperature=temperature)
-        jobs.append((surrogate, queries, targets, train_cfg, frozen_dense))
-    return [Model(trained.spec, trained.params, trained.provenance + (
-                dict(attack=attack, victim=model_digest(victim), stage="extracted"),))
-            for trained, (victim, _, _, _, attack, _, _) in zip(train_jobs(jobs), extractions)]
 
 
 def blur_prune(model: Model, sparsity: float) -> Model:

@@ -16,13 +16,14 @@ from typing import Annotated, ClassVar
 
 import numpy as np
 
-from .attacks import ATTACKS, blur_prune, blur_quantize, extract_population, sample_queries
+from .attacks import ATTACKS, blur_prune, blur_quantize, sample_queries
 from .bim import BimConfig
 from .datasets import Dataset, GenSpec, check_fits, generate, split
 from .datasets import random_probe_inputs
 from .errors import NON_EMPTY, ConfigError, Rule, among, check, check_field_types, each
 from .metrics import RocCurve, roc_auc
-from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, init_model, train, train_jobs
+from .nnet import FAMILY_DEFAULTS, Model, TrainConfig, family_spec, forward, init_model, predict
+from .nnet import train, train_jobs
 from .rng import derive_seed
 from .serialize import _OBJECT, _read_text, model_digest
 from .watermark import VERIFIER_FIELDS, _fit_verifier
@@ -124,15 +125,11 @@ class EvaluationReport:
     train_profiles: tuple  # per rep: (extracted (M,n), non-extracted (M,n)) arrays
 
 
-def _train_cfg(cfg: EvaluationConfig, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=cfg.epochs, seed=seed)
-
-
 def _fresh_job(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> tuple:
     """The `nnet.train_jobs` job of `train_fresh`."""
     spec = family_spec(family, data.dims, data.class_count)
     return (init_model(spec, derive_seed(seed, "init")), data.features, data.labels,
-            _train_cfg(cfg, derive_seed(seed, "train")), 0)
+            TrainConfig(cfg.epochs, derive_seed(seed, "train")), 0)
 
 
 def train_fresh(cfg: EvaluationConfig, data: Dataset, family: str, seed: int) -> Model:
@@ -156,8 +153,8 @@ def build_attacked_models(cfg: EvaluationConfig, attacks) -> list:
 
     Every TRL pretraining trains first, then every extraction, each in
     lockstep groups (`nnet.train_jobs`). Returns the models in attack order.
-    A failing pretraining raises before any extraction trains, so it is named
-    even where an earlier attack's extraction would fail too."""
+    Errors come in that order, after the token and shape checks: the pretrainings,
+    then each attack's queries and targets, then the extractions, each in attack order."""
     parsed = [parse_attack_token(token) for _, token, _, _ in attacks]
     for victim, _, data, _ in attacks:
         check_fits(data, victim, "victim")
@@ -167,7 +164,7 @@ def build_attacked_models(cfg: EvaluationConfig, attacks) -> list:
                                  derive_seed(seed, "pretrain-data")),
                    cfg.protected_family, derive_seed(seed, "pretrain"))
         for (_, _, data, seed), (base, _) in zip(attacks, parsed) if base == "TRL"]))
-    extractions = []
+    jobs = []
     for (victim, _, data, seed), (base, _) in zip(attacks, parsed):
         if base == "CC":
             queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
@@ -180,11 +177,19 @@ def build_attacked_models(cfg: EvaluationConfig, attacks) -> list:
             family = CROSS_ARCH_FAMILY if base == "CAR" else cfg.protected_family
             spec = family_spec(family, data.dims, data.class_count)
             surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
-        extractions.append((victim, queries, surrogate, _train_cfg(cfg, seed), base,
-                            DISTILL_TEMPERATURE if base == "DIS" else None,
-                            FROZEN_LAYERS if base == "TRL" else 0))
-    return [model if blur is None else blur_model(cfg, model, blur)
-            for model, (_, blur) in zip(extract_population(extractions), parsed)]
+        if base == "DIS":
+            targets = forward(victim, queries)
+            train_cfg = TrainConfig(cfg.epochs, seed, DISTILL_TEMPERATURE)
+        else:
+            targets, train_cfg = predict(victim, queries), TrainConfig(cfg.epochs, seed)
+        jobs.append((surrogate, queries, targets, train_cfg,
+                     FROZEN_LAYERS if base == "TRL" else 0))
+    models = []
+    for trained, (victim, _, _, _), (base, blur) in zip(train_jobs(jobs), attacks, parsed):
+        model = Model(trained.spec, trained.params, trained.provenance + (
+            dict(attack=base, victim=model_digest(victim), stage="extracted"),))
+        models.append(model if blur is None else blur_model(cfg, model, blur))
+    return models
 
 
 def blur_model(cfg: EvaluationConfig, model: Model, method: str) -> Model:

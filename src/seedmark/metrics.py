@@ -24,8 +24,8 @@ def roc_auc(pos_scores, neg_scores) -> RocCurve:
     """ROC of positive (extracted) vs negative (non-extracted) scores."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
-    if len(pos) == 0 or len(neg) == 0:
-        raise InputError("both score lists must be non-empty")
+    if pos.ndim != 1 or neg.ndim != 1 or len(pos) == 0 or len(neg) == 0:
+        raise InputError("both score lists must be non-empty and 1-d")
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise InputError("scores must be finite")
     # not np.unique, which imports numpy.ma on its first call

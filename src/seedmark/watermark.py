@@ -44,6 +44,11 @@ class KeySet:
     provenance: dict
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if (np.ndim(self.watermarks) != 2 or labels.ndim != 1
+                or not np.issubdtype(labels.dtype, np.integer)):
+            raise WatermarkError(f"key-set needs 2-d watermarks and 1-d integer labels, got "
+                                 f"{np.shape(self.watermarks)} and {labels.dtype} {labels.shape}")
         if len(self.watermarks) == 0 or len(self.watermarks) != len(self.labels):
             raise WatermarkError("key-set must be non-empty and index-aligned")
 

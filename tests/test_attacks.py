@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedmark.attacks import (ATTACKS, blur_prune, blur_quantize, extract_population,
-                              sample_queries)
+from seedmark.attacks import ATTACKS, blur_prune, blur_quantize, sample_queries
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
-from seedmark.errors import ConfigError, InputError, SpecError
+from seedmark.errors import ConfigError, InputError
 from seedmark.harness import EvaluationConfig, build_attacked_model, parse_attack_token
 from seedmark.nnet import (
     Model,
@@ -36,12 +35,19 @@ def surrogate_spec(blob_data):
     return family_spec("A", train_set.dims, train_set.class_count)
 
 
-def fresh_extract(victim, inputs, spec, seed, attack="RET", temperature=None):
-    """`build_attacked_model`'s extraction for a fresh surrogate: half the
-    inputs as queries, the surrogate initialized from the attack seed."""
-    return extract_population([(victim, sample_queries(inputs, 0.5, seed),
-                                init_model(spec, derive_seed(seed, "surrogate-init")),
-                                TrainConfig(seed=seed), attack, temperature, 0)])[0]
+def fresh_extract(victim, data, seed, temperature=None):
+    """The RET token's model; with a `temperature`, DIS's extraction at that
+    temperature: half the rows as queries, the victim's confidences as targets
+    and a fresh surrogate of the protected family, as `build_attacked_model`
+    picks them."""
+    cfg = EvaluationConfig()
+    if temperature is None:
+        return build_attacked_model(cfg, victim, "RET", data, seed)
+    queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
+    surrogate = init_model(family_spec(cfg.protected_family, data.dims, data.class_count),
+                           derive_seed(seed, "surrogate-init"))
+    return train(surrogate, queries, forward(victim, queries),
+                 TrainConfig(cfg.epochs, seed, temperature))
 
 
 class TestConfigs:
@@ -103,23 +109,23 @@ class TestRetraining:
         quirks = victim_preds != train_set.labels
         ext, ind = [], []
         for s in range(10):
-            extracted = fresh_extract(trained_model, train_set.features, surrogate_spec, 1000 + s)
+            extracted = fresh_extract(trained_model, train_set, 1000 + s)
             independent = train(init_model(surrogate_spec, 2000 + s), train_set.features,
                                 train_set.labels, TrainConfig(seed=2000 + s))
             ext.append(np.mean(predict(extracted, train_set.features)[quirks] == victim_preds[quirks]))
             ind.append(np.mean(predict(independent, train_set.features)[quirks] == victim_preds[quirks]))
         assert np.mean(ext) > np.mean(ind)
 
-    def test_determinism(self, trained_model, blob_data, surrogate_spec):
+    def test_determinism(self, trained_model, blob_data):
         train_set, _ = blob_data
-        m1 = fresh_extract(trained_model, train_set.features, surrogate_spec, 4)
-        m2 = fresh_extract(trained_model, train_set.features, surrogate_spec, 4)
+        m1 = fresh_extract(trained_model, train_set, 4)
+        m2 = fresh_extract(trained_model, train_set, 4)
         for (w1, _), (w2, _) in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
-    def test_provenance_records_attack(self, trained_model, blob_data, surrogate_spec):
+    def test_provenance_records_attack(self, trained_model, blob_data):
         train_set, _ = blob_data
-        m = fresh_extract(trained_model, train_set.features, surrogate_spec, 0)
+        m = fresh_extract(trained_model, train_set, 0)
         last = m.provenance[-1]
         assert last["stage"] == "extracted"
         assert last["attack"] == "RET" and "victim" in last
@@ -157,18 +163,16 @@ class TestDistillation:
         victim_conf = forward(trained_model, quirks)
         d_dis, d_ind = [], []
         for s in range(6):
-            distilled = fresh_extract(trained_model, train_set.features, surrogate_spec,
-                                      600 + s, "DIS", temperature=1.0)
+            distilled = fresh_extract(trained_model, train_set, 600 + s, temperature=1.0)
             independent = train(init_model(surrogate_spec, 700 + s), train_set.features,
                                 train_set.labels, TrainConfig(seed=700 + s))
             d_dis.append(np.linalg.norm(forward(distilled, quirks) - victim_conf, axis=1).mean())
             d_ind.append(np.linalg.norm(forward(independent, quirks) - victim_conf, axis=1).mean())
         assert np.mean(d_dis) < np.mean(d_ind)
 
-    def test_determinism(self, trained_model, blob_data, surrogate_spec):
+    def test_determinism(self, trained_model, blob_data):
         train_set, _ = blob_data
-        m1, m2 = (fresh_extract(trained_model, train_set.features, surrogate_spec, 8, "DIS",
-                                temperature=3.0) for _ in range(2))
+        m1, m2 = (fresh_extract(trained_model, train_set, 8, temperature=3.0) for _ in range(2))
         for (w1, _), (w2, _) in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
@@ -181,8 +185,9 @@ def pretrained(blob_data, surrogate_spec):
 
 
 def transfer(victim, inputs, pretrained, frozen, seed=0):
-    return extract_population([(victim, sample_queries(inputs, 0.5, seed), pretrained,
-                                TrainConfig(seed=seed), "TRL", None, frozen)])[0]
+    """TRL's extraction from `pretrained` with its first `frozen` dense layers kept."""
+    queries = sample_queries(inputs, 0.5, seed)
+    return train(pretrained, queries, predict(victim, queries), TrainConfig(seed=seed), frozen)
 
 
 class TestTransfer:
@@ -194,47 +199,25 @@ class TestTransfer:
             assert np.array_equal(tuned.weights[li][0], pretrained.weights[li][0])
         assert not np.array_equal(tuned.weights[-1][0], pretrained.weights[-1][0])
 
-    def test_frozen_zero_equals_finetune_everything(self, trained_model, blob_data,
-                                                    surrogate_spec, pretrained):
-        train_set, _ = blob_data
-        tuned = transfer(trained_model, train_set.features, pretrained, 0, seed=3)
-        queries = sample_queries(train_set.features, 0.5, 3)
-        labels = predict(trained_model, queries)
-        reference = train(pretrained, queries, labels, TrainConfig(seed=3))
-        for (w1, b1), (w2, b2) in zip(tuned.weights, reference.weights):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
-
-    def test_improves_victim_agreement(self, trained_model, blob_data, surrogate_spec, pretrained):
+    def test_improves_victim_agreement(self, trained_model, blob_data, pretrained):
         train_set, test_set = blob_data
         tuned = transfer(trained_model, train_set.features, pretrained, 1)
         assert agreement(tuned, trained_model, test_set.features) > 0.9 * agreement(
             pretrained, trained_model, test_set.features
         )
 
-    def test_freeze_everything_rejected(self, trained_model, blob_data, surrogate_spec, pretrained):
-        train_set, _ = blob_data
-        with pytest.raises(SpecError):
-            transfer(trained_model, train_set.features, pretrained, surrogate_spec.dense_count)
-
-    @pytest.mark.parametrize("frozen", [-1, True, 1.5], ids=["negative", "bool", "fraction"])
-    def test_frozen_count_must_be_a_whole_layer_count(self, trained_model, blob_data, pretrained,
-                                                      frozen):
-        train_set, _ = blob_data
-        with pytest.raises(SpecError, match="frozen_dense must be an integer in"):
-            transfer(trained_model, train_set.features, pretrained, frozen)
-
 
 def copycat(victim, probes, spec, seed=0):
+    """CC's extraction on the given probes."""
     surrogate = init_model(spec, derive_seed(seed, "surrogate-init"))
-    return extract_population([(victim, probes, surrogate, TrainConfig(seed=seed), "CC",
-                                None, 0)])[0]
+    return train(surrogate, probes, predict(victim, probes), TrainConfig(seed=seed))
 
 
 class TestCopycat:
-    def test_ample_probes_good_agreement(self, trained_model, blob_data, surrogate_spec):
+    def test_ample_probes_good_agreement(self, trained_model, blob_data):
+        # the CC token: 20 random probes per data row
         train_set, test_set = blob_data
-        probes = random_probe_inputs(20 * len(train_set), train_set.dims, seed=17)
-        model = copycat(trained_model, probes, surrogate_spec, seed=2)
+        model = build_attacked_model(EvaluationConfig(), trained_model, "CC", train_set, 2)
         assert agreement(model, trained_model, test_set.features) >= 0.7
 
     def test_zero_probes_error(self, trained_model, surrogate_spec):

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seedmark.attacks import extract_population, sample_queries
+from seedmark.attacks import sample_queries
 from seedmark.bim import BimConfig
 from seedmark.cli import PRESETS
 from seedmark.datasets import GenSpec, generate, random_probe_inputs
-from seedmark.errors import ConfigError, SpecError
+from seedmark.errors import ConfigError, InputError, SpecError
 from seedmark.harness import (
     ATTACK_TOKENS,
     CROSS_ARCH_FAMILY,
@@ -28,7 +28,7 @@ from seedmark.harness import (
     run_raw_evaluation,
     train_fresh,
 )
-from seedmark.nnet import TrainConfig, family_spec, init_model
+from seedmark.nnet import Model, TrainConfig, family_spec, forward, init_model, predict, train
 from seedmark.rng import derive_seed
 from seedmark.serialize import model_digest
 
@@ -334,32 +334,32 @@ class TestAttackedModels:
 
     @pytest.mark.parametrize("token", ["RET", "DIS", "TRL", "CAR", "CC"])
     def test_token_picks_the_inputs_of_extract(self, victim_and_data, token):
-        """Each token is `extract_population` on its queries, surrogate and targets."""
+        """Each token is `train` of its surrogate on its queries, its targets, its
+        temperature and its frozen layers, plus an `extracted` record."""
         cfg, victim, data = victim_and_data
         seed = 9
         queries = sample_queries(data.features, cfg.query_budget_fraction, seed)
         family = CROSS_ARCH_FAMILY if token == "CAR" else cfg.protected_family
         surrogate = init_model(family_spec(family, data.dims, data.class_count),
                                derive_seed(seed, "surrogate-init"))
-        temperature, frozen_dense = None, 0
+        train_cfg, frozen_dense = TrainConfig(cfg.epochs, seed), 0
         if token == "CC":
             queries = random_probe_inputs(cfg.copycat_probe_factor * len(data), data.dims,
                                           seed=derive_seed(seed, "probes"))
         if token == "DIS":
-            temperature = DISTILL_TEMPERATURE
+            train_cfg = TrainConfig(cfg.epochs, seed, DISTILL_TEMPERATURE)
         if token == "TRL":
             pre_data = generate(replace(cfg.gen, dims=data.dims, classes=data.class_count),
                                 derive_seed(seed, "pretrain-data"))
             surrogate = train_fresh(cfg, pre_data, cfg.protected_family,
                                     derive_seed(seed, "pretrain"))
             frozen_dense = FROZEN_LAYERS
-        train_cfg = TrainConfig(epochs=cfg.epochs, seed=seed)
-        expected, = extract_population([(victim, queries, surrogate, train_cfg, token,
-                                         temperature, frozen_dense)])
+        targets = forward(victim, queries) if token == "DIS" else predict(victim, queries)
+        trained = train(surrogate, queries, targets, train_cfg, frozen_dense)
         model = build_attacked_model(cfg, victim, token, data, seed)
-        assert model.spec == expected.spec and model.provenance == expected.provenance
-        for (w1, b1), (w2, b2) in zip(model.weights, expected.weights, strict=True):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert model.spec == trained.spec and model.params.tobytes() == trained.params.tobytes()
+        assert model.provenance == trained.provenance + (
+            {"attack": token, "victim": model_digest(victim), "stage": "extracted"},)
 
     def test_population_equals_each_attack_alone(self, victim_and_data):
         """Every token, twice, against two victims: the lockstep groups give each
@@ -373,6 +373,20 @@ class TestAttackedModels:
             alone = build_attacked_model(cfg, v, token, data, seed)
             assert model.provenance == alone.provenance
             assert model.params.tobytes() == alone.params.tobytes()
+
+    def test_errors_come_in_check_then_attack_order(self, victim_and_data):
+        """The shape checks come first; after them, the first failing attack names
+        itself: attack 0's victim overflows on its queries, attack 1's one row
+        yields no queries at half the budget."""
+        cfg, victim, data = victim_and_data
+        overflowing = Model(victim.spec, victim.params * 1e200, victim.provenance)
+        one_row = type(data)(data.features[:1], data.labels[:1], data.class_count, "one-row", 0)
+        attacks = [(overflowing, "RET", data, 1), (victim, "RET", one_row, 2)]
+        with pytest.raises(InputError, match="forward pass overflows"):
+            build_attacked_models(cfg, attacks)
+        misfit = generate(GenSpec(classes=3, dims=5, samples_per_class=4), seed=4)
+        with pytest.raises(InputError, match="^dataset of 5 features and 3 classes does not fit"):
+            build_attacked_models(cfg, [*attacks, (victim, "RET", misfit, 3)])
 
     def test_transfer_attack_on_data_unlike_default_gen(self):
         cfg = EvaluationConfig()

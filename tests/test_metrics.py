@@ -39,6 +39,13 @@ def test_empty_rejected():
         roc_auc([], [0.1])
     with pytest.raises(InputError):
         roc_auc([0.1], [])
+    # a score table or a bare score is not a list of scores
+    with pytest.raises(InputError, match="1-d"):
+        roc_auc([[0.1, 0.2]], [0.3])
+    with pytest.raises(InputError, match="1-d"):
+        roc_auc(0.5, [0.3])
+    with pytest.raises(InputError, match="1-d"):
+        roc_auc([0.5], [[0.3]])
 
 
 @pytest.mark.parametrize("pos, neg", [([np.nan], [0.1]), ([0.9], [np.inf]),

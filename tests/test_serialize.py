@@ -11,11 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seedmark.attacks import blur_prune, blur_quantize, extract_population
+from seedmark.attacks import blur_quantize
 from seedmark.datasets import GenSpec, dump_dataset, generate, load_dataset, parse_dataset
 from seedmark.errors import ConfigError, FormatError, SpecError
-from seedmark.harness import load_eval_config
-from seedmark.nnet import Model, ModelSpec, TrainConfig, family_spec, init_model
+from seedmark.harness import EvaluationConfig, build_attacked_model, load_eval_config
+from seedmark.nnet import Model, ModelSpec, family_spec, init_model
 from seedmark.serialize import (
     VERSION,
     _decode_array,
@@ -60,10 +60,9 @@ def test_round_trip_trained(trained_model):
 
 def test_round_trip_keeps_every_stage_record(trained_model, blob_data):
     train_set, _ = blob_data
-    surrogate = init_model(trained_model.spec, 3)
-    extracted, = extract_population([(trained_model, train_set.features[:40], surrogate,
-                                       TrainConfig(epochs=1), "RET", None, 0)])
-    model = blur_quantize(blur_prune(extracted, 0.5), 6)
+    pruned = build_attacked_model(EvaluationConfig(epochs=1), trained_model, "WP(RET)",
+                                  train_set, 3)
+    model = blur_quantize(pruned, 6)
     back = parse_model(dump_model(model))
     assert back.provenance == model.provenance
     assert [list(record) for record in back.provenance] == [

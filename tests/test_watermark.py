@@ -216,6 +216,21 @@ class TestKeysetGeneration:
         assert np.array_equal(a.labels, b.labels)
 
 
+@pytest.mark.parametrize("watermarks, labels", [
+    (np.zeros((2, 3)), np.array([[0], [1]])), (np.zeros((2, 3)), np.array([0.0, 1.0])),
+    (np.zeros((2, 3)), np.array([True, False])), (np.zeros(3), np.array([0, 1, 0]))],
+    ids=["2-d-labels", "float-labels", "bool-labels", "1-d-watermarks"])
+def test_keyset_needs_2d_watermarks_and_1d_integer_labels(watermarks, labels):
+    """Refused where it is built: 2-d labels used to reach `verify` and
+    `dump_keyset` as a bare TypeError, and float labels `confidence_profile`
+    as an IndexError. A label outside the classes is `confidence_profile`'s
+    to refuse, for the suspect model's class count."""
+    with pytest.raises(WatermarkError, match=r"^key-set needs 2-d watermarks and 1-d integer "
+                                             r"labels, got \("):
+        KeySet(watermarks, labels, {})
+    assert KeySet(np.zeros((2, 3)), np.array([-1, 9]), {}).labels.tolist() == [-1, 9]
+
+
 class TestConfidenceProfile:
     def test_constant_model(self):
         """Zero-weight model: softmax depends only on the output biases."""
